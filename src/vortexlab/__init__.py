@@ -11,46 +11,24 @@ from .grid import GridSpec
 from .fields import (
     ScalarField,
     VectorField,
-    TensorField,
-    gradient,
-    divergence,
-    curl,
-    perp_gradient,
-    hessian,
     solve_pressure,
     region_sup_norm,
 )
-from .diagnostics import (
-    EulerPointDiag,
-    BoussinesqPointDiag,
-    euler_directions,
-    boussinesq_directions,
-    strain_rotation_split,
-    vorticity_from_rotation,
-    sharp_bracket,
-    diag_field,
-)
+from .diagnostics import direction_quantities, diag_field
 from .identities import AlgebraicSample, make_samples, run_identity_suite
 from .solver import (
-    EulerState,
-    BoussinesqState,
     StepperConfig,
-    step_euler,
-    step_boussinesq,
     initial_condition,
     kinetic_energy,
 )
-from .tracers import SpectralSampler, TracerRecord, advect_tracers, dynamical_residuals, growth_bound_check
+from .tracers import SpectralSampler, TracerRecord, dynamical_residuals, growth_bound_check
 from .criteria import (
-    CriterionSeries,
-    TypeIMonitor,
-    GronwallProblem,
     criterion_functional,
     type_one_monitor,
     bkm_integral,
     gronwall_bound,
     gronwall_oracle,
 )
-from .pipeline import RunConfig, RunResult, load_config, run
+from .pipeline import RunConfig, load_config, run
 
 __version__ = "0.1.0"

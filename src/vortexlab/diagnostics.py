@@ -8,28 +8,27 @@ The same direction-field construction serves both settings:
   (its symmetric part is never taken; the transport of the carrier vector
   requires the Jacobian orientation, not the gradient-transpose).
 
-Degeneracy convention: where the carrier vector vanishes, every derived
-quantity is zero; where additionally only the stretched vector vanishes,
-the stretching direction and the alignment scalar are zero.
+`direction_quantities(vec, mat, hess, eps)` is the one implementation of
+the pointwise algebra. The grid diagnostics (`diag_field`), the tracer
+series and the randomized identity suite all read from it. With A = mat
+and P = hess it gives xi = vec/|vec|, zeta = A xi/|A xi|, alpha = xi.A xi,
+rho = xi.P xi, the alignment zeta.P xi, the stretch balance
+|A xi|^2 - 2 alpha^2 - rho, and the rates along the flow: alpha |vec| for
+|vec|, A xi - alpha xi for xi, -(zeta.P xi) |vec| for |A vec|, and
+(-P xi + (zeta.P xi) zeta)/|A xi| for zeta.
+
+Degeneracy convention: where |vec| <= eps, xi and every quantity derived
+from it are zero; where |vec| > eps but |A xi| <= eps, zeta, the alignment
+and the rate of zeta are zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .fields import ScalarField, VectorField, gradient, hessian, perp_gradient
-from .grid import GridSpec
-
-
-def sharp_bracket(f, sign: str):
-    """Positive part for sign='plus' ([f]+ = max(f, 0)), negative part for 'minus'."""
-    if sign == "plus":
-        return np.maximum(f, 0.0)
-    if sign == "minus":
-        return np.maximum(-f, 0.0)
-    raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
 
 
 def positive_part(f):
@@ -65,155 +64,145 @@ def vorticity_from_rotation(omega_mat: np.ndarray, skew_tol: float = 1e-12) -> n
     return np.stack([w1, w2, w3], axis=-1)
 
 
-def rotation_from_vorticity(omega: np.ndarray) -> np.ndarray:
-    """Skew matrix whose contraction with the alternating tensor gives omega back."""
-    omega = np.asarray(omega, dtype=float)
-    out = np.zeros(omega.shape[:-1] + (3, 3))
-    out[..., 0, 1] = 0.5 * omega[..., 2]
-    out[..., 1, 0] = -0.5 * omega[..., 2]
-    out[..., 0, 2] = -0.5 * omega[..., 1]
-    out[..., 2, 0] = 0.5 * omega[..., 1]
-    out[..., 1, 2] = 0.5 * omega[..., 0]
-    out[..., 2, 1] = -0.5 * omega[..., 0]
-    return out
+def _norm(x: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(x, axis=-1)
 
 
-def direction_quantities(vec: np.ndarray, mat: np.ndarray, hess: np.ndarray, eps: float) -> dict:
-    """Direction fields and alignment scalars for batched pointwise inputs.
+def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    return np.einsum("...ij,...j->...i", mat, vec)
 
-    vec has shape (..., d); mat and hess have shape (..., d, d). Returns a
-    dict of arrays over the batch shape. `unit_stretch_mag` is the magnitude
-    of mat applied to the unit carrier direction.
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("...i,...i->...", a, b)
+
+
+def _unit(vec: np.ndarray, mag: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    return vec / np.where(ok, mag, 1.0)[..., None] * ok[..., None]
+
+
+class DirectionQuantities:
+    """The pointwise direction algebra of one batch, evaluated lazily.
+
+    vec has shape (..., d); mat and hess have shape (..., d, d). Each
+    quantity is an array over the batch shape (vectors keep a trailing
+    component axis), computed on first access and cached, so a caller pays
+    only for what it reads.
     """
-    vec = np.asarray(vec, dtype=float)
-    mat = np.asarray(mat, dtype=float)
-    hess = np.asarray(hess, dtype=float)
-    vmag = np.linalg.norm(vec, axis=-1)
-    active = vmag > eps
-    denom = np.where(active, vmag, 1.0)
-    xi = vec / denom[..., None] * active[..., None]
 
-    m_xi = np.einsum("...ij,...j->...i", mat, xi)
-    alpha = np.einsum("...i,...i->...", xi, m_xi)
-    smag = np.linalg.norm(m_xi, axis=-1)
-    stretch_active = active & (smag > eps)
-    denom2 = np.where(stretch_active, smag, 1.0)
-    zeta = m_xi / denom2[..., None] * stretch_active[..., None]
+    def __init__(self, vec: np.ndarray, mat: np.ndarray, hess: np.ndarray, eps: float):
+        if eps < 0:
+            raise ValueError("eps must be nonnegative")
+        self.vec = np.asarray(vec, dtype=float)
+        self.mat = np.asarray(mat, dtype=float)
+        self.hess = np.asarray(hess, dtype=float)
+        self.eps = eps
 
-    p_xi = np.einsum("...ij,...j->...i", hess, xi)
-    rho = np.einsum("...i,...i->...", xi, p_xi)
-    align = np.einsum("...i,...i->...", zeta, p_xi)
-    stretch_balance = (smag**2 - 2.0 * alpha**2 - rho) * active
+    @cached_property
+    def vec_mag(self):
+        return _norm(self.vec)
 
-    return {
-        "vec_mag": vmag,
-        "active": active,
-        "stretch_active": stretch_active,
-        "xi": xi,
-        "zeta": zeta,
-        "alpha": alpha * active,
-        "rho": rho * active,
-        "align": align,
-        "stretch_balance": stretch_balance,
-        "unit_stretch_mag": smag * active,
-        "stretch_vec_mag": smag * vmag * active,
-        "p_xi": p_xi,
-        "p_xi_mag": np.linalg.norm(p_xi, axis=-1),
-    }
+    @cached_property
+    def active(self):
+        return self.vec_mag > self.eps
 
+    @cached_property
+    def xi(self):
+        return _unit(self.vec, self.vec_mag, self.active)
 
-@dataclass(frozen=True)
-class EulerPointDiag:
-    S: np.ndarray
-    Omega: np.ndarray
-    omega: np.ndarray
-    xi: np.ndarray
-    zeta: np.ndarray
-    alpha: float
-    rho: float
-    align: float
-    stretch_balance: float
+    @cached_property
+    def m_xi(self):
+        """mat applied to xi."""
+        return _apply(self.mat, self.xi)
 
+    @cached_property
+    def unit_stretch_mag(self):
+        return _norm(self.m_xi)
 
-@dataclass(frozen=True)
-class BoussinesqPointDiag:
-    U: np.ndarray
-    g: np.ndarray
-    xi: np.ndarray
-    zeta: np.ndarray
-    alpha: float
-    rho: float
-    align: float
-    stretch_balance: float
+    @cached_property
+    def stretch_active(self):
+        return self.active & (self.unit_stretch_mag > self.eps)
 
+    @cached_property
+    def zeta(self):
+        return _unit(self.m_xi, self.unit_stretch_mag, self.stretch_active)
 
-def euler_directions(omega: np.ndarray, S: np.ndarray, P: np.ndarray, eps: float = 0.0) -> EulerPointDiag:
-    """Pointwise 3D diagnostics from vorticity, strain, and pressure Hessian."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    q = direction_quantities(np.asarray(omega, float), np.asarray(S, float), np.asarray(P, float), eps)
-    return EulerPointDiag(
-        S=np.asarray(S, float),
-        Omega=rotation_from_vorticity(omega),
-        omega=np.asarray(omega, float),
-        xi=q["xi"],
-        zeta=q["zeta"],
-        alpha=float(q["alpha"]),
-        rho=float(q["rho"]),
-        align=float(q["align"]),
-        stretch_balance=float(q["stretch_balance"]),
-    )
+    @cached_property
+    def alpha(self):
+        return _dot(self.xi, self.m_xi)
 
+    @cached_property
+    def p_xi(self):
+        return _apply(self.hess, self.xi)
 
-def boussinesq_directions(g: np.ndarray, U: np.ndarray, P: np.ndarray, eps: float = 0.0) -> BoussinesqPointDiag:
-    """Pointwise 2D diagnostics; U is the velocity Jacobian U[i, j] = d_j u_i."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    q = direction_quantities(np.asarray(g, float), np.asarray(U, float), np.asarray(P, float), eps)
-    return BoussinesqPointDiag(
-        U=np.asarray(U, float),
-        g=np.asarray(g, float),
-        xi=q["xi"],
-        zeta=q["zeta"],
-        alpha=float(q["alpha"]),
-        rho=float(q["rho"]),
-        align=float(q["align"]),
-        stretch_balance=float(q["stretch_balance"]),
-    )
+    @cached_property
+    def p_xi_mag(self):
+        return _norm(self.p_xi)
 
+    @cached_property
+    def rho(self):
+        return _dot(self.xi, self.p_xi)
 
-@dataclass(frozen=True)
-class DiagnosticField:
-    """Grid-sampled diagnostics; scalar entries have grid shape, vectors carry
-    a trailing component axis."""
+    @cached_property
+    def align(self):
+        return _dot(self.zeta, self.p_xi)
 
-    kind: str
-    grid: GridSpec
-    eps: float
-    vec: np.ndarray
-    mat: np.ndarray
-    hess: np.ndarray
-    xi: np.ndarray
-    zeta: np.ndarray
-    alpha: np.ndarray
-    rho: np.ndarray
-    align: np.ndarray
-    stretch_balance: np.ndarray
-    vec_mag: np.ndarray
-    stretch_vec_mag: np.ndarray
-    p_xi_mag: np.ndarray
-    active: np.ndarray
-
-    @property
-    def align_negative(self) -> np.ndarray:
+    @cached_property
+    def align_negative(self):
         return negative_part(self.align)
 
-    @property
-    def stretch_excess(self) -> np.ndarray:
+    @cached_property
+    def stretch_balance(self):
+        return self.unit_stretch_mag**2 - 2.0 * self.alpha**2 - self.rho
+
+    @cached_property
+    def stretch_excess(self):
         return positive_part(self.stretch_balance)
 
-    def scalar_field(self, values: np.ndarray) -> ScalarField:
-        return ScalarField(self.grid, values)
+    @cached_property
+    def stretch_vec(self):
+        return _apply(self.mat, self.vec)
+
+    @cached_property
+    def stretch_vec_mag(self):
+        return self.unit_stretch_mag * self.vec_mag
+
+    @cached_property
+    def hess_vec(self):
+        return _apply(self.hess, self.vec)
+
+    @cached_property
+    def hess_vec_mag(self):
+        return self.p_xi_mag * self.vec_mag
+
+    @cached_property
+    def rate_vec_mag(self):
+        return self.alpha * self.vec_mag
+
+    @cached_property
+    def rate_xi(self):
+        return self.m_xi - self.alpha[..., None] * self.xi
+
+    @cached_property
+    def rate_xi_mag(self):
+        return _norm(self.rate_xi)
+
+    @cached_property
+    def rate_stretch_mag(self):
+        return -self.align * self.vec_mag
+
+    @cached_property
+    def rate_zeta(self):
+        return _unit(-self.p_xi + self.align[..., None] * self.zeta, self.unit_stretch_mag, self.stretch_active)
+
+    @cached_property
+    def rate_zeta_mag(self):
+        return _norm(self.rate_zeta)
+
+
+def direction_quantities(vec: np.ndarray, mat: np.ndarray, hess: np.ndarray, eps: float) -> DirectionQuantities:
+    """The direction algebra of a batch of (vec, mat, hess) samples; see
+    `DirectionQuantities`. Raises ValueError for a negative eps."""
+    return DirectionQuantities(vec, mat, hess, eps)
 
 
 def diag_field(
@@ -221,11 +210,12 @@ def diag_field(
     p: ScalarField,
     theta: ScalarField | None = None,
     eps: float | None = None,
-) -> DiagnosticField:
+) -> DirectionQuantities:
     """Evaluate the pointwise diagnostics over the whole grid.
 
     3D input gives the vorticity/strain diagnostics; 2D input requires the
     temperature field and gives the perpendicular-gradient/Jacobian ones.
+    Quantities have the grid shape. eps defaults to 1e-12 max |vec|.
     """
     grid = u.grid
     if p.grid != grid or (theta is not None and theta.grid != grid):
@@ -233,55 +223,27 @@ def diag_field(
     grad_u = gradient(u).values
     hess_p = hessian(p).values
     if grid.dim == 3:
-        kind = "euler"
-        sym, skew = strain_rotation_split(np.moveaxis(grad_u, (0, 1), (-2, -1)))
-        mat = sym
+        mat, skew = strain_rotation_split(np.moveaxis(grad_u, (0, 1), (-2, -1)))
         vec = vorticity_from_rotation(skew)
     else:
         if theta is None:
             raise ValueError("2D diagnostics require the temperature field")
-        kind = "boussinesq"
         # Jacobian orientation: J[i, j] = d_j u_i, i.e. the transpose of grad_u
         mat = np.moveaxis(grad_u, (0, 1), (-1, -2))
         vec = np.moveaxis(perp_gradient(theta).values, 0, -1)
     hess_pt = np.moveaxis(hess_p, (0, 1), (-2, -1))
 
     if eps is None:
-        vmax = float(np.max(np.linalg.norm(vec, axis=-1)))
-        eps = 1e-12 * vmax
-    q = direction_quantities(vec, mat, hess_pt, eps)
-    return DiagnosticField(
-        kind=kind,
-        grid=grid,
-        eps=eps,
-        vec=vec,
-        mat=mat,
-        hess=hess_pt,
-        xi=q["xi"],
-        zeta=q["zeta"],
-        alpha=q["alpha"],
-        rho=q["rho"],
-        align=q["align"],
-        stretch_balance=q["stretch_balance"],
-        vec_mag=q["vec_mag"],
-        stretch_vec_mag=q["stretch_vec_mag"],
-        p_xi_mag=q["p_xi_mag"],
-        active=q["active"],
-    )
+        eps = 1e-12 * float(np.max(np.linalg.norm(vec, axis=-1)))
+    return direction_quantities(vec, mat, hess_pt, eps)
 
 
 __all__ = [
-    "sharp_bracket",
     "positive_part",
     "negative_part",
     "strain_rotation_split",
     "vorticity_from_rotation",
-    "rotation_from_vorticity",
+    "DirectionQuantities",
     "direction_quantities",
-    "EulerPointDiag",
-    "BoussinesqPointDiag",
-    "euler_directions",
-    "boussinesq_directions",
-    "DiagnosticField",
     "diag_field",
 ]

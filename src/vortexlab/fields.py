@@ -127,20 +127,6 @@ def divergence(u: VectorField) -> ScalarField:
     return ScalarField.from_spectral(grid, div)
 
 
-def curl(u: VectorField) -> VectorField | ScalarField:
-    """Curl of u: a vector in 3D, the scalar d1 u2 - d2 u1 in 2D."""
-    grid = u.grid
-    uh = u.spectral
-    if grid.dim == 3:
-        out = np.empty((3,) + grid.shape, dtype=np.complex128)
-        out[0] = _derivative_coeffs(grid, uh[2], 1) - _derivative_coeffs(grid, uh[1], 2)
-        out[1] = _derivative_coeffs(grid, uh[0], 2) - _derivative_coeffs(grid, uh[2], 0)
-        out[2] = _derivative_coeffs(grid, uh[1], 0) - _derivative_coeffs(grid, uh[0], 1)
-        return VectorField.from_spectral(grid, out)
-    w = _derivative_coeffs(grid, uh[1], 0) - _derivative_coeffs(grid, uh[0], 1)
-    return ScalarField.from_spectral(grid, w)
-
-
 def perp_gradient(theta: ScalarField) -> VectorField:
     """Perpendicular gradient (-d2 theta, d1 theta); defined in 2D only."""
     grid = theta.grid
@@ -205,13 +191,6 @@ def solve_pressure(
     return ScalarField.from_spectral(grid, p_hat)
 
 
-def project_divergence_free(u: VectorField) -> VectorField:
-    """Leray projection onto divergence-free fields (mean flow untouched)."""
-    grid = u.grid
-    uh = project_spectral(grid, u.spectral.copy())
-    return VectorField.from_spectral(grid, uh)
-
-
 def project_spectral(grid: GridSpec, uh: np.ndarray) -> np.ndarray:
     """In-place Leray projection of spectral velocity coefficients."""
     k_dot_u = np.zeros(grid.shape, dtype=np.complex128)
@@ -254,12 +233,10 @@ __all__ = [
     "EmptyRegionError",
     "gradient",
     "divergence",
-    "curl",
     "perp_gradient",
     "hessian",
     "max_divergence",
     "solve_pressure",
-    "project_divergence_free",
     "project_spectral",
     "region_sup_norm",
 ]

@@ -1,8 +1,10 @@
 """Randomized algebraic verification of the direction-field identities.
 
 Every check here is pure matrix/vector algebra on a sample (S, P, v): no PDE
-solve is involved. The material-derivative proxies are defined directly from
-the sample,
+solve is involved. Every quantity a check reads comes from the production
+kernel `diagnostics.direction_quantities` at eps = 0, the same code that
+feeds the grid diagnostics and the tracer series, so the suite certifies
+what writes `report.json`. The material-derivative proxies are
 
     rate of |v|        := alpha |v|
     rate of direction  := S xi - alpha xi
@@ -19,50 +21,32 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
+
+from .diagnostics import direction_quantities
 
 RESIDUAL_FLOOR = 1e-14
 IDENTITY_TOL = 1e-10
 INEQUALITY_TOL = 1e-12
-
-IDENTITY_NAMES = (
-    "vorticity_pythagoras",
-    "strain_pythagoras",
-    "three_term",
-    "decomposition",
-    "decomposition_projected",
-    "alignment_rate",
-    "xi_orthogonality",
-    "zeta_orthogonality",
-)
-INEQUALITY_NAMES = ("two_term_vec", "two_term_stretch", "three_term_bound")
 
 
 def _norm(x: np.ndarray) -> np.ndarray:
     return np.linalg.norm(x, axis=-1)
 
 
-@dataclass(frozen=True)
 class AlgebraicSample:
-    """Batch of (matrix, Hessian, carrier vector) samples with derived proxies.
+    """Batch of (matrix, Hessian, carrier vector) samples.
 
     S has shape (m, d, d) and zero trace, P is symmetric (m, d, d), v is
-    (m, d). Scalar-derived quantities have shape (m,).
+    (m, d). `q` holds the derived quantities, arrays of shape (m,) or (m, d),
+    from the direction kernel at eps = 0.
     """
 
-    S: np.ndarray
-    P: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        S = np.atleast_3d(np.asarray(self.S, dtype=float))
-        P = np.atleast_3d(np.asarray(self.P, dtype=float))
-        v = np.atleast_2d(np.asarray(self.v, dtype=float))
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "P", P)
-        object.__setattr__(self, "v", v)
+    def __init__(self, S: np.ndarray, P: np.ndarray, v: np.ndarray):
+        S = np.atleast_3d(np.asarray(S, dtype=float))
+        P = np.atleast_3d(np.asarray(P, dtype=float))
+        v = np.atleast_2d(np.asarray(v, dtype=float))
         m, d = v.shape
         if S.shape != (m, d, d) or P.shape != (m, d, d):
             raise ValueError("shape mismatch between S, P, v")
@@ -71,6 +55,8 @@ class AlgebraicSample:
             raise ValueError("S must be trace-free")
         if np.max(np.abs(P - np.swapaxes(P, 1, 2))) > 1e-12 * max(np.abs(P).max(), 1.0):
             raise ValueError("P must be symmetric")
+        self.S, self.P, self.v = S, P, v
+        self.q = direction_quantities(v, S, P, 0.0)
 
     @property
     def size(self) -> int:
@@ -79,85 +65,6 @@ class AlgebraicSample:
     @property
     def dim(self) -> int:
         return self.v.shape[1]
-
-    @cached_property
-    def vec_mag(self):
-        return _norm(self.v)
-
-    @cached_property
-    def ok_vec(self):
-        return self.vec_mag > 0.0
-
-    @cached_property
-    def xi(self):
-        denom = np.where(self.ok_vec, self.vec_mag, 1.0)
-        return self.v / denom[:, None] * self.ok_vec[:, None]
-
-    @cached_property
-    def m_xi(self):
-        return np.einsum("mij,mj->mi", self.S, self.xi)
-
-    @cached_property
-    def alpha(self):
-        return np.einsum("mi,mi->m", self.xi, self.m_xi)
-
-    @cached_property
-    def unit_stretch_mag(self):
-        return _norm(self.m_xi)
-
-    @cached_property
-    def ok_stretch(self):
-        return self.ok_vec & (self.unit_stretch_mag > 0.0)
-
-    @cached_property
-    def zeta(self):
-        denom = np.where(self.ok_stretch, self.unit_stretch_mag, 1.0)
-        return self.m_xi / denom[:, None] * self.ok_stretch[:, None]
-
-    @cached_property
-    def stretch_mag(self):
-        return self.unit_stretch_mag * self.vec_mag
-
-    @cached_property
-    def p_xi(self):
-        return np.einsum("mij,mj->mi", self.P, self.xi)
-
-    @cached_property
-    def p_xi_mag(self):
-        return _norm(self.p_xi)
-
-    @cached_property
-    def hess_vec_mag(self):
-        return self.p_xi_mag * self.vec_mag
-
-    @cached_property
-    def align(self):
-        return np.einsum("mi,mi->m", self.zeta, self.p_xi)
-
-    @cached_property
-    def rate_vec_mag(self):
-        return self.alpha * self.vec_mag
-
-    @cached_property
-    def rate_xi(self):
-        return self.m_xi - self.alpha[:, None] * self.xi
-
-    @cached_property
-    def rate_xi_mag(self):
-        return _norm(self.rate_xi)
-
-    @cached_property
-    def rate_stretch_mag(self):
-        return -self.align * self.vec_mag
-
-    @cached_property
-    def rate_zeta(self):
-        denom = np.where(self.ok_stretch, self.unit_stretch_mag, 1.0)
-        return (-self.p_xi + self.align[:, None] * self.zeta) / denom[:, None] * self.ok_stretch[:, None]
-
-    @cached_property
-    def rate_zeta_mag(self):
-        return _norm(self.rate_zeta)
 
 
 def make_samples(count: int, dim: int, seed: int, scale: float = 1.0) -> AlgebraicSample:
@@ -186,27 +93,30 @@ def _relative(err: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
 def check_vorticity_pythagoras(s: AlgebraicSample) -> np.ndarray:
     """Residual of (rate |v|)^2 + |rate xi|^2 |v|^2 = |S v|^2; nan where skipped."""
-    lhs = s.rate_vec_mag**2 + (s.rate_xi_mag * s.vec_mag) ** 2
-    res = _relative(lhs - s.stretch_mag**2, s.stretch_mag**2)
-    return np.where(s.ok_stretch, res, np.nan)
+    q = s.q
+    lhs = q.rate_vec_mag**2 + (q.rate_xi_mag * q.vec_mag) ** 2
+    res = _relative(lhs - q.stretch_vec_mag**2, q.stretch_vec_mag**2)
+    return np.where(q.stretch_active, res, np.nan)
 
 
 def check_strain_pythagoras(s: AlgebraicSample) -> np.ndarray:
     """Residual of (rate |S v|)^2 + |rate zeta|^2 |S v|^2 = |P v|^2."""
-    lhs = s.rate_stretch_mag**2 + (s.rate_zeta_mag * s.stretch_mag) ** 2
-    res = _relative(lhs - s.hess_vec_mag**2, s.hess_vec_mag**2)
-    return np.where(s.ok_stretch, res, np.nan)
+    q = s.q
+    lhs = q.rate_stretch_mag**2 + (q.rate_zeta_mag * q.stretch_vec_mag) ** 2
+    res = _relative(lhs - q.hess_vec_mag**2, q.hess_vec_mag**2)
+    return np.where(q.stretch_active, res, np.nan)
 
 
 def check_three_term(s: AlgebraicSample) -> np.ndarray:
     """Residual of the three-term splitting of |P v|^2."""
+    q = s.q
     lhs = (
-        s.rate_stretch_mag**2
-        + (s.rate_zeta_mag * s.rate_vec_mag) ** 2
-        + (s.rate_zeta_mag * s.rate_xi_mag * s.vec_mag) ** 2
+        q.rate_stretch_mag**2
+        + (q.rate_zeta_mag * q.rate_vec_mag) ** 2
+        + (q.rate_zeta_mag * q.rate_xi_mag * q.vec_mag) ** 2
     )
-    res = _relative(lhs - s.hess_vec_mag**2, s.hess_vec_mag**2)
-    return np.where(s.ok_stretch, res, np.nan)
+    res = _relative(lhs - q.hess_vec_mag**2, q.hess_vec_mag**2)
+    return np.where(q.stretch_active, res, np.nan)
 
 
 CONDITIONING_GUARD = 1e-4
@@ -220,27 +130,28 @@ def check_orthogonal_decompositions(s: AlgebraicSample) -> dict[str, np.ndarray]
     is tiny against the cancellation scale of its own computation; otherwise
     pure roundoff would masquerade as an identity violation.
     """
-    recomposed = s.align[:, None] * s.zeta - s.unit_stretch_mag[:, None] * s.rate_zeta
-    dec = _relative(_norm(s.p_xi - recomposed), s.p_xi_mag)
-    dec = np.where(s.ok_stretch, dec, np.nan)
+    q = s.q
+    recomposed = q.align[:, None] * q.zeta - q.unit_stretch_mag[:, None] * q.rate_zeta
+    dec = _relative(_norm(q.p_xi - recomposed), q.p_xi_mag)
+    dec = np.where(q.stretch_active, dec, np.nan)
 
-    denom_stretch = np.where(s.ok_stretch, s.unit_stretch_mag, 1.0)
-    rz_scale = (s.p_xi_mag + np.abs(s.align)) / denom_stretch
-    ok_rz = s.ok_stretch & (s.rate_zeta_mag > CONDITIONING_GUARD * rz_scale)
-    denom_rz = np.where(ok_rz, s.rate_zeta_mag, 1.0)
-    coef = np.einsum("mi,mi->m", s.rate_zeta, s.p_xi) / denom_rz**2
-    projected = s.align[:, None] * s.zeta + coef[:, None] * s.rate_zeta
-    dec_proj = _relative(_norm(s.p_xi - projected), s.p_xi_mag)
+    denom_stretch = np.where(q.stretch_active, q.unit_stretch_mag, 1.0)
+    rz_scale = (q.p_xi_mag + np.abs(q.align)) / denom_stretch
+    ok_rz = q.stretch_active & (q.rate_zeta_mag > CONDITIONING_GUARD * rz_scale)
+    denom_rz = np.where(ok_rz, q.rate_zeta_mag, 1.0)
+    coef = np.einsum("mi,mi->m", q.rate_zeta, q.p_xi) / denom_rz**2
+    projected = q.align[:, None] * q.zeta + coef[:, None] * q.rate_zeta
+    dec_proj = _relative(_norm(q.p_xi - projected), q.p_xi_mag)
     dec_proj = np.where(ok_rz, dec_proj, np.nan)
 
-    unit_rz = s.rate_zeta / denom_rz[:, None]
-    align_rate = np.einsum("mi,mi->m", unit_rz, s.p_xi) + s.unit_stretch_mag * s.rate_zeta_mag
-    align_rate = np.where(ok_rz, _relative(align_rate, s.p_xi_mag), np.nan)
+    unit_rz = q.rate_zeta / denom_rz[:, None]
+    align_rate = np.einsum("mi,mi->m", unit_rz, q.p_xi) + q.unit_stretch_mag * q.rate_zeta_mag
+    align_rate = np.where(ok_rz, _relative(align_rate, q.p_xi_mag), np.nan)
 
-    ok_rx = s.ok_stretch & (s.rate_xi_mag > CONDITIONING_GUARD * s.unit_stretch_mag)
-    xi_orth = _relative(np.einsum("mi,mi->m", s.xi, s.rate_xi), s.rate_xi_mag)
+    ok_rx = q.stretch_active & (q.rate_xi_mag > CONDITIONING_GUARD * q.unit_stretch_mag)
+    xi_orth = _relative(np.einsum("mi,mi->m", q.xi, q.rate_xi), q.rate_xi_mag)
     xi_orth = np.where(ok_rx, xi_orth, np.nan)
-    zeta_orth = _relative(np.einsum("mi,mi->m", s.zeta, s.rate_zeta), s.rate_zeta_mag)
+    zeta_orth = _relative(np.einsum("mi,mi->m", q.zeta, q.rate_zeta), q.rate_zeta_mag)
     zeta_orth = np.where(ok_rz, zeta_orth, np.nan)
 
     return {
@@ -254,12 +165,13 @@ def check_orthogonal_decompositions(s: AlgebraicSample) -> dict[str, np.ndarray]
 
 def check_inequalities(s: AlgebraicSample) -> dict[str, dict[str, np.ndarray]]:
     """Normalized slack and LHS/RHS ratio of the sqrt(2)/sqrt(3) inequalities."""
-    lhs1 = s.rate_vec_mag + s.rate_xi_mag * s.vec_mag
-    rhs1 = np.sqrt(2.0) * s.stretch_mag
-    lhs2 = s.rate_stretch_mag + s.rate_zeta_mag * s.stretch_mag
-    rhs2 = np.sqrt(2.0) * s.hess_vec_mag
-    lhs3 = s.rate_stretch_mag + s.rate_zeta_mag * s.rate_vec_mag + s.rate_zeta_mag * s.rate_xi_mag * s.vec_mag
-    rhs3 = np.sqrt(3.0) * s.hess_vec_mag
+    q = s.q
+    lhs1 = q.rate_vec_mag + q.rate_xi_mag * q.vec_mag
+    rhs1 = np.sqrt(2.0) * q.stretch_vec_mag
+    lhs2 = q.rate_stretch_mag + q.rate_zeta_mag * q.stretch_vec_mag
+    rhs2 = np.sqrt(2.0) * q.hess_vec_mag
+    lhs3 = q.rate_stretch_mag + q.rate_zeta_mag * q.rate_vec_mag + q.rate_zeta_mag * q.rate_xi_mag * q.vec_mag
+    rhs3 = np.sqrt(3.0) * q.hess_vec_mag
 
     out = {}
     for name, lhs, rhs in (
@@ -270,8 +182,8 @@ def check_inequalities(s: AlgebraicSample) -> dict[str, dict[str, np.ndarray]]:
         slack = (rhs - lhs) / np.maximum(rhs, RESIDUAL_FLOOR)
         ratio = lhs / np.maximum(rhs, RESIDUAL_FLOOR)
         out[name] = {
-            "slack": np.where(s.ok_stretch, slack, np.nan),
-            "ratio": np.where(s.ok_stretch, ratio, np.nan),
+            "slack": np.where(q.stretch_active, slack, np.nan),
+            "ratio": np.where(q.stretch_active, ratio, np.nan),
         }
     return out
 
@@ -373,8 +285,6 @@ def run_identity_suite(
 __all__ = [
     "AlgebraicSample",
     "IdentitySuiteReport",
-    "IDENTITY_NAMES",
-    "INEQUALITY_NAMES",
     "IDENTITY_TOL",
     "INEQUALITY_TOL",
     "make_samples",

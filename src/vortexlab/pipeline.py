@@ -17,7 +17,7 @@ import numpy as np
 
 from . import criteria as crit
 from . import solver, tracers
-from .diagnostics import diag_field
+from .diagnostics import diag_field, strain_rotation_split, vorticity_from_rotation
 from .fields import solve_pressure
 from .grid import GridSpec
 from .storage import save_diagnostics, save_field, write_csv, write_json, write_manifest
@@ -83,6 +83,12 @@ class RunConfig:
         steps = self.t_end / self.dt
         if abs(steps - round(steps)) > 1e-9:
             raise ConfigError("t_end must be an integer multiple of dt")
+        if self.sample_every < 1:
+            raise ConfigError("sample_every must be at least 1")
+        if self.snapshot_every < 0:
+            raise ConfigError("snapshot_every must be nonnegative")
+        if self.tracer_count < 0:
+            raise ConfigError("tracer count must be nonnegative")
         if round(steps) % self.sample_every != 0:
             raise ConfigError("sample_every must divide the number of steps")
         if self.candidate_time is None:
@@ -288,13 +294,12 @@ def _tracer_seeds(config: RunConfig, grid: GridSpec) -> np.ndarray:
     return rng.uniform(0.0, grid.length, size=(config.tracer_count, grid.dim))
 
 
-def _sample_tracer_fields(grid: GridSpec, state, positions: np.ndarray):
+def _sample_tracer_fields(grid: GridSpec, state, p, positions: np.ndarray):
     """Point samples of the velocity gradient, pressure Hessian, and carrier
-    vector at tracer positions; returns (vec, mat, hess) arrays."""
+    vector at tracer positions, given the pressure p of the state; returns
+    (vec, mat, hess) arrays."""
     d = grid.dim
     uh = state.u.spectral
-    theta = state.theta if d == 2 else None
-    p = solve_pressure(state.u, theta)
     ph = p.spectral
     k = grid.wavenumbers
 
@@ -308,7 +313,7 @@ def _sample_tracer_fields(grid: GridSpec, state, positions: np.ndarray):
             stack.append(-(k[i] * k[j]) * ph)
     carrier_index = len(stack)
     if d == 2:
-        th = theta.spectral
+        th = state.theta.spectral
         stack.append(-1j * k[1] * th)
         stack.append(1j * k[0] * th)
 
@@ -330,17 +335,8 @@ def _sample_tracer_fields(grid: GridSpec, state, positions: np.ndarray):
             hess[:, j, i] = sampled[idx]
             idx += 1
     if d == 3:
-        sym = 0.5 * (grad_u + np.swapaxes(grad_u, 1, 2))
-        skew = grad_u - sym
-        vec = np.stack(
-            [
-                skew[:, 1, 2] - skew[:, 2, 1],
-                skew[:, 2, 0] - skew[:, 0, 2],
-                skew[:, 0, 1] - skew[:, 1, 0],
-            ],
-            axis=-1,
-        )
-        mat = sym
+        mat, skew = strain_rotation_split(grad_u)
+        vec = vorticity_from_rotation(skew)
     else:
         vec = np.stack([sampled[carrier_index], sampled[carrier_index + 1]], axis=-1)
         mat = np.swapaxes(grad_u, 1, 2)  # Jacobian orientation
@@ -389,7 +385,9 @@ def run(config: RunConfig, output_dir: str | Path | None = None) -> RunResult:
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    def take_snapshot(step: int, current) -> None:
+    def take_snapshot(step: int, current, sampled) -> None:
+        """Write the state at `step`; `sampled` is that step's (pressure,
+        diagnostics) when it was sampled, else None."""
         if out_dir is None:
             return
         base = out_dir / "snapshots" / f"snap_{step:06d}"
@@ -398,14 +396,18 @@ def run(config: RunConfig, output_dir: str | Path | None = None) -> RunResult:
         theta_now = current.theta if config.dim == 2 else None
         if theta_now is not None:
             paths.extend(save_field(Path(str(base) + "_temperature"), theta_now, "temperature", t))
-        p_now = solve_pressure(current.u, theta_now)
+        if sampled is None:
+            sampled = (solve_pressure(current.u, theta_now), None)
+        p_now, diag = sampled
         paths.extend(save_field(Path(str(base) + "_pressure"), p_now, "pressure", t))
         if config.snapshot_diagnostics:
-            diag = diag_field(current.u, p_now, theta_now, eps=eps)
-            paths.extend(save_diagnostics(base, diag, t))
+            if diag is None:
+                diag = diag_field(current.u, p_now, theta_now, eps=eps)
+            paths.extend(save_diagnostics(base, grid, diag, t))
         snapshots.extend(paths)
 
-    def sample(step: int, current, pos: np.ndarray) -> None:
+    def sample(step: int, current, pos: np.ndarray):
+        """Record the diagnostics of `current`; returns its (pressure, diagnostics)."""
         nonlocal theta_min, theta_max
         t = step * config.dt
         theta_now = current.theta if config.dim == 2 else None
@@ -432,20 +434,23 @@ def run(config: RunConfig, output_dir: str | Path | None = None) -> RunResult:
             theta_max = max(theta_max, float(np.max(theta_now.values)))
         tail_series.append(solver.spectral_tail_ratio(grid, *spectra))
         if n_tracers:
-            vec, mat, hess = _sample_tracer_fields(grid, current, pos)
+            vec, mat, hess = _sample_tracer_fields(grid, current, p, pos)
             tracer_positions_hist.append(pos.copy())
             tracer_vec.append(vec)
             tracer_mat.append(mat)
             tracer_hess.append(hess)
+        return p, diag
 
     for step_index in range(config.n_steps + 1):
+        sampled = None
         if step_index % config.sample_every == 0:
-            sample(step_index, state, positions)
+            sampled = sample(step_index, state, positions)
         want_snapshot = step_index in (0, config.n_steps) or (
             config.snapshot_every > 0 and step_index % config.snapshot_every == 0
         )
         if want_snapshot:
-            take_snapshot(step_index, state)
+            take_snapshot(step_index, state, sampled)
+        del sampled  # free the sample's grid arrays before the RK4 step
         if step_index == config.n_steps:
             break
         try:
@@ -469,7 +474,7 @@ def run(config: RunConfig, output_dir: str | Path | None = None) -> RunResult:
         mat = np.stack(tracer_mat)
         hess = np.stack(tracer_hess)
         pos_hist = np.stack(tracer_positions_hist)
-        series = tracers.diagnostics_series(kind, vec, mat, hess, eps)
+        series = tracers.diagnostics_series(vec, mat, hess, eps)
         carrier_max = max(float(np.max(series["vec_mag"])), 1e-300)
         bound_tol = 1e-6 * carrier_max
         variants = ("lemma", "double-exp", "damped") if kind == "euler" else ("lemma", "double-exp")

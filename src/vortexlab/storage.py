@@ -91,14 +91,13 @@ def write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
             fh.write(",".join(format_float(a[i]) for a in arrays) + "\n")
 
 
-def save_diagnostics(base: Path, diag, time: float) -> list[Path]:
+def save_diagnostics(base: Path, grid: GridSpec, diag, time: float) -> list[Path]:
     """Export the scalar diagnostic fields as snapshot pairs.
 
+    diag holds the grid-shaped quantities of `diagnostics.diag_field`.
     Writes carrier magnitude, stretching rate, alignment, stretch balance,
     and the two bracketed monitor quantities next to `base`.
     """
-    from .fields import ScalarField
-
     entries = {
         "carrier_mag": diag.vec_mag,
         "alpha": diag.alpha,
@@ -110,7 +109,7 @@ def save_diagnostics(base: Path, diag, time: float) -> list[Path]:
     }
     paths = []
     for role, values in entries.items():
-        pair = save_field(Path(f"{base}_{role}"), ScalarField(diag.grid, values), role, time)
+        pair = save_field(Path(f"{base}_{role}"), ScalarField(grid, values), role, time)
         paths.extend(pair)
     return paths
 

@@ -17,16 +17,6 @@ import numpy as np
 from .diagnostics import direction_quantities, negative_part, positive_part
 from .grid import GridSpec
 
-STENCIL_ORDER = 2
-
-EULER_RESIDUAL_KEYS = (
-    "vec_transport",
-    "vec_mag_rate",
-    "stretch_mag_rate",
-    "log_curvature",
-    "second_accel",
-)
-BOUSSINESQ_RESIDUAL_KEYS = EULER_RESIDUAL_KEYS
 BOUND_VARIANTS = ("lemma", "double-exp", "damped")
 
 
@@ -82,41 +72,6 @@ def advance_positions(
     return np.mod(new, grid.length)
 
 
-def advect_tracers(
-    velocity_at, seeds: np.ndarray, dt: float, n_steps: int, t0: float = 0.0
-) -> np.ndarray:
-    """Integrate trajectories through a velocity snapshot provider.
-
-    velocity_at(t) must return the VectorField at time t; it is queried at
-    step starts, midpoints, and ends. Returns positions with shape
-    (n_steps + 1, n_tracers, dim).
-    """
-    positions = np.atleast_2d(np.asarray(seeds, dtype=float)).copy()
-    grid = velocity_at(t0).grid
-    history = [positions]
-    for k in range(n_steps):
-        t = t0 + k * dt
-        ua = velocity_at(t).spectral
-        ub = velocity_at(t + 0.5 * dt).spectral
-        uc = velocity_at(t + dt).spectral
-        stages = [(t, ua), (t + 0.5 * dt, ub), (t + 0.5 * dt, ub), (t + dt, uc)]
-        positions = advance_positions(grid, stages, positions, dt)
-        history.append(positions)
-    return np.stack(history)
-
-
-@dataclass(frozen=True)
-class MaterialSeries:
-    """Samples of a quantity along one trajectory, with derivative estimates."""
-
-    times: np.ndarray
-    values: np.ndarray
-    stencil_order: int = STENCIL_ORDER
-
-    def derivative(self, order: int) -> np.ndarray:
-        return time_derivative(self.values, _uniform_dt(self.times), order)
-
-
 def _uniform_dt(times: np.ndarray) -> float:
     times = np.asarray(times, dtype=float)
     steps = np.diff(times)
@@ -163,9 +118,7 @@ def time_derivative(values: np.ndarray, dt: float, order: int, accuracy: int = 2
 class TracerRecord:
     """Trajectory of one tracer and the diagnostics sampled along it.
 
-    Series keys: vec, vec_mag, stretch_vec, stretch_vec_mag, hess_vec,
-    alpha, rho, align, stretch_balance, p_xi_mag, rate_xi_mag,
-    rate_zeta_mag, active.
+    Series keys: vec and the kernel quantities named in SERIES_KEYS.
     """
 
     index: int
@@ -180,35 +133,32 @@ class TracerRecord:
         return _uniform_dt(self.times)
 
 
-def diagnostics_series(kind: str, vec: np.ndarray, mat: np.ndarray, hess: np.ndarray, eps: float) -> dict:
-    """Pointwise diagnostics for sampled (time, tracer) arrays.
+SERIES_KEYS = (
+    "vec_mag",
+    "stretch_vec",
+    "stretch_vec_mag",
+    "hess_vec",
+    "alpha",
+    "rho",
+    "align",
+    "stretch_balance",
+    "p_xi_mag",
+    "rate_xi_mag",
+    "rate_zeta_mag",
+    "active",
+    "stretch_active",
+)
+
+
+def diagnostics_series(vec: np.ndarray, mat: np.ndarray, hess: np.ndarray, eps: float) -> dict:
+    """Pointwise diagnostics for sampled (time, tracer) arrays, read from the
+    direction kernel.
 
     vec: (k, p, d); mat, hess: (k, p, d, d). mat is the strain in 3D and the
     velocity Jacobian in 2D, matching the grid diagnostics.
     """
     q = direction_quantities(vec, mat, hess, eps)
-    stretch_vec = np.einsum("kpij,kpj->kpi", mat, vec)
-    hess_vec = np.einsum("kpij,kpj->kpi", hess, vec)
-    unit = q["unit_stretch_mag"]
-    rate_xi_sq = np.maximum(unit**2 - q["alpha"] ** 2, 0.0)
-    denom = np.where(q["stretch_active"], unit, 1.0)
-    rate_zeta_sq = np.maximum(q["p_xi_mag"] ** 2 - q["align"] ** 2, 0.0) / denom**2
-    return {
-        "vec": vec,
-        "vec_mag": q["vec_mag"],
-        "stretch_vec": stretch_vec,
-        "stretch_vec_mag": q["stretch_vec_mag"],
-        "hess_vec": hess_vec,
-        "alpha": q["alpha"],
-        "rho": q["rho"],
-        "align": q["align"],
-        "stretch_balance": q["stretch_balance"],
-        "p_xi_mag": q["p_xi_mag"],
-        "rate_xi_mag": np.sqrt(rate_xi_sq) * q["active"],
-        "rate_zeta_mag": np.sqrt(rate_zeta_sq) * q["stretch_active"],
-        "active": q["active"],
-        "stretch_active": q["stretch_active"],
-    }
+    return {"vec": q.vec, **{key: getattr(q, key) for key in SERIES_KEYS}}
 
 
 def _valid_window(active: np.ndarray, halfwidth: int = 2) -> np.ndarray:
@@ -298,7 +248,8 @@ class BoundCheck:
 
     @property
     def violations(self) -> int:
-        return int(np.count_nonzero(self.margins < -self.tolerance))
+        # a non-finite margin is a violation, not a pass
+        return int(np.count_nonzero(~(self.margins >= -self.tolerance)))
 
 
 def _double_cumtrapz(times: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -366,15 +317,10 @@ def growth_bound_check(record: TracerRecord, variant: str, tolerance: float) -> 
 
 
 __all__ = [
-    "STENCIL_ORDER",
-    "EULER_RESIDUAL_KEYS",
-    "BOUSSINESQ_RESIDUAL_KEYS",
     "BOUND_VARIANTS",
     "TracerError",
     "SpectralSampler",
     "advance_positions",
-    "advect_tracers",
-    "MaterialSeries",
     "TracerRecord",
     "time_derivative",
     "diagnostics_series",

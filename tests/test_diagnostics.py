@@ -3,12 +3,14 @@ import pytest
 
 from vortexlab.grid import GridSpec
 from vortexlab.fields import ScalarField, VectorField, gradient, hessian, solve_pressure
+from vortexlab.identities import AlgebraicSample
+from vortexlab.solver import initial_condition
+from vortexlab.tracers import diagnostics_series
 from vortexlab.diagnostics import (
-    boussinesq_directions,
     diag_field,
-    euler_directions,
-    rotation_from_vorticity,
-    sharp_bracket,
+    direction_quantities,
+    negative_part,
+    positive_part,
     strain_rotation_split,
     vorticity_from_rotation,
 )
@@ -16,19 +18,15 @@ from vortexlab.diagnostics import (
 
 class TestSharpBracket:
     def test_values(self):
-        assert sharp_bracket(3.0, "plus") == 3.0
-        assert sharp_bracket(-2.0, "plus") == 0.0
-        assert sharp_bracket(-2.0, "minus") == 2.0
-        assert sharp_bracket(3.0, "minus") == 0.0
+        assert positive_part(3.0) == 3.0
+        assert positive_part(-2.0) == 0.0
+        assert negative_part(-2.0) == 2.0
+        assert negative_part(3.0) == 0.0
 
     def test_difference_recovers_input(self):
         rng = np.random.default_rng(0)
         f = rng.standard_normal(100)
-        assert np.allclose(sharp_bracket(f, "plus") - sharp_bracket(f, "minus"), f)
-
-    def test_unknown_sign(self):
-        with pytest.raises(ValueError):
-            sharp_bracket(1.0, "abs")
+        assert np.allclose(positive_part(f) - negative_part(f), f)
 
 
 class TestStrainRotationSplit:
@@ -72,7 +70,7 @@ class TestVorticityFromRotation:
         rng = np.random.default_rng(2)
         for _ in range(50):
             omega = rng.standard_normal(3)
-            mat = rotation_from_vorticity(omega)
+            mat = 0.5 * np.cross(omega, np.eye(3))  # skew part of grad u for this omega
             assert np.allclose(vorticity_from_rotation(mat), omega, rtol=0, atol=1e-15)
 
     def test_non_skew_rejected(self):
@@ -84,7 +82,7 @@ class TestEulerDirections:
     def test_zero_vorticity_convention(self):
         S = np.diag([1.0, 2.0, -3.0])
         P = np.diag([1.0, 1.0, 1.0])
-        d = euler_directions(np.zeros(3), S, P, eps=0.0)
+        d = direction_quantities(np.zeros(3), S, P, eps=0.0)
         assert np.all(d.xi == 0.0) and np.all(d.zeta == 0.0)
         assert d.alpha == d.rho == d.align == d.stretch_balance == 0.0
 
@@ -92,7 +90,7 @@ class TestEulerDirections:
         a, b, c = 1.2, -0.5, -0.7
         S = np.diag([a, b, c])
         P = np.diag([0.3, -0.1, 0.4])
-        d = euler_directions(np.array([2.0, 0.0, 0.0]), S, P)
+        d = direction_quantities(np.array([2.0, 0.0, 0.0]), S, P, 0.0)
         assert np.allclose(d.xi, [1.0, 0.0, 0.0])
         assert d.alpha == pytest.approx(a)
         assert np.allclose(d.zeta, [np.sign(a), 0.0, 0.0])
@@ -100,36 +98,36 @@ class TestEulerDirections:
 
     def test_oblique_vorticity(self):
         S = np.diag([2.0, -1.0, -1.0])
-        d = euler_directions(np.array([1.0, 1.0, 0.0]), S, np.zeros((3, 3)))
+        d = direction_quantities(np.array([1.0, 1.0, 0.0]), S, np.zeros((3, 3)), 0.0)
         assert d.alpha == pytest.approx(0.5)
         # |S xi|^2 = 5/2, so the balance is 5/2 - 2 (1/2)^2 = 2
         assert d.stretch_balance == pytest.approx(2.0)
 
     def test_eps_band(self):
         S = np.diag([1.0, 0.0, -1.0])
-        d = euler_directions(np.array([1e-15, 0.0, 0.0]), S, np.zeros((3, 3)), eps=1e-12)
+        d = direction_quantities(np.array([1e-15, 0.0, 0.0]), S, np.zeros((3, 3)), eps=1e-12)
         assert np.all(d.xi == 0.0)
 
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):
-            euler_directions(np.ones(3), np.zeros((3, 3)), np.zeros((3, 3)), eps=-1.0)
+            direction_quantities(np.ones(3), np.zeros((3, 3)), np.zeros((3, 3)), eps=-1.0)
 
 
 class TestBoussinesqDirections:
     def test_zero_carrier(self):
-        d = boussinesq_directions(np.zeros(2), np.eye(2) - np.eye(2), np.eye(2))
+        d = direction_quantities(np.zeros(2), np.eye(2) - np.eye(2), np.eye(2), 0.0)
         assert d.alpha == d.rho == d.align == d.stretch_balance == 0.0
 
     def test_diagonal_jacobian(self):
         U = np.array([[1.0, 0.0], [0.0, -1.0]])
-        d = boussinesq_directions(np.array([1.0, 0.0]), U, np.zeros((2, 2)))
+        d = direction_quantities(np.array([1.0, 0.0]), U, np.zeros((2, 2)), 0.0)
         assert d.alpha == pytest.approx(1.0)
         assert d.stretch_balance == pytest.approx(-1.0)
 
     def test_skew_jacobian(self):
         U = np.array([[0.0, 1.0], [-1.0, 0.0]])
         P = np.diag([0.25, -0.5])
-        d = boussinesq_directions(np.array([1.0, 0.0]), U, P)
+        d = direction_quantities(np.array([1.0, 0.0]), U, P, 0.0)
         assert d.alpha == pytest.approx(0.0)
         assert np.linalg.norm(d.zeta) == pytest.approx(1.0)
         # |U xi| = 1 so the balance is 1 - rho
@@ -144,8 +142,9 @@ class TestDirectionInvariants:
             S = A + A.T
             S -= np.trace(S) / 3.0 * np.eye(3)
             omega = rng.standard_normal(3)
-            d = euler_directions(omega, S, np.zeros((3, 3)))
+            d = direction_quantities(omega, S, np.zeros((3, 3)), 0.0)
             rate = S @ d.xi - d.alpha * d.xi
+            assert np.allclose(d.rate_xi, rate, rtol=0, atol=1e-14)
             assert abs(np.dot(d.xi, rate)) <= 1e-12 * max(np.linalg.norm(rate), 1.0)
 
     def test_balance_recomposition(self):
@@ -157,7 +156,7 @@ class TestDirectionInvariants:
             B = rng.standard_normal((3, 3))
             P = B + B.T
             omega = rng.standard_normal(3)
-            d = euler_directions(omega, S, P)
+            d = direction_quantities(omega, S, P, 0.0)
             s_xi = np.linalg.norm(S @ d.xi)
             lhs = d.stretch_balance + 2 * d.alpha**2 + d.rho
             assert abs(lhs - s_xi**2) <= 1e-12 * max(s_xi**2, 1.0)
@@ -170,7 +169,7 @@ class TestDirectionInvariants:
             B = rng.standard_normal((2, 2))
             P = B + B.T
             g = rng.standard_normal(2)
-            d = boussinesq_directions(g, U, P)
+            d = direction_quantities(g, U, P, 0.0)
             p_xi = P @ d.xi
             assert d.align**2 <= np.dot(p_xi, p_xi) * (1 + 1e-12)
 
@@ -229,7 +228,7 @@ class TestDiagField:
             G = grad_u[(slice(None), slice(None)) + idx]
             sym, skew = strain_rotation_split(G)
             omega = vorticity_from_rotation(skew)
-            point = euler_directions(omega, sym, hess_p[(slice(None), slice(None)) + idx], eps=d.eps)
+            point = direction_quantities(omega, sym, hess_p[(slice(None), slice(None)) + idx], eps=d.eps)
             assert d.alpha[idx] == pytest.approx(point.alpha, abs=1e-13)
             assert d.rho[idx] == pytest.approx(point.rho, abs=1e-13)
             assert d.align[idx] == pytest.approx(point.align, abs=1e-13)
@@ -247,3 +246,29 @@ class TestDiagField:
         jac = d.mat[idx]
         assert jac[0, 1] == pytest.approx(np.cos(g.axis_coords[7]), abs=1e-12)
         assert jac[1, 0] == pytest.approx(0.0, abs=1e-12)
+
+
+SHARED_KEYS = (
+    "vec_mag", "active", "stretch_active", "xi", "zeta", "alpha", "rho", "align",
+    "stretch_balance", "unit_stretch_mag", "stretch_vec_mag", "p_xi_mag",
+    "rate_xi_mag", "rate_zeta_mag",
+)
+
+
+@pytest.mark.parametrize("initial, dim", [("taylor-green-3d", 3), ("boussinesq-bubble", 2)])
+def test_grid_tracer_and_suite_paths_agree_exactly(initial, dim):
+    # one batch through the grid, the tracer and the identity-suite entry points
+    g = GridSpec(dim, 16)
+    state = initial_condition(initial, g)
+    theta = state.theta if dim == 2 else None
+    grid_q = diag_field(state.u, solve_pressure(state.u, theta), theta, eps=0.0)
+    vec = grid_q.vec.reshape(-1, dim)
+    mat = grid_q.mat.reshape(-1, dim, dim)
+    hess = grid_q.hess.reshape(-1, dim, dim)
+    series = diagnostics_series(vec[None], mat[None], hess[None], eps=0.0)
+    suite_q = AlgebraicSample(S=mat, P=hess, v=vec).q
+    for key in SHARED_KEYS:
+        on_grid = getattr(grid_q, key).reshape(vec.shape[0], -1)
+        assert np.array_equal(on_grid, getattr(suite_q, key).reshape(vec.shape[0], -1)), key
+        if key in series:
+            assert np.array_equal(on_grid, series[key].reshape(vec.shape[0], -1)), key

@@ -37,15 +37,15 @@ class TestVorticityPythagoras:
     def test_worked_example(self):
         # S = diag(2,-1,-1), v = (1,1,0): 0.5 + 4.5 = 5 = |S v|^2
         s = single(np.diag([2.0, -1.0, -1.0]), np.zeros((3, 3)), [1.0, 1.0, 0.0])
-        assert s.rate_vec_mag[0] ** 2 == pytest.approx(0.5)
-        assert (s.rate_xi_mag[0] * s.vec_mag[0]) ** 2 == pytest.approx(4.5)
-        assert s.stretch_mag[0] ** 2 == pytest.approx(5.0)
+        assert s.q.rate_vec_mag[0] ** 2 == pytest.approx(0.5)
+        assert (s.q.rate_xi_mag[0] * s.q.vec_mag[0]) ** 2 == pytest.approx(4.5)
+        assert s.q.stretch_vec_mag[0] ** 2 == pytest.approx(5.0)
         assert check_vorticity_pythagoras(s)[0] <= 1e-14
 
     def test_eigenvector_case(self):
         s = single(np.diag([2.0, -1.0, -1.0]), np.zeros((3, 3)), [3.0, 0.0, 0.0])
-        assert s.rate_xi_mag[0] <= 1e-15
-        assert s.rate_vec_mag[0] ** 2 == pytest.approx(s.stretch_mag[0] ** 2)
+        assert s.q.rate_xi_mag[0] <= 1e-15
+        assert s.q.rate_vec_mag[0] ** 2 == pytest.approx(s.q.stretch_vec_mag[0] ** 2)
         assert check_vorticity_pythagoras(s)[0] <= 1e-14
 
     def test_random_batch(self):
@@ -57,15 +57,15 @@ class TestVorticityPythagoras:
 class TestStrainPythagoras:
     def test_zero_hessian(self):
         s = single(np.diag([2.0, -1.0, -1.0]), np.zeros((3, 3)), [1.0, 1.0, 0.0])
-        assert s.rate_stretch_mag[0] == 0.0
-        assert s.rate_zeta_mag[0] == 0.0
+        assert s.q.rate_stretch_mag[0] == 0.0
+        assert s.q.rate_zeta_mag[0] == 0.0
         assert check_strain_pythagoras(s)[0] <= 1e-14
 
     def test_identity_hessian_decomposition(self):
         s = single(np.diag([2.0, -1.0, -1.0]), np.eye(3) + 0.0, [1.0, 1.0, 0.0])
         # P xi = xi splits along zeta and the zeta rate
-        recomposed = s.align[0] * s.zeta[0] - s.unit_stretch_mag[0] * s.rate_zeta[0]
-        assert np.allclose(recomposed, s.xi[0], atol=1e-14)
+        recomposed = s.q.align[0] * s.q.zeta[0] - s.q.unit_stretch_mag[0] * s.q.rate_zeta[0]
+        assert np.allclose(recomposed, s.q.xi[0], atol=1e-14)
         assert check_strain_pythagoras(s)[0] <= 1e-14
 
     def test_random_batch(self):
@@ -81,11 +81,11 @@ class TestThreeTerm:
     def test_chains_the_two_pythagoras_identities(self):
         s = single(np.diag([2.0, -1.0, -1.0]), np.diag([1.0, 2.0, -3.0]), [1.0, 1.0, 0.0])
         lhs = (
-            s.rate_stretch_mag[0] ** 2
-            + (s.rate_zeta_mag[0] * s.rate_vec_mag[0]) ** 2
-            + (s.rate_zeta_mag[0] * s.rate_xi_mag[0] * s.vec_mag[0]) ** 2
+            s.q.rate_stretch_mag[0] ** 2
+            + (s.q.rate_zeta_mag[0] * s.q.rate_vec_mag[0]) ** 2
+            + (s.q.rate_zeta_mag[0] * s.q.rate_xi_mag[0] * s.q.vec_mag[0]) ** 2
         )
-        assert lhs == pytest.approx(s.hess_vec_mag[0] ** 2, rel=1e-13)
+        assert lhs == pytest.approx(s.q.hess_vec_mag[0] ** 2, rel=1e-13)
         assert check_three_term(s)[0] <= 1e-13
 
     def test_random_2d_nonsymmetric(self):
@@ -98,13 +98,13 @@ class TestOrthogonalDecompositions:
     def test_isotropic_hessian(self):
         c = 1.7
         s = single(np.diag([2.0, -1.0, -1.0]), c * np.eye(3), [1.0, 1.0, 0.0])
-        recomposed = s.align[0] * s.zeta[0] - s.unit_stretch_mag[0] * s.rate_zeta[0]
-        assert np.allclose(recomposed, c * s.xi[0], atol=1e-14)
+        recomposed = s.q.align[0] * s.q.zeta[0] - s.q.unit_stretch_mag[0] * s.q.rate_zeta[0]
+        assert np.allclose(recomposed, c * s.q.xi[0], atol=1e-14)
 
     def test_xi_orthogonality_structural(self):
         s = make_samples(10_000, 3, seed=13)
-        dots = np.einsum("mi,mi->m", s.xi, s.rate_xi)
-        assert np.max(np.abs(dots)) <= 1e-12 * max(np.max(s.rate_xi_mag), 1.0)
+        dots = np.einsum("mi,mi->m", s.q.xi, s.q.rate_xi)
+        assert np.max(np.abs(dots)) <= 1e-12 * max(np.max(s.q.rate_xi_mag), 1.0)
 
     def test_random_batches_all_residuals(self):
         for dim, seed in ((3, 14), (2, 15)):
@@ -117,8 +117,8 @@ class TestInequalities:
     def test_eigenvector_degenerates_to_scalar_bound(self):
         s = single(np.diag([2.0, -1.0, -1.0]), np.zeros((3, 3)), [1.0, 0.0, 0.0])
         out = check_inequalities(s)
-        lhs = s.rate_vec_mag[0]
-        rhs = np.sqrt(2.0) * s.stretch_mag[0]
+        lhs = s.q.rate_vec_mag[0]
+        rhs = np.sqrt(2.0) * s.q.stretch_vec_mag[0]
         assert lhs <= rhs
         assert out["two_term_vec"]["slack"][0] >= 0.0
 

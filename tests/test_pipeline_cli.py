@@ -195,6 +195,20 @@ class TestCli:
         assert main(["run", str(bad)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("snapshot_every = 5", "snapshot_every = 5\nsample_every = 0"),
+            ("snapshot_every = 5", "snapshot_every = -5"),
+            ("count = 4", "count = -4"),
+        ],
+    )
+    def test_bad_cadence_or_count_exits_2(self, tmp_path, capsys, old, new):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(BUBBLE_INI.replace(old, new))
+        assert main(["run", str(bad), "-o", str(tmp_path / "out")]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_check_identities_pass(self, capsys):
         assert main(["check-identities", "--count", "5000", "--dim", "2", "--seed", "1"]) == 0
         out = capsys.readouterr().out

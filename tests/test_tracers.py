@@ -5,11 +5,9 @@ from vortexlab.grid import GridSpec
 from vortexlab.fields import VectorField
 from vortexlab.solver import StepperConfig, initial_condition, rk4_stages_euler
 from vortexlab.tracers import (
-    MaterialSeries,
     SpectralSampler,
     TracerRecord,
     advance_positions,
-    advect_tracers,
     diagnostics_series,
     dynamical_residuals,
     growth_bound_check,
@@ -54,12 +52,22 @@ class TestSpectralSampler:
             SpectralSampler(g, np.zeros((3, 3)))
 
 
+def advect_frozen(u, seeds, dt, n_steps):
+    """Positions, shape (n_steps + 1, n_tracers, dim), of RK4 steps through
+    the frozen field u: all four stages see its coefficients."""
+    stages = [(None, u.spectral)] * 4
+    history = [np.atleast_2d(np.asarray(seeds, dtype=float))]
+    for _ in range(n_steps):
+        history.append(advance_positions(u.grid, stages, history[-1], dt))
+    return np.stack(history)
+
+
 class TestAdvection:
     def test_zero_velocity_fixes_points(self):
         g = GridSpec(2, 16)
         u = VectorField(g, np.zeros((2,) + g.shape))
         seeds = np.array([[1.0, 2.0], [3.0, 4.0]])
-        hist = advect_tracers(lambda t: u, seeds, dt=0.1, n_steps=5)
+        hist = advect_frozen(u, seeds, dt=0.1, n_steps=5)
         assert np.array_equal(hist[-1], seeds)
 
     def test_steady_shear_closed_form(self):
@@ -68,7 +76,7 @@ class TestAdvection:
         x = g.coords
         u = VectorField(g, np.stack([-np.sin(x[1]), np.zeros(g.shape), np.zeros(g.shape)]))
         seeds = np.array([[1.0, 2.0, 3.0], [0.5, 0.1, 4.0]])
-        hist = advect_tracers(lambda t: u, seeds, dt=0.05, n_steps=20)
+        hist = advect_frozen(u, seeds, dt=0.05, n_steps=20)
         exact = np.mod(seeds[:, 0] - 1.0 * np.sin(seeds[:, 1]), 2 * np.pi)
         assert np.max(np.abs(hist[-1][:, 0] - exact)) <= 1e-12
         assert np.max(np.abs(hist[-1][:, 1:] - seeds[:, 1:])) == 0.0
@@ -77,7 +85,7 @@ class TestAdvection:
         g = GridSpec(2, 16)
         u = VectorField(g, np.stack([np.ones(g.shape), np.zeros(g.shape)]))
         seeds = np.array([[6.0, 1.0]])
-        hist = advect_tracers(lambda t: u, seeds, dt=0.5, n_steps=2)
+        hist = advect_frozen(u, seeds, dt=0.5, n_steps=2)
         assert np.all(hist >= 0.0) and np.all(hist < g.length)
         assert hist[-1][0, 0] == pytest.approx((6.0 + 1.0) % g.length)
 
@@ -86,7 +94,7 @@ class TestAdvection:
         st = initial_condition("taylor-green-2d", g)
         rng = np.random.default_rng(3)
         seeds = rng.uniform(0, 2 * np.pi, (20, 2))
-        hist = advect_tracers(lambda t: st.u, seeds, dt=0.01, n_steps=100)
+        hist = advect_frozen(st.u, seeds, dt=0.01, n_steps=100)
 
         def stream(p):
             return -np.cos(p[..., 0]) * np.cos(p[..., 1])
@@ -105,7 +113,7 @@ class TestAdvection:
         for _ in range(10):
             state, stages = rk4_stages_euler(state, cfg)
             pos = advance_positions(g, stages, pos, cfg.dt)
-        hist = advect_tracers(lambda t: st.u, seeds, dt=0.02, n_steps=10)
+        hist = advect_frozen(st.u, seeds, dt=0.02, n_steps=10)
         assert np.max(np.abs(pos - hist[-1])) <= 1e-9
 
 
@@ -138,11 +146,10 @@ class TestTimeDerivative:
         with pytest.raises(ValueError, match="at least 7"):
             time_derivative(np.zeros(6), 0.1, 1, accuracy=4)
 
-    def test_material_series_wrapper(self):
+    def test_record_dt_feeds_derivative(self):
         times = np.linspace(0.0, 1.0, 11)
-        series = MaterialSeries(times=times, values=times**2)
-        assert series.stencil_order == 2
-        assert np.allclose(series.derivative(1), 2 * times, atol=1e-12)
+        record = TracerRecord(0, np.zeros(2), "boussinesq", times, np.zeros((11, 2)))
+        assert np.allclose(time_derivative(times**2, record.dt, 1), 2 * times, atol=1e-12)
 
 
 def constant_field_record(kind, n_samples=11, vec=None):
@@ -152,7 +159,7 @@ def constant_field_record(kind, n_samples=11, vec=None):
     vecs = np.tile(vec, (n_samples, 1, 1))
     mats = np.zeros((n_samples, 1, dim, dim))
     hesses = np.zeros((n_samples, 1, dim, dim))
-    series = diagnostics_series(kind, vecs, mats, hesses, eps=1e-12)
+    series = diagnostics_series(vecs, mats, hesses, eps=1e-12)
     return TracerRecord(
         index=0,
         seed_point=np.zeros(dim),
@@ -161,6 +168,21 @@ def constant_field_record(kind, n_samples=11, vec=None):
         positions=np.zeros((n_samples, dim)),
         series={k: v[:, 0] for k, v in series.items()},
     )
+
+
+class TestDiagnosticsSeries:
+    @pytest.mark.parametrize("delta", [1e-9, 1e-7])
+    def test_near_eigenvector_rates(self, delta):
+        # S = diag(2,-1,-1), P = diag(1,2,-3), v = (1, delta, 0): the exact rate
+        # magnitudes are 3 delta / (1 + delta^2) and 5 delta / (4 + delta^2),
+        # which a difference of squares such as sqrt(|S xi|^2 - alpha^2) loses
+        # to cancellation
+        vec = np.array([[[1.0, delta, 0.0]]])
+        mat = np.diag([2.0, -1.0, -1.0])[None, None]
+        hess = np.diag([1.0, 2.0, -3.0])[None, None]
+        series = diagnostics_series(vec, mat, hess, eps=0.0)
+        assert series["rate_xi_mag"][0, 0] == pytest.approx(3 * delta / (1 + delta**2), rel=1e-12)
+        assert series["rate_zeta_mag"][0, 0] == pytest.approx(5 * delta / (4 + delta**2), rel=1e-12)
 
 
 class TestDynamicalResiduals:
@@ -195,6 +217,15 @@ class TestGrowthBounds:
             check = growth_bound_check(record, variant, tolerance=1e-12)
             assert check.violations == 0
             assert np.max(np.abs(check.margins)) <= 1e-12, variant
+
+    def test_non_finite_margin_is_a_violation(self):
+        record = constant_field_record("euler", vec=[0.5, 0.5, 0.0])
+        record.series["p_xi_mag"] = np.ones(record.times.size)
+        record.series["rate_zeta_mag"] = np.full(record.times.size, 1e5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            check = growth_bound_check(record, "damped", tolerance=1e-6)
+        assert not np.all(np.isfinite(check.margins))
+        assert check.violations > 0
 
     def test_damped_variant_is_3d_only(self):
         record = constant_field_record("boussinesq", vec=[1.0, 0.0])
