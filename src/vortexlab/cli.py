@@ -25,11 +25,19 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_CONFIG = 2
 
+THREADS_HELP = """environment:
+  VORTEXLAB_THREADS  FFT worker threads. Default: 1. A value is clamped to
+                     [1, the CPUs this process may run on (its CPU
+                     affinity)]; a non-integer is ignored. Artifacts are
+                     byte-identical for every thread count."""
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vortexlab",
         description="Spectral Euler/Boussinesq laboratory: diagnostics, identities, blow-up monitors.",
+        epilog=THREADS_HELP,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -86,16 +86,29 @@ class DirectionQuantities:
     vec has shape (..., d); mat and hess have shape (..., d, d). Each
     quantity is an array over the batch shape (vectors keep a trailing
     component axis), computed on first access and cached, so a caller pays
-    only for what it reads.
+    only for what it reads. eps may be reset until the first quantity that
+    depends on it is read, so a caller can set it from this batch's own
+    vec_mag.
     """
 
     def __init__(self, vec: np.ndarray, mat: np.ndarray, hess: np.ndarray, eps: float):
-        if eps < 0:
-            raise ValueError("eps must be nonnegative")
         self.vec = np.asarray(vec, dtype=float)
         self.mat = np.asarray(mat, dtype=float)
         self.hess = np.asarray(hess, dtype=float)
         self.eps = eps
+
+    @property
+    def eps(self) -> float:
+        return self._eps
+
+    @eps.setter
+    def eps(self, value: float) -> None:
+        if value < 0:
+            raise ValueError("eps must be nonnegative")
+        # every eps-dependent quantity reads `active` first
+        if "active" in self.__dict__:
+            raise ValueError("eps is fixed once a quantity that depends on it has been read")
+        self._eps = value
 
     @cached_property
     def vec_mag(self):
@@ -210,17 +223,23 @@ def diag_field(
     p: ScalarField,
     theta: ScalarField | None = None,
     eps: float | None = None,
+    grad_u: np.ndarray | None = None,
 ) -> DirectionQuantities:
     """Evaluate the pointwise diagnostics over the whole grid.
 
     3D input gives the vorticity/strain diagnostics; 2D input requires the
     temperature field and gives the perpendicular-gradient/Jacobian ones.
     Quantities have the grid shape. eps defaults to 1e-12 max |vec|.
+    grad_u, the grid values of `gradient(u)` (as `fields.solve_pressure`
+    takes them), is computed here when not given.
     """
     grid = u.grid
     if p.grid != grid or (theta is not None and theta.grid != grid):
         raise ValueError("fields must share one grid")
-    grad_u = gradient(u).values
+    if grad_u is None:
+        grad_u = gradient(u).values
+    elif grad_u.shape != (grid.dim, grid.dim) + grid.shape:
+        raise ValueError(f"grad_u must have shape {(grid.dim, grid.dim) + grid.shape}, got {grad_u.shape}")
     hess_p = hessian(p).values
     if grid.dim == 3:
         mat, skew = strain_rotation_split(np.moveaxis(grad_u, (0, 1), (-2, -1)))
@@ -233,9 +252,10 @@ def diag_field(
         vec = np.moveaxis(perp_gradient(theta).values, 0, -1)
     hess_pt = np.moveaxis(hess_p, (0, 1), (-2, -1))
 
+    q = direction_quantities(vec, mat, hess_pt, 0.0 if eps is None else eps)
     if eps is None:
-        eps = 1e-12 * float(np.max(np.linalg.norm(vec, axis=-1)))
-    return direction_quantities(vec, mat, hess_pt, eps)
+        q.eps = 1e-12 * float(np.max(q.vec_mag))
+    return q
 
 
 __all__ = [

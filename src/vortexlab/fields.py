@@ -140,18 +140,18 @@ def perp_gradient(theta: ScalarField) -> VectorField:
 
 
 def hessian(p: ScalarField) -> TensorField:
-    """Second-derivative tensor of p; each unordered pair computed once."""
+    """Second-derivative tensor of p. The d(d+1)/2 distinct entries are
+    inverse-transformed in one batched call and then mirrored."""
     grid = p.grid
     ph = p.spectral
-    out = np.empty((grid.dim, grid.dim) + grid.shape, dtype=np.complex128)
-    for i in range(grid.dim):
-        ki = grid.wavenumbers[i]
-        for j in range(i, grid.dim):
-            kj = grid.wavenumbers[j]
-            out[i, j] = -(ki * kj) * ph
-            if j != i:
-                out[j, i] = out[i, j]
-    return TensorField.from_spectral(grid, out)
+    k = grid.wavenumbers
+    pairs = [(i, j) for i in range(grid.dim) for j in range(i, grid.dim)]
+    upper = grid.ifftn(np.stack([-(k[i] * k[j]) * ph for i, j in pairs]))
+    out = np.empty((grid.dim, grid.dim) + grid.shape)
+    for (i, j), values in zip(pairs, upper):
+        out[i, j] = values
+        out[j, i] = values
+    return TensorField(grid, out)
 
 
 def max_divergence(u: VectorField) -> tuple[float, tuple[int, ...]]:
@@ -165,11 +165,15 @@ def solve_pressure(
     u: VectorField,
     theta: ScalarField | None = None,
     div_tol: float = 1e-8,
+    grad_u: np.ndarray | None = None,
 ) -> ScalarField:
     """Recover the mean-zero pressure from the velocity (and buoyancy in 2D).
 
     Solves lap(p) = -d_i u_j d_j u_i (+ d_2 theta when a 2D buoyancy field
     is supplied). The quadratic source is dealiased before inversion.
+    grad_u, the grid values of `gradient(u)`, lets a caller that needs them
+    too (`diagnostics.diag_field`) compute them once; they are computed
+    here when not given.
     """
     grid = u.grid
     worst, idx = max_divergence(u)
@@ -182,7 +186,10 @@ def solve_pressure(
     if theta is not None and grid.dim != 2:
         raise FieldError("buoyancy source is supported on 2D grids only")
 
-    grad_u = gradient(u).values
+    if grad_u is None:
+        grad_u = gradient(u).values
+    elif grad_u.shape != (grid.dim, grid.dim) + grid.shape:
+        raise FieldError(f"grad_u must have shape {(grid.dim, grid.dim) + grid.shape}, got {grad_u.shape}")
     source = -np.einsum("ij...,ji...->...", grad_u, grad_u)
     source_hat = grid.truncate(grid.fftn(source))
     if theta is not None:

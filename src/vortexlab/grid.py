@@ -12,12 +12,29 @@ from scipy import fft as sp_fft
 TWO_PI = 2.0 * np.pi
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on. Inside a container os.cpu_count() can
+    report the host's CPUs, so the affinity mask is asked first."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return os.cpu_count() or 1
+
+
 def fft_workers() -> int:
-    """Worker count for FFTs, from VORTEXLAB_THREADS (default 1 for determinism)."""
+    """Worker count for FFTs.
+
+    Defaults to 1: a multi-threaded transform waits for its slowest
+    worker, so on a machine whose CPUs are shared its run time varies with
+    the neighbours' load. VORTEXLAB_THREADS asks for more, clamped to
+    [1, the CPUs the process may run on]; a value that is not an integer
+    is ignored. Each FFT line is computed the same way whichever worker
+    runs it, so the output is bit-identical for any worker count.
+    """
     try:
-        return max(1, int(os.environ.get("VORTEXLAB_THREADS", "1")))
+        requested = int(os.environ.get("VORTEXLAB_THREADS", ""))
     except ValueError:
         return 1
+    return min(max(requested, 1), _available_cpus())
 
 
 @dataclass(frozen=True)

@@ -91,20 +91,42 @@ def _relative(err: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return np.abs(err) / np.maximum(ref, RESIDUAL_FLOOR)
 
 
+def _masked(
+    values: np.ndarray, valid: np.ndarray, bad: float = np.inf, failed: np.ndarray | None = None
+) -> np.ndarray:
+    """values where the sample is valid, nan (skipped) where it is not. A
+    valid sample whose value is not finite, or is marked `failed`, reads
+    `bad`, so that it fails the check rather than counting as skipped."""
+    out = np.where(valid, values, np.nan)
+    unusable = ~np.isfinite(values)
+    if failed is not None:
+        unusable |= failed
+    out[valid & unusable] = bad
+    return out
+
+
+def _pythagoras(lhs: np.ndarray, mag: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Relative residual of lhs = mag^2, masked as `_masked` does. Where
+    mag > 0 but mag^2 underflows below the normal range, the residual
+    cannot be evaluated and reads inf."""
+    ref = mag**2
+    res = _relative(lhs - ref, ref)
+    return _masked(res, valid, failed=(ref < np.finfo(float).tiny) & (mag > 0))
+
+
 def check_vorticity_pythagoras(s: AlgebraicSample) -> np.ndarray:
-    """Residual of (rate |v|)^2 + |rate xi|^2 |v|^2 = |S v|^2; nan where skipped."""
+    """Residual of (rate |v|)^2 + |rate xi|^2 |v|^2 = |S v|^2; nan where
+    skipped, inf where it overflows or underflows."""
     q = s.q
     lhs = q.rate_vec_mag**2 + (q.rate_xi_mag * q.vec_mag) ** 2
-    res = _relative(lhs - q.stretch_vec_mag**2, q.stretch_vec_mag**2)
-    return np.where(q.stretch_active, res, np.nan)
+    return _pythagoras(lhs, q.stretch_vec_mag, q.stretch_active)
 
 
 def check_strain_pythagoras(s: AlgebraicSample) -> np.ndarray:
     """Residual of (rate |S v|)^2 + |rate zeta|^2 |S v|^2 = |P v|^2."""
     q = s.q
     lhs = q.rate_stretch_mag**2 + (q.rate_zeta_mag * q.stretch_vec_mag) ** 2
-    res = _relative(lhs - q.hess_vec_mag**2, q.hess_vec_mag**2)
-    return np.where(q.stretch_active, res, np.nan)
+    return _pythagoras(lhs, q.hess_vec_mag, q.stretch_active)
 
 
 def check_three_term(s: AlgebraicSample) -> np.ndarray:
@@ -115,8 +137,7 @@ def check_three_term(s: AlgebraicSample) -> np.ndarray:
         + (q.rate_zeta_mag * q.rate_vec_mag) ** 2
         + (q.rate_zeta_mag * q.rate_xi_mag * q.vec_mag) ** 2
     )
-    res = _relative(lhs - q.hess_vec_mag**2, q.hess_vec_mag**2)
-    return np.where(q.stretch_active, res, np.nan)
+    return _pythagoras(lhs, q.hess_vec_mag, q.stretch_active)
 
 
 CONDITIONING_GUARD = 1e-4
@@ -124,7 +145,8 @@ CONDITIONING_GUARD = 1e-4
 
 def check_orthogonal_decompositions(s: AlgebraicSample) -> dict[str, np.ndarray]:
     """Residuals of the orthogonal splitting of P xi and the orthogonality of
-    the direction rates; nan where the relevant denominator degenerates.
+    the direction rates; nan where the relevant denominator degenerates,
+    inf where a valid sample's residual is not finite.
 
     Checks that divide by a rate magnitude skip samples where that magnitude
     is tiny against the cancellation scale of its own computation; otherwise
@@ -133,7 +155,7 @@ def check_orthogonal_decompositions(s: AlgebraicSample) -> dict[str, np.ndarray]
     q = s.q
     recomposed = q.align[:, None] * q.zeta - q.unit_stretch_mag[:, None] * q.rate_zeta
     dec = _relative(_norm(q.p_xi - recomposed), q.p_xi_mag)
-    dec = np.where(q.stretch_active, dec, np.nan)
+    dec = _masked(dec, q.stretch_active)
 
     denom_stretch = np.where(q.stretch_active, q.unit_stretch_mag, 1.0)
     rz_scale = (q.p_xi_mag + np.abs(q.align)) / denom_stretch
@@ -142,17 +164,17 @@ def check_orthogonal_decompositions(s: AlgebraicSample) -> dict[str, np.ndarray]
     coef = np.einsum("mi,mi->m", q.rate_zeta, q.p_xi) / denom_rz**2
     projected = q.align[:, None] * q.zeta + coef[:, None] * q.rate_zeta
     dec_proj = _relative(_norm(q.p_xi - projected), q.p_xi_mag)
-    dec_proj = np.where(ok_rz, dec_proj, np.nan)
+    dec_proj = _masked(dec_proj, ok_rz)
 
     unit_rz = q.rate_zeta / denom_rz[:, None]
     align_rate = np.einsum("mi,mi->m", unit_rz, q.p_xi) + q.unit_stretch_mag * q.rate_zeta_mag
-    align_rate = np.where(ok_rz, _relative(align_rate, q.p_xi_mag), np.nan)
+    align_rate = _masked(_relative(align_rate, q.p_xi_mag), ok_rz)
 
     ok_rx = q.stretch_active & (q.rate_xi_mag > CONDITIONING_GUARD * q.unit_stretch_mag)
     xi_orth = _relative(np.einsum("mi,mi->m", q.xi, q.rate_xi), q.rate_xi_mag)
-    xi_orth = np.where(ok_rx, xi_orth, np.nan)
+    xi_orth = _masked(xi_orth, ok_rx)
     zeta_orth = _relative(np.einsum("mi,mi->m", q.zeta, q.rate_zeta), q.rate_zeta_mag)
-    zeta_orth = np.where(ok_rz, zeta_orth, np.nan)
+    zeta_orth = _masked(zeta_orth, ok_rz)
 
     return {
         "decomposition": dec,
@@ -164,7 +186,9 @@ def check_orthogonal_decompositions(s: AlgebraicSample) -> dict[str, np.ndarray]
 
 
 def check_inequalities(s: AlgebraicSample) -> dict[str, dict[str, np.ndarray]]:
-    """Normalized slack and LHS/RHS ratio of the sqrt(2)/sqrt(3) inequalities."""
+    """Normalized slack and LHS/RHS ratio of the sqrt(2)/sqrt(3) inequalities;
+    nan where skipped, and a failing -inf slack and inf ratio where a valid
+    sample's value is not finite."""
     q = s.q
     lhs1 = q.rate_vec_mag + q.rate_xi_mag * q.vec_mag
     rhs1 = np.sqrt(2.0) * q.stretch_vec_mag
@@ -182,8 +206,8 @@ def check_inequalities(s: AlgebraicSample) -> dict[str, dict[str, np.ndarray]]:
         slack = (rhs - lhs) / np.maximum(rhs, RESIDUAL_FLOOR)
         ratio = lhs / np.maximum(rhs, RESIDUAL_FLOOR)
         out[name] = {
-            "slack": np.where(q.stretch_active, slack, np.nan),
-            "ratio": np.where(q.stretch_active, ratio, np.nan),
+            "slack": _masked(slack, q.stretch_active, -np.inf),
+            "ratio": _masked(ratio, q.stretch_active),
         }
     return out
 
@@ -242,12 +266,15 @@ def run_identity_suite(
         inequality_tolerance=inequality_tolerance,
     )
 
-    residuals = {
-        "vorticity_pythagoras": check_vorticity_pythagoras(s),
-        "strain_pythagoras": check_strain_pythagoras(s),
-        "three_term": check_three_term(s),
-    }
-    residuals.update(check_orthogonal_decompositions(s))
+    # a residual that overflows or underflows reads inf and fails its check
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        residuals = {
+            "vorticity_pythagoras": check_vorticity_pythagoras(s),
+            "strain_pythagoras": check_strain_pythagoras(s),
+            "three_term": check_three_term(s),
+        }
+        residuals.update(check_orthogonal_decompositions(s))
+        inequalities = check_inequalities(s)
 
     worst_val, worst_idx, worst_name = -1.0, 0, ""
     for name, res in residuals.items():
@@ -261,7 +288,7 @@ def run_identity_suite(
         if mx > worst_val:
             worst_val, worst_idx, worst_name = mx, int(np.nanargmax(res)), name
 
-    for name, data in check_inequalities(s).items():
+    for name, data in inequalities.items():
         slack = data["slack"]
         ok = ~np.isnan(slack)
         report.inequality_min_slack[name] = float(np.min(slack[ok])) if np.any(ok) else 0.0

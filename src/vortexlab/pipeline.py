@@ -18,7 +18,7 @@ import numpy as np
 from . import criteria as crit
 from . import solver, tracers
 from .diagnostics import diag_field, strain_rotation_split, vorticity_from_rotation
-from .fields import solve_pressure
+from .fields import gradient, solve_pressure
 from .grid import GridSpec
 from .storage import save_diagnostics, save_field, write_csv, write_json, write_manifest
 
@@ -364,9 +364,7 @@ def run(config: RunConfig, output_dir: str | Path | None = None) -> RunResult:
     seeds = positions.copy()
     n_tracers = positions.shape[0]
 
-    theta0 = state.theta if config.dim == 2 else None
-    diag0 = diag_field(state.u, solve_pressure(state.u, theta0), theta0)
-    eps = 1e-12 * max(float(np.max(diag0.vec_mag)), 1.0)
+    eps = None  # set from the step-0 sample's carrier, see `sample`
 
     sample_times = []
     sup_series = {name: {r.label: [] for r in regions} for name in SUP_QUANTITIES}
@@ -385,6 +383,14 @@ def run(config: RunConfig, output_dir: str | Path | None = None) -> RunResult:
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
+    def pressure_and_diagnostics(current, theta_now, with_diag: bool = True):
+        """The pressure of `current` and, if asked, its grid diagnostics,
+        both from one velocity gradient."""
+        grad_u = gradient(current.u).values
+        p = solve_pressure(current.u, theta_now, grad_u=grad_u)
+        diag = diag_field(current.u, p, theta_now, eps=eps, grad_u=grad_u) if with_diag else None
+        return p, diag
+
     def take_snapshot(step: int, current, sampled) -> None:
         """Write the state at `step`; `sampled` is that step's (pressure,
         diagnostics) when it was sampled, else None."""
@@ -397,22 +403,23 @@ def run(config: RunConfig, output_dir: str | Path | None = None) -> RunResult:
         if theta_now is not None:
             paths.extend(save_field(Path(str(base) + "_temperature"), theta_now, "temperature", t))
         if sampled is None:
-            sampled = (solve_pressure(current.u, theta_now), None)
+            sampled = pressure_and_diagnostics(current, theta_now, config.snapshot_diagnostics)
         p_now, diag = sampled
         paths.extend(save_field(Path(str(base) + "_pressure"), p_now, "pressure", t))
         if config.snapshot_diagnostics:
-            if diag is None:
-                diag = diag_field(current.u, p_now, theta_now, eps=eps)
             paths.extend(save_diagnostics(base, grid, diag, t))
         snapshots.extend(paths)
 
     def sample(step: int, current, pos: np.ndarray):
         """Record the diagnostics of `current`; returns its (pressure, diagnostics)."""
-        nonlocal theta_min, theta_max
+        nonlocal theta_min, theta_max, eps
         t = step * config.dt
         theta_now = current.theta if config.dim == 2 else None
-        p = solve_pressure(current.u, theta_now)
-        diag = diag_field(current.u, p, theta_now, eps=eps)
+        p, diag = pressure_and_diagnostics(current, theta_now)
+        if eps is None:
+            # vec_mag does not depend on eps, and nothing that does is read yet
+            eps = 1e-12 * max(float(np.max(diag.vec_mag)), 1.0)
+            diag.eps = eps
         velocity_mag = current.u.magnitude()
         values = {
             "alignment_negative": diag.align_negative,

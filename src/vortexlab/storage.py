@@ -66,8 +66,15 @@ def load_field(base: Path):
     grid = GridSpec(
         dim=header["dim"], n=header["n"], length=header["length"], dealias=header["dealias"]
     )
-    raw = np.frombuffer(base.with_suffix(".bin").read_bytes(), dtype="<f8")
-    values = raw.reshape(header["shape"]).astype(np.float64)
+    bin_path = base.with_suffix(".bin")
+    data = bin_path.read_bytes()
+    expected = int(np.prod(header["shape"])) * 8
+    if len(data) != expected:
+        raise ValueError(
+            f"{bin_path} holds {len(data)} bytes, but its header shape {header['shape']} "
+            f"needs {expected}"
+        )
+    values = np.frombuffer(data, dtype="<f8").reshape(header["shape"]).astype(np.float64)
     cls = _FIELD_CLASSES[header["rank"]]
     return cls(grid, values), header
 

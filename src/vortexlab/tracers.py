@@ -244,12 +244,16 @@ class BoundCheck:
 
     @property
     def min_margin(self) -> float:
-        return float(np.min(self.margins))
+        """Smallest finite margin (inf if none is finite); `violations`
+        counts the non-finite ones."""
+        finite = self.margins[np.isfinite(self.margins)]
+        return float(np.min(finite)) if finite.size else np.inf
 
     @property
     def violations(self) -> int:
         # a non-finite margin is a violation, not a pass
-        return int(np.count_nonzero(~(self.margins >= -self.tolerance)))
+        ok = np.isfinite(self.margins) & (self.margins >= -self.tolerance)
+        return int(np.count_nonzero(~ok))
 
 
 def _double_cumtrapz(times: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -112,6 +112,15 @@ class TestEulerDirections:
         with pytest.raises(ValueError):
             direction_quantities(np.ones(3), np.zeros((3, 3)), np.zeros((3, 3)), eps=-1.0)
 
+    def test_eps_reset_until_first_dependent_read(self):
+        S = np.diag([1.0, 0.0, -1.0])
+        d = direction_quantities(np.array([1e-3, 0.0, 0.0]), S, np.zeros((3, 3)), eps=0.0)
+        assert d.vec_mag == pytest.approx(1e-3)  # does not depend on eps
+        d.eps = 1e-2
+        assert np.all(d.xi == 0.0)
+        with pytest.raises(ValueError, match="fixed"):
+            d.eps = 0.0
+
 
 class TestBoussinesqDirections:
     def test_zero_carrier(self):
@@ -191,6 +200,17 @@ class TestDiagField:
         d = diag_field(u, solve_pressure(u, theta), theta)
         assert np.max(d.vec_mag) == 0.0
         assert np.max(np.abs(d.stretch_balance)) == 0.0
+
+    @pytest.mark.parametrize("initial, dim", [("taylor-green-3d", 3), ("boussinesq-bubble", 2)])
+    def test_given_gradient_matches_computed(self, initial, dim):
+        state = initial_condition(initial, GridSpec(dim, 16))
+        theta = getattr(state, "theta", None)
+        p = solve_pressure(state.u, theta)
+        given = diag_field(state.u, p, theta, grad_u=gradient(state.u).values)
+        computed = diag_field(state.u, p, theta)
+        assert given.eps == computed.eps
+        for name in ("vec", "mat", "hess", "align", "stretch_balance"):
+            assert np.array_equal(getattr(given, name), getattr(computed, name)), name
 
     def test_requires_theta_in_2d(self):
         g = GridSpec(2, 16)

@@ -153,6 +153,16 @@ class TestHessian:
                 if (i, j) != (0, 0):
                     assert np.max(np.abs(H.values[i, j])) <= 1e-12
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_batched_transform_matches_per_entry(self, dim):
+        g = GridSpec(dim, 16)
+        p = ScalarField(g, np.random.default_rng(7).standard_normal(g.shape))
+        H = hessian(p).values
+        k = g.wavenumbers
+        for i in range(dim):
+            for j in range(dim):
+                assert np.array_equal(H[i, j], g.ifftn(-(k[i] * k[j]) * p.spectral)), (i, j)
+
     def test_exact_symmetry(self):
         g = grid2()
         rng = np.random.default_rng(3)
@@ -194,6 +204,16 @@ class TestSolvePressure:
         source = -np.einsum("ij...,ji...->...", G, G)
         source = g.dealias_values(source) + gradient(theta).values[1]
         assert np.max(np.abs(H[0, 0] + H[1, 1] - source)) <= 1e-10
+
+    def test_given_gradient_matches_computed(self):
+        g = grid2(32)
+        x = g.coords
+        u = VectorField(g, np.stack([np.cos(x[0]) * np.sin(x[1]), -np.sin(x[0]) * np.cos(x[1])]))
+        theta = ScalarField(g, np.sin(x[0]) * np.sin(x[1]))
+        p = solve_pressure(u, theta, grad_u=gradient(u).values)
+        assert np.array_equal(p.values, solve_pressure(u, theta).values)
+        with pytest.raises(FieldError, match="grad_u"):
+            solve_pressure(u, grad_u=np.zeros((3, 3) + g.shape))
 
     def test_divergent_input_rejected_with_location(self):
         g = grid3()

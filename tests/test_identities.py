@@ -164,6 +164,18 @@ class TestSuite:
         assert rep.passed
         assert rep.skipped["vorticity_pythagoras"] == 1
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("scale", [1e80, 1e-120])
+    def test_overflow_and_underflow_fail_instead_of_skipping(self, scale, dim):
+        # at 1e80 the squared magnitudes overflow to inf; at 1e-120 they
+        # underflow to 0, which once made every residual read exactly 0
+        rep = run_identity_suite(2000, dim, seed=0, scale=scale)
+        assert not rep.passed
+        for name in ("vorticity_pythagoras", "strain_pythagoras", "three_term"):
+            assert rep.residual_max[name] == np.inf, name
+            assert rep.skipped[name] == 0, name
+        assert rep.worst["residual"] == np.inf
+
     def test_failure_reports_worst_sample(self):
         rep = run_identity_suite(100, 3, seed=20, tolerance=0.0)
         assert not rep.passed

@@ -168,6 +168,73 @@ class TestPipelineRun:
         assert np.all(field.values >= 0.0)
         assert (out / "snapshots" / "snap_000000_stretch_balance.bin").exists()
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            RunConfig(
+                system="euler3d", n=16, dt=0.01, t_end=0.03, initial="taylor-green-3d",
+                seed=1, tracer_count=3, snapshot_every=1,
+            ),
+            RunConfig(
+                system="boussinesq2d", n=32, dt=0.01, t_end=0.04, initial="boussinesq-bubble",
+                seed=1, tracer_count=3, sample_every=2, snapshot_every=2, snapshot_diagnostics=True,
+            ),
+        ],
+        ids=["3d", "2d"],
+    )
+    def test_one_pressure_solve_and_one_velocity_gradient_per_sample(
+        self, config, tmp_path, monkeypatch
+    ):
+        import sys
+
+        from vortexlab import fields
+
+        calls = {"solve_pressure": 0, "gradient(u)": 0}
+
+        def counting(name, fn, count_if=lambda *a: True):
+            def wrapper(*args, **kwargs):
+                if count_if(*args):
+                    calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        wrapped = {
+            fields.solve_pressure: counting("solve_pressure", fields.solve_pressure),
+            fields.gradient: counting(
+                "gradient(u)", fields.gradient, lambda f, *a: isinstance(f, fields.VectorField)
+            ),
+        }
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "vortexlab":
+                for key, value in list(vars(module).items()):
+                    if callable(value) and value in wrapped:
+                        monkeypatch.setattr(module, key, wrapped[value])
+
+        result = pipeline.run(config, output_dir=tmp_path / "out")
+        samples = len(result.times)
+        assert samples == config.n_steps // config.sample_every + 1
+        assert calls == {"solve_pressure": samples, "gradient(u)": samples}
+
+    def test_bound_checks_do_not_depend_on_tracer_order(self):
+        # just off the vorticity peak of Taylor-Green |S xi| is tiny, so the
+        # tracer's direction rate is large and its damped bound turns NaN
+        points = np.array([[np.pi / 2 + 1e-5, np.pi / 2 + 1e-5, 1e-5], [1.0, 2.0, 0.5]])
+        results = []
+        for order in (points, points[::-1]):
+            cfg = RunConfig(
+                system="euler3d", n=8, dt=0.02, t_end=0.1, initial="taylor-green-3d",
+                tracer_points=order,
+            )
+            with np.errstate(over="ignore", invalid="ignore"):
+                results.append(pipeline.run(cfg))
+        assert results[0].bound_checks == results[1].bound_checks
+        damped = results[0].bound_checks["damped"]
+        margins = np.concatenate([r.series["bounds"]["damped"].margins for r in results[0].records])
+        assert not np.all(np.isfinite(margins))
+        assert damped["violations"] == np.count_nonzero(~np.isfinite(margins))
+        assert damped["min_margin"] == np.min(margins[np.isfinite(margins)])
+
     def test_region_with_no_grid_points_rejected(self):
         cfg = RunConfig(
             system="boussinesq2d", n=32, dt=0.01, t_end=0.02, initial="boussinesq-bubble",
@@ -218,6 +285,12 @@ class TestCli:
         assert main(["check-identities", "--count", "100", "--tolerance", "0"]) == 1
         out = capsys.readouterr().out
         assert "worst sample" in out
+
+    def test_check_identities_overflow_fails(self, capsys):
+        # |S v|^2 near 1e160 overflows; such samples fail, they are not skipped
+        assert main(["check-identities", "--count", "2000", "--scale", "1e80"]) == 1
+        out = capsys.readouterr().out
+        assert "max_residual=inf skipped=0 FAIL" in out
 
     def test_check_identities_bad_count(self, capsys):
         assert main(["check-identities", "--count", "0"]) == 2

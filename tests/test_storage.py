@@ -29,6 +29,14 @@ class TestSnapshots:
         assert header["time"] == 0.25
         assert header["dim"] == 2 and header["n"] == 16
 
+    def test_truncated_bin_names_file_and_sizes(self, tmp_path):
+        g = GridSpec(2, 8)
+        save_field(tmp_path / "snap", ScalarField(g, np.ones(g.shape)), role="pressure", time=0.0)
+        bin_path = tmp_path / "snap.bin"
+        bin_path.write_bytes(bin_path.read_bytes()[:-8])
+        with pytest.raises(ValueError, match=r"snap\.bin holds 504 bytes.*needs 512"):
+            load_field(tmp_path / "snap")
+
     def test_vector_round_trip(self, tmp_path):
         g = GridSpec(3, 8)
         rng = np.random.default_rng(1)

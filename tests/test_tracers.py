@@ -5,6 +5,7 @@ from vortexlab.grid import GridSpec
 from vortexlab.fields import VectorField
 from vortexlab.solver import StepperConfig, initial_condition, rk4_stages_euler
 from vortexlab.tracers import (
+    BoundCheck,
     SpectralSampler,
     TracerRecord,
     advance_positions,
@@ -226,6 +227,15 @@ class TestGrowthBounds:
             check = growth_bound_check(record, "damped", tolerance=1e-6)
         assert not np.all(np.isfinite(check.margins))
         assert check.violations > 0
+
+    def test_min_margin_is_over_finite_margins(self):
+        margins = np.array([0.0, -1.0, np.nan, np.inf, 2.0])
+        check = BoundCheck("damped", np.arange(5.0), np.ones(5), margins + 1.0, margins, 1e-6)
+        assert check.min_margin == -1.0
+        assert check.violations == 3  # -1.0 and the two non-finite margins
+        empty = BoundCheck("damped", np.arange(2.0), np.ones(2), np.full(2, np.nan), np.full(2, np.nan), 1e-6)
+        assert empty.min_margin == np.inf
+        assert empty.violations == 2
 
     def test_damped_variant_is_3d_only(self):
         record = constant_field_record("boussinesq", vec=[1.0, 0.0])
