@@ -212,6 +212,12 @@ def _cmd_gronwall(args) -> int:
     return EXIT_VERIFICATION if failed else EXIT_OK
 
 
+def _report_number(value, spec: str = ".17g") -> str:
+    """A number read from report.json as text. `write_json` stores a
+    non-finite value as null, so None reads "non-finite"."""
+    return "non-finite" if value is None else format(float(value), spec)
+
+
 def _cmd_report(args) -> int:
     path = Path(args.rundir)
     report_path = path if path.suffix == ".json" else path / "report.json"
@@ -227,52 +233,55 @@ def _cmd_report(args) -> int:
         note = f"  [{entry['note']}]" if "note" in entry else ""
         print(
             f"{entry['name']:28s} {entry['region']:10s} {entry['weight']:8s} "
-            f"{storage.format_float(entry['value']):>24s}{note}"
+            f"{_report_number(entry['value']):>24s}{note}"
         )
     print()
     print(f"{'type-I monitor':28s} {'region':10s} {'window max':>24s} {'thr':>5s}  verdict")
     for entry in report["type_one"]:
         print(
             f"{entry['name']:28s} {entry['region']:10s} "
-            f"{storage.format_float(entry['window_max']):>24s} {entry['threshold']:>5g}  {entry['verdict']}"
+            f"{_report_number(entry['window_max']):>24s} {entry['threshold']:>5g}  {entry['verdict']}"
         )
     print()
     print(f"{'integral':28s} {'region':10s} {'weight':8s} {'value':>24s}")
     for entry in report["bkm"]:
         print(
             f"{entry['name']:28s} {entry['region']:10s} {entry['weight']:8s} "
-            f"{storage.format_float(entry['value']):>24s}"
+            f"{_report_number(entry['value']):>24s}"
         )
     if report.get("residual_summaries"):
         print()
         print("transport-identity residual maxima along tracers:")
         for name, value in sorted(report["residual_summaries"].items()):
-            print(f"  {name:26s} {value:.6e}")
+            print(f"  {name:26s} {_report_number(value, '.6e')}")
     if report.get("bound_checks"):
         print()
         print("growth-bound margins along tracers:")
         for variant, agg in report["bound_checks"].items():
             print(
-                f"  {variant:26s} min_margin={agg['min_margin']:.6e} "
+                f"  {variant:26s} min_margin={_report_number(agg['min_margin'], '.6e')} "
                 f"violations={agg['violations']} tol={agg['tolerance']:.3e}"
             )
 
     if args.csv_dir:
         csv_dir = Path(args.csv_dir)
-        times = np.asarray(report["series"]["times"])
+        times = np.asarray(report["series"]["times"], dtype=float)
         for entry in report["criteria"]:
             columns = {
                 "time": times,
-                "norm": np.asarray(entry["norm_samples"]),
-                "inner_integral": np.asarray(entry["inner_integral"]),
-                "double_integral": np.asarray(entry["double_integral"]),
-                "integrand": np.asarray(entry["integrand"]),
+                "norm": np.asarray(entry["norm_samples"], dtype=float),
+                "inner_integral": np.asarray(entry["inner_integral"], dtype=float),
+                "double_integral": np.asarray(entry["double_integral"], dtype=float),
+                "integrand": np.asarray(entry["integrand"], dtype=float),
             }
             storage.write_csv(csv_dir / f"criterion_{entry['name']}_{entry['region']}.csv", columns)
         for entry in report["type_one"]:
             storage.write_csv(
                 csv_dir / f"type_one_{entry['name']}_{entry['region']}.csv",
-                {"time": np.asarray(entry["times"]), "scaled": np.asarray(entry["scaled"])},
+                {
+                    "time": np.asarray(entry["times"], dtype=float),
+                    "scaled": np.asarray(entry["scaled"], dtype=float),
+                },
             )
         print(f"\nseries CSVs written to {csv_dir}")
     return EXIT_OK

@@ -154,9 +154,18 @@ def hessian(p: ScalarField) -> TensorField:
     return TensorField(grid, out)
 
 
-def max_divergence(u: VectorField) -> tuple[float, tuple[int, ...]]:
-    """Max |div u| over the grid and the index where it is attained."""
-    div = divergence(u).values
+def max_divergence(
+    u: VectorField, grad_u: np.ndarray | None = None
+) -> tuple[float, tuple[int, ...]]:
+    """Max |div u| over the grid and the index where it is attained.
+
+    grad_u, the grid values of `gradient(u)`, gives div u as its trace with
+    no transform; without it div u is transformed from the spectrum.
+    """
+    if grad_u is None:
+        div = divergence(u).values
+    else:
+        div = np.trace(grad_u)
     idx = np.unravel_index(np.argmax(np.abs(div)), div.shape)
     return float(np.abs(div[idx])), tuple(int(i) for i in idx)
 
@@ -173,10 +182,14 @@ def solve_pressure(
     is supplied). The quadratic source is dealiased before inversion.
     grad_u, the grid values of `gradient(u)`, lets a caller that needs them
     too (`diagnostics.diag_field`) compute them once; they are computed
-    here when not given.
+    here when not given. The divergence check reads div u off their trace.
     """
     grid = u.grid
-    worst, idx = max_divergence(u)
+    if grad_u is None:
+        grad_u = gradient(u).values
+    elif grad_u.shape != (grid.dim, grid.dim) + grid.shape:
+        raise FieldError(f"grad_u must have shape {(grid.dim, grid.dim) + grid.shape}, got {grad_u.shape}")
+    worst, idx = max_divergence(u, grad_u)
     if worst > div_tol:
         coords = tuple(float(grid.axis_coords[i]) for i in idx)
         raise DivergenceError(
@@ -186,10 +199,6 @@ def solve_pressure(
     if theta is not None and grid.dim != 2:
         raise FieldError("buoyancy source is supported on 2D grids only")
 
-    if grad_u is None:
-        grad_u = gradient(u).values
-    elif grad_u.shape != (grid.dim, grid.dim) + grid.shape:
-        raise FieldError(f"grad_u must have shape {(grid.dim, grid.dim) + grid.shape}, got {grad_u.shape}")
     source = -np.einsum("ij...,ji...->...", grad_u, grad_u)
     source_hat = grid.truncate(grid.fftn(source))
     if theta is not None:
@@ -209,26 +218,34 @@ def project_spectral(grid: GridSpec, uh: np.ndarray) -> np.ndarray:
     return uh
 
 
-def region_sup_norm(field: _Field, center, radius: float) -> float:
-    """Max pointwise magnitude over the periodic ball B(center, radius).
+def ball_mask(grid: GridSpec, center, radius: float) -> np.ndarray | None:
+    """Grid points of the periodic ball B(center, radius) as a boolean mask.
 
-    A radius of at least half the period covers every grid point, so the
-    result equals the global sup exactly in that case.
+    A radius of at least half the period stands for the whole box and gives
+    None, so that a max over the "ball" is the global max exactly.
     """
     if radius <= 0:
         raise FieldError("radius must be positive")
-    mag = field.magnitude()
-    grid = field.grid
     if radius >= grid.length / 2.0:
-        return float(np.max(mag))
-    dist = grid.periodic_distance(np.asarray(center, dtype=float))
-    mask = dist <= radius
+        return None
+    mask = grid.periodic_distance(np.asarray(center, dtype=float)) <= radius
     if not np.any(mask):
         raise EmptyRegionError(
             f"ball of radius {radius:g} around {tuple(np.asarray(center, float))} "
             f"contains no grid points (spacing {grid.dx:g})"
         )
-    return float(np.max(mag[mask]))
+    return mask
+
+
+def masked_max(values: np.ndarray, mask: np.ndarray | None) -> float:
+    """Max of grid values over a `ball_mask` (None: over the whole grid)."""
+    return float(np.max(values if mask is None else values[mask]))
+
+
+def region_sup_norm(field: _Field, center, radius: float) -> float:
+    """Max pointwise magnitude over the periodic ball B(center, radius)."""
+    mask = ball_mask(field.grid, center, radius)
+    return masked_max(field.magnitude(), mask)
 
 
 __all__ = [
@@ -245,5 +262,7 @@ __all__ = [
     "max_divergence",
     "solve_pressure",
     "project_spectral",
+    "ball_mask",
+    "masked_max",
     "region_sup_norm",
 ]

@@ -18,7 +18,7 @@ import numpy as np
 from . import criteria as crit
 from . import solver, tracers
 from .diagnostics import diag_field, strain_rotation_split, vorticity_from_rotation
-from .fields import gradient, solve_pressure
+from .fields import EmptyRegionError, ball_mask, gradient, masked_max, solve_pressure
 from .grid import GridSpec
 from .storage import save_diagnostics, save_field, write_csv, write_json, write_manifest
 
@@ -270,19 +270,14 @@ class RunResult:
 def _region_masks(grid: GridSpec, regions: list) -> dict:
     masks = {}
     for region in regions:
-        if region.is_global or region.radius >= grid.length / 2.0:
+        if region.is_global:
             masks[region.label] = None
-        else:
-            dist = grid.periodic_distance(np.asarray(region.center, dtype=float))
-            mask = dist <= region.radius
-            if not np.any(mask):
-                raise ConfigError(f"region {region.label!r} contains no grid points")
-            masks[region.label] = mask
+            continue
+        try:
+            masks[region.label] = ball_mask(grid, region.center, region.radius)
+        except EmptyRegionError as exc:
+            raise ConfigError(f"region {region.label!r} contains no grid points") from exc
     return masks
-
-
-def _sup(values: np.ndarray, mask) -> float:
-    return float(np.max(values if mask is None else values[mask]))
 
 
 def _tracer_seeds(config: RunConfig, grid: GridSpec) -> np.ndarray:
@@ -430,7 +425,7 @@ def run(config: RunConfig, output_dir: str | Path | None = None) -> RunResult:
         }
         for name, arr in values.items():
             for region in regions:
-                sup_series[name][region.label].append(_sup(arr, masks[region.label]))
+                sup_series[name][region.label].append(masked_max(arr, masks[region.label]))
         sample_times.append(t)
         energy_series.append(solver.kinetic_energy(current.u))
         spectra = [current.u.spectral]

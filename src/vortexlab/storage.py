@@ -3,14 +3,16 @@
 Arrays go to disk as raw little-endian float64 in C order with a JSON
 sidecar header carrying dim, n, the field role, and the sample time.
 CSV floats are written with 17 significant digits; JSON floats use
-Python's shortest round-trip repr. Nothing time-of-day dependent is ever
-written, so identical configurations produce byte-identical artifacts.
+Python's shortest round-trip repr, and a non-finite one is written as
+null. Nothing time-of-day dependent is ever written, so identical
+configurations produce byte-identical artifacts.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +23,24 @@ from .grid import GridSpec
 _FIELD_CLASSES = {0: ScalarField, 1: VectorField, 2: TensorField}
 
 
+def _finite_or_null(obj):
+    """`obj` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    return obj
+
+
 def write_json(path: Path, obj) -> None:
+    """Strict JSON: a non-finite float is written as null, never as
+    `Infinity` or `NaN`."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(_finite_or_null(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -222,6 +222,27 @@ class TestSolvePressure:
         with pytest.raises(DivergenceError, match="grid index"):
             solve_pressure(u)
 
+    def test_divergence_check_from_grad_u(self):
+        # with s = x - x_peak, div u = (cos s0 + cos 2 s0)(1 + cos(s1)/2)(1 + cos(s2)/4),
+        # whose |.| has its unique maximum, 2 * 1.5 * 1.25, at the grid point `peak`
+        g = grid3()
+        peak = (3, 5, 2)
+        shifted = [g.coords[a] - g.axis_coords[peak[a]] for a in range(3)]
+        factors = [1.0 + 0.5 * np.cos(shifted[1]), 1.0 + 0.25 * np.cos(shifted[2])]
+        u0 = (np.sin(shifted[0]) + 0.5 * np.sin(2 * shifted[0])) * factors[0] * factors[1]
+        u = VectorField(g, np.stack([u0, np.zeros(g.shape), np.zeros(g.shape)]))
+        grad_u = gradient(u).values
+        worst, idx = max_divergence(u)
+        assert max_divergence(u, grad_u) == (pytest.approx(worst, rel=1e-14), idx)
+        assert idx == peak and worst == pytest.approx(2.0 * 1.5 * 1.25, rel=1e-13)
+        messages = []
+        for given in (None, grad_u):
+            with pytest.raises(DivergenceError, match="grid index") as err:
+                solve_pressure(u, grad_u=given)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert f"at grid index {peak}" in messages[0]
+
     def test_buoyancy_needs_2d(self):
         g = grid3()
         u = VectorField(g, np.zeros((3,) + g.shape))

@@ -256,6 +256,25 @@ class TestCli:
         assert "criterion" in captured
         assert (tmp_path / "csv" / "criterion_alignment_negative_global.csv").exists()
 
+    def test_report_renders_null_values(self, bubble_config, tmp_path, capsys):
+        # write_json stores a non-finite value as null; the report reads it back
+        out = tmp_path / "out"
+        assert main(["run", str(bubble_config), "-o", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        report["criteria"][0]["value"] = None
+        report["criteria"][0]["integrand"][-1] = None
+        report["type_one"][0]["window_max"] = None
+        report["bkm"][0]["value"] = None
+        report["residual_summaries"][sorted(report["residual_summaries"])[0]] = None
+        report["bound_checks"]["lemma"]["min_margin"] = None
+        (out / "report.json").write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main(["report", str(out), "--csv", str(tmp_path / "csv")]) == 0
+        assert capsys.readouterr().out.count("non-finite") == 5
+        entry = report["criteria"][0]
+        rows = (tmp_path / "csv" / f"criterion_{entry['name']}_{entry['region']}.csv").read_text()
+        assert rows.splitlines()[-1].endswith(",nan")
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text("[run]\nsystem = navier\n\n[time]\ndt = 0.1\nt_end = 1\n\n[initial]\nname = x\n\n[grid]\nn = 16\n")
@@ -291,6 +310,18 @@ class TestCli:
         assert main(["check-identities", "--count", "2000", "--scale", "1e80"]) == 1
         out = capsys.readouterr().out
         assert "max_residual=inf skipped=0 FAIL" in out
+
+    def test_check_identities_overflow_json_is_strict(self, tmp_path, capsys):
+        path = tmp_path / "out.json"
+        assert main(["check-identities", "--count", "2000", "--scale", "1e80", "--json", str(path)]) == 1
+        assert "max_residual=inf skipped=0 FAIL" in capsys.readouterr().out
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        report = json.loads(path.read_text(), parse_constant=reject)
+        overflowed = [name for name, value in report["residual_max"].items() if value is None]
+        assert overflowed and not report["passed"]
 
     def test_check_identities_bad_count(self, capsys):
         assert main(["check-identities", "--count", "0"]) == 2

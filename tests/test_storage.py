@@ -91,6 +91,22 @@ class TestSerialization:
         write_json(tmp_path / "b.json", {"a": [0.1, 0.2], "b": 1})
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_write_json_finite_output_unchanged(self, tmp_path):
+        obj = {"x": [0.1, 1e300, np.float64(2.5)], "y": {"z": (1, 2)}, "s": "t", "b": True}
+        write_json(tmp_path / "a.json", obj)
+        expected = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "a.json").read_text() == expected
+
+    def test_write_json_non_finite_is_null(self, tmp_path):
+        obj = {"a": float("inf"), "b": [np.float64("-inf"), float("nan"), 1.0], "c": {"d": np.nan}}
+        write_json(tmp_path / "a.json", obj)
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        back = json.loads((tmp_path / "a.json").read_text(), parse_constant=reject)
+        assert back == {"a": None, "b": [None, None, 1.0], "c": {"d": None}}
+
 
 class TestManifest:
     def test_checksums_and_relative_paths(self, tmp_path):

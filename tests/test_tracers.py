@@ -29,6 +29,32 @@ class TestSpectralSampler:
         exact = np.sin(2 * pts[:, 0]) * np.cos(3 * pts[:, 1]) + 0.5 * np.cos(pts[:, 0])
         assert np.max(np.abs(vals - exact)) <= 1e-13
 
+    def test_band_limited_exactness_3d_velocity(self):
+        g = GridSpec(3, 32)
+
+        def taylor_green(x, y, z):
+            return np.stack([
+                np.sin(x) * np.cos(y) * np.cos(z),
+                -np.cos(x) * np.sin(y) * np.cos(z),
+                np.zeros(np.shape(x)),
+            ])
+
+        rng = np.random.default_rng(3)
+        pts = rng.uniform(0, 2 * np.pi, (100, 3))
+        vals = SpectralSampler(g, pts).sample(g.fftn(taylor_green(*g.coords)))
+        assert np.max(np.abs(vals - taylor_green(*pts.T))) <= 1e-13
+
+    @pytest.mark.parametrize("dim, n, npts, nfields", [(3, 32, 100, 15), (2, 256, 16, 9)])
+    def test_velocity_rows_independent_of_stack(self, dim, n, npts, nfields):
+        # tracer velocities are sampled alone, the diagnostics in one stack;
+        # a row must not depend on which rows share its call
+        g = GridSpec(dim, n)
+        rng = np.random.default_rng(4)
+        stack = g.fftn(rng.standard_normal((nfields,) + g.shape))
+        sampler = SpectralSampler(g, rng.uniform(0, 2 * np.pi, (npts, dim)))
+        alone = sampler.sample(stack[:dim])
+        assert np.array_equal(sampler.sample(stack)[:dim], alone)
+
     def test_matches_grid_values_at_nodes(self):
         g = GridSpec(3, 16)
         rng = np.random.default_rng(1)
