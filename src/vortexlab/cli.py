@@ -136,7 +136,7 @@ def _cmd_check_identities(args) -> int:
         storage.write_json(Path(args.json_path), report.to_dict())
     if not report.passed:
         print("worst sample:")
-        print(json.dumps(report.worst, indent=2))
+        print(json.dumps(storage.finite_or_null(report.worst), indent=2, allow_nan=False))
         return EXIT_VERIFICATION
     return EXIT_OK
 

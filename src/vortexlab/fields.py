@@ -25,41 +25,74 @@ class EmptyRegionError(FieldError):
     """A ball region contains no grid points."""
 
 
+def _check_samples(cls, values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        bad = int(np.size(values) - np.count_nonzero(np.isfinite(values)))
+        raise FieldError(f"{cls.__name__} has {bad} non-finite sample(s)")
+
+
 class _Field:
     """Shared machinery for grid-sampled fields; do not instantiate directly."""
 
     rank = -1
+    # True when `values` is bit for bit the real part of the inverse
+    # transform of the cached spectrum, so a solver may reuse it instead of
+    # transforming again. Samples given in physical space are not: there
+    # ifftn(fftn(values)) differs from values in the last bits.
+    _values_exact = False
 
-    def __init__(self, grid: GridSpec, values: np.ndarray, _spectral: np.ndarray | None = None):
+    def __init__(self, grid: GridSpec, values: np.ndarray):
         values = np.asarray(values, dtype=np.float64)
         expected = (grid.dim,) * self.rank + grid.shape
         if values.shape != expected:
             raise FieldError(
                 f"{type(self).__name__} expects shape {expected}, got {values.shape}"
             )
-        if not np.all(np.isfinite(values)):
-            bad = int(np.size(values) - np.count_nonzero(np.isfinite(values)))
-            raise FieldError(f"{type(self).__name__} has {bad} non-finite sample(s)")
+        _check_samples(type(self), values)
         values = values.copy()
         values.flags.writeable = False
         self.grid = grid
         self.values = values
-        self._spectral = _spectral
+        self._spectral = None
+
+    @classmethod
+    def _wrap(cls, grid: GridSpec, values: np.ndarray, spectral: np.ndarray | None = None):
+        """Internal constructor: takes ownership of freshly computed arrays
+        and freezes them, with no copy and no finiteness check."""
+        values.flags.writeable = False
+        if spectral is not None:
+            spectral.flags.writeable = False
+        field = cls.__new__(cls)
+        field.grid = grid
+        field.values = values
+        field._spectral = spectral
+        return field
+
+    @classmethod
+    def _from_own_spectral(cls, grid: GridSpec, coeffs: np.ndarray):
+        """Internal constructor from complex128 coefficients of the right
+        shape that no one else holds; they become the cached spectrum."""
+        field = cls._wrap(grid, np.ascontiguousarray(grid.ifftn(coeffs)), coeffs)
+        field._values_exact = True
+        return field
 
     @classmethod
     def from_spectral(cls, grid: GridSpec, coeffs: np.ndarray):
-        coeffs = np.asarray(coeffs, dtype=np.complex128)
+        coeffs = np.array(coeffs, dtype=np.complex128)
         expected = (grid.dim,) * cls.rank + grid.shape
         if coeffs.shape != expected:
             raise FieldError(f"{cls.__name__} spectral shape {expected} expected, got {coeffs.shape}")
-        values = grid.ifftn(coeffs)
-        return cls(grid, values, _spectral=coeffs.copy())
+        field = cls._from_own_spectral(grid, coeffs)
+        _check_samples(cls, field.values)
+        return field
 
     @property
     def spectral(self) -> np.ndarray:
         """Cached forward transform of the samples."""
         if self._spectral is None:
-            self._spectral = self.grid.fftn(self.values)
+            spectral = self.grid.fftn(self.values)
+            spectral.flags.writeable = False
+            self._spectral = spectral
         return self._spectral
 
     def magnitude(self) -> np.ndarray:
@@ -89,10 +122,12 @@ class TensorField(_Field):
     rank = 2
 
 
-def _derivative_coeffs(grid: GridSpec, coeffs: np.ndarray, axis: int) -> np.ndarray:
+def _derivative_coeffs(
+    grid: GridSpec, coeffs: np.ndarray, axis: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Spectral derivative along one spatial axis of trailing-grid-shaped coeffs."""
     k = grid.wavenumbers[axis]
-    return 1j * k * coeffs
+    return np.multiply(1j * k, coeffs, out=out)
 
 
 def gradient(field: ScalarField | VectorField) -> VectorField | TensorField:
@@ -106,15 +141,15 @@ def gradient(field: ScalarField | VectorField) -> VectorField | TensorField:
         fh = field.spectral
         out = np.empty((grid.dim,) + grid.shape, dtype=np.complex128)
         for i in range(grid.dim):
-            out[i] = _derivative_coeffs(grid, fh, i)
-        return VectorField.from_spectral(grid, out)
+            _derivative_coeffs(grid, fh, i, out=out[i])
+        return VectorField._from_own_spectral(grid, out)
     if isinstance(field, VectorField):
         uh = field.spectral
         out = np.empty((grid.dim, grid.dim) + grid.shape, dtype=np.complex128)
         for i in range(grid.dim):
             for j in range(grid.dim):
-                out[i, j] = _derivative_coeffs(grid, uh[j], i)
-        return TensorField.from_spectral(grid, out)
+                _derivative_coeffs(grid, uh[j], i, out=out[i, j])
+        return TensorField._from_own_spectral(grid, out)
     raise FieldError("gradient expects a ScalarField or VectorField")
 
 
@@ -124,7 +159,7 @@ def divergence(u: VectorField) -> ScalarField:
     div = np.zeros(grid.shape, dtype=np.complex128)
     for i in range(grid.dim):
         div += _derivative_coeffs(grid, uh[i], i)
-    return ScalarField.from_spectral(grid, div)
+    return ScalarField._from_own_spectral(grid, div)
 
 
 def perp_gradient(theta: ScalarField) -> VectorField:
@@ -134,9 +169,9 @@ def perp_gradient(theta: ScalarField) -> VectorField:
         raise FieldError("perp_gradient is defined for 2D grids only")
     th = theta.spectral
     out = np.empty((2,) + grid.shape, dtype=np.complex128)
-    out[0] = -_derivative_coeffs(grid, th, 1)
-    out[1] = _derivative_coeffs(grid, th, 0)
-    return VectorField.from_spectral(grid, out)
+    np.negative(_derivative_coeffs(grid, th, 1, out=out[0]), out=out[0])
+    _derivative_coeffs(grid, th, 0, out=out[1])
+    return VectorField._from_own_spectral(grid, out)
 
 
 def hessian(p: ScalarField) -> TensorField:
@@ -146,12 +181,15 @@ def hessian(p: ScalarField) -> TensorField:
     ph = p.spectral
     k = grid.wavenumbers
     pairs = [(i, j) for i in range(grid.dim) for j in range(i, grid.dim)]
-    upper = grid.ifftn(np.stack([-(k[i] * k[j]) * ph for i, j in pairs]))
+    upper = np.empty((len(pairs),) + grid.shape, dtype=np.complex128)
+    for (i, j), coeffs in zip(pairs, upper):
+        np.multiply(-(k[i] * k[j]), ph, out=coeffs)
+    upper = grid.ifftn(upper, overwrite=True)
     out = np.empty((grid.dim, grid.dim) + grid.shape)
     for (i, j), values in zip(pairs, upper):
         out[i, j] = values
         out[j, i] = values
-    return TensorField(grid, out)
+    return TensorField._wrap(grid, out)
 
 
 def max_divergence(
@@ -200,33 +238,39 @@ def solve_pressure(
         raise FieldError("buoyancy source is supported on 2D grids only")
 
     source = -np.einsum("ij...,ji...->...", grad_u, grad_u)
-    source_hat = grid.truncate(grid.fftn(source))
+    p_hat = grid.fftn(source)
+    grid.truncate(p_hat, out=p_hat)
     if theta is not None:
-        source_hat = source_hat + _derivative_coeffs(grid, theta.spectral, 1)
-    p_hat = -source_hat * grid.inv_k_square
-    return ScalarField.from_spectral(grid, p_hat)
+        np.add(p_hat, _derivative_coeffs(grid, theta.spectral, 1), out=p_hat)
+    np.negative(p_hat, out=p_hat)
+    np.multiply(p_hat, grid.inv_k_square, out=p_hat)
+    return ScalarField._from_own_spectral(grid, p_hat)
 
 
 def project_spectral(grid: GridSpec, uh: np.ndarray) -> np.ndarray:
     """In-place Leray projection of spectral velocity coefficients."""
+    k = grid.wavenumbers
     k_dot_u = np.zeros(grid.shape, dtype=np.complex128)
+    term = np.empty(grid.shape, dtype=np.complex128)
     for i in range(grid.dim):
-        k_dot_u += grid.wavenumbers[i] * uh[i]
+        k_dot_u += np.multiply(k[i], uh[i], out=term)
     k_dot_u *= grid.inv_k_square
     for i in range(grid.dim):
-        uh[i] -= grid.wavenumbers[i] * k_dot_u
+        uh[i] -= np.multiply(k[i], k_dot_u, out=term)
     return uh
 
 
 def ball_mask(grid: GridSpec, center, radius: float) -> np.ndarray | None:
     """Grid points of the periodic ball B(center, radius) as a boolean mask.
 
-    A radius of at least half the period stands for the whole box and gives
-    None, so that a max over the "ball" is the global max exactly.
+    Distances wrap around the period, so the ball holds the whole box only
+    from radius sqrt(dim) * length / 2 on, the distance to the far corner.
+    Such a radius gives None, so that a max over the "ball" is the global
+    max exactly.
     """
     if radius <= 0:
         raise FieldError("radius must be positive")
-    if radius >= grid.length / 2.0:
+    if radius >= np.sqrt(grid.dim) * grid.length / 2.0:
         return None
     mask = grid.periodic_distance(np.asarray(center, dtype=float)) <= radius
     if not np.any(mask):

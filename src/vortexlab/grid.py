@@ -141,14 +141,19 @@ class GridSpec:
         axes = tuple(range(values.ndim - self.dim, values.ndim))
         return sp_fft.fftn(values, axes=axes, workers=fft_workers())
 
-    def ifftn(self, coeffs: np.ndarray) -> np.ndarray:
-        """Inverse FFT over the trailing dim axes, real part."""
-        axes = tuple(range(coeffs.ndim - self.dim, coeffs.ndim))
-        return sp_fft.ifftn(coeffs, axes=axes, workers=fft_workers()).real
+    def ifftn(self, coeffs: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """Inverse FFT over the trailing dim axes, real part.
 
-    def truncate(self, coeffs: np.ndarray) -> np.ndarray:
-        """Zero all modes outside the dealias cutoff."""
-        return coeffs * self.dealias_mask
+        With overwrite=True a complex128 `coeffs` becomes the transform's
+        output buffer and is destroyed; the result is the real part of it.
+        The bits are those of the out-of-place transform.
+        """
+        axes = tuple(range(coeffs.ndim - self.dim, coeffs.ndim))
+        return sp_fft.ifftn(coeffs, axes=axes, workers=fft_workers(), overwrite_x=overwrite).real
+
+    def truncate(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Zero all modes outside the dealias cutoff (in place with out=coeffs)."""
+        return np.multiply(coeffs, self.dealias_mask, out=out)
 
     def dealias_values(self, values: np.ndarray) -> np.ndarray:
         """Round-trip a physical-space array through the dealias mask."""

@@ -462,6 +462,7 @@ def run(config: RunConfig, output_dir: str | Path | None = None) -> RunResult:
                 state, stages = solver.rk4_stages_boussinesq(state, stepper)
             if n_tracers:
                 positions = tracers.advance_positions(grid, stages, positions, config.dt)
+            del stages  # the stage arrays are not needed past the step
         except (solver.SolverError, tracers.TracerError) as exc:
             raise type(exc)(f"aborted at step {step_index}: {exc}") from exc
 

@@ -71,54 +71,85 @@ class BoussinesqState:
     theta: ScalarField
 
 
-def _vorticity_spectral(grid: GridSpec, uh: np.ndarray) -> np.ndarray:
+def _vorticity_spectral(grid: GridSpec, uh: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Spectral curl of uh into `out`: 3 components in 3D, 1 in 2D."""
     k = grid.wavenumbers
-    if grid.dim == 3:
-        wh = np.empty_like(uh)
-        wh[0] = 1j * (k[1] * uh[2] - k[2] * uh[1])
-        wh[1] = 1j * (k[2] * uh[0] - k[0] * uh[2])
-        wh[2] = 1j * (k[0] * uh[1] - k[1] * uh[0])
-        return wh
-    return 1j * (k[0] * uh[1] - k[1] * uh[0])
+    pairs = ((1, 2), (2, 0), (0, 1)) if grid.dim == 3 else ((0, 1),)
+    term = np.empty(grid.shape, dtype=np.complex128)
+    for wh, (a, b) in zip(out, pairs):
+        # wh = 1j * (k_a uh_b - k_b uh_a)
+        np.multiply(k[a], uh[b], out=wh)
+        wh -= np.multiply(k[b], uh[a], out=term)
+        np.multiply(1j, wh, out=wh)
+    return out
 
 
-def _euler_rhs(grid: GridSpec, uh: np.ndarray) -> tuple[np.ndarray, float]:
-    """Projected spectral tendency of the 3D momentum equation; also max|u|."""
-    u = grid.ifftn(uh)
-    w = grid.ifftn(_vorticity_spectral(grid, uh))
-    force = np.empty_like(u)
-    force[0] = u[1] * w[2] - u[2] * w[1]
-    force[1] = u[2] * w[0] - u[0] * w[2]
-    force[2] = u[0] * w[1] - u[1] * w[0]
-    fh = grid.truncate(grid.fftn(force))
+def _finish_tendency(grid: GridSpec, fh: np.ndarray) -> None:
+    """Project the truncated momentum tendency and remove its mean, in place."""
     project_spectral(grid, fh)
     fh[(slice(None),) + (0,) * grid.dim] = 0.0
-    umax = float(np.max(np.sqrt(np.sum(u**2, axis=0))))
-    return fh, umax
 
 
-def _boussinesq_rhs(
-    grid: GridSpec, uh: np.ndarray, th: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Projected tendencies of 2D momentum (with buoyancy) and temperature."""
-    u = grid.ifftn(uh)
-    w = grid.ifftn(_vorticity_spectral(grid, uh))
-    force = np.empty_like(u)
-    force[0] = w * u[1]
-    force[1] = -w * u[0]
-    fh = grid.truncate(grid.fftn(force))
+def _max_speed(u: np.ndarray) -> float:
+    return float(np.max(np.sqrt(np.sum(u**2, axis=0))))
+
+
+def _euler_rhs(grid: GridSpec, y: tuple, u: np.ndarray | None) -> tuple:
+    """Projected spectral tendency of y = (uh,) under the 3D momentum
+    equation in rotational form u x curl u. `u`, when given, is the grid
+    velocity, bit for bit ifftn(uh); otherwise it is transformed here."""
+    (uh,) = y
+    if u is None:
+        u = grid.ifftn(uh)
+    w = grid.ifftn(_vorticity_spectral(grid, uh, np.empty_like(uh)), overwrite=True)
+    force = np.empty(u.shape)
+    term = np.empty(grid.shape)
+    for fc, (a, b) in zip(force, ((1, 2), (2, 0), (0, 1))):
+        # fc = u_a w_b - u_b w_a
+        np.multiply(u[a], w[b], out=fc)
+        fc -= np.multiply(u[b], w[a], out=term)
+    del u, w, term
+    fh = grid.fftn(force)
+    del force
+    grid.truncate(fh, out=fh)
+    _finish_tendency(grid, fh)
+    return (fh,)
+
+
+def _boussinesq_rhs(grid: GridSpec, y: tuple, u: np.ndarray | None) -> tuple:
+    """Projected tendencies of y = (uh, th) under 2D momentum (with
+    buoyancy) and temperature transport; `u` as in `_euler_rhs`.
+
+    One inverse transform gives u (unless given), the vorticity and grad
+    theta; one forward transform gives the force and the advection term.
+    """
+    uh, th = y
+    k = grid.wavenumbers
+    lead = 0 if u is not None else 2
+    coeffs = np.empty((lead + 3,) + grid.shape, dtype=np.complex128)
+    coeffs[:lead] = uh[:lead]
+    _vorticity_spectral(grid, uh, coeffs[lead : lead + 1])
+    np.multiply(1j * k[0], th, out=coeffs[lead + 1])
+    np.multiply(1j * k[1], th, out=coeffs[lead + 2])
+    phys = grid.ifftn(coeffs, overwrite=True)
+    if u is None:
+        u = phys[:2]
+    w, dth0, dth1 = phys[lead:]
+    # rows: the force w * (u_2, -u_1) and the advection -(u . grad theta)
+    src = np.empty((3,) + grid.shape)
+    np.multiply(w, u[1], out=src[0])
+    np.multiply(np.negative(w, out=src[1]), u[0], out=src[1])
+    np.multiply(u[0], dth0, out=src[2])
+    src[2] += np.multiply(u[1], dth1, out=dth1)
+    np.negative(src[2], out=src[2])
+    del u, phys, w, dth0, dth1
+    out = grid.fftn(src)
+    del src
+    grid.truncate(out, out=out)
+    fh, th_rhs = out[:2], out[2]
     fh[1] += th
-    project_spectral(grid, fh)
-    fh[(slice(None),) + (0,) * grid.dim] = 0.0
-
-    k = grid.wavenumbers
-    grad_th = np.empty_like(u)
-    grad_th[0] = grid.ifftn(1j * k[0] * th)
-    grad_th[1] = grid.ifftn(1j * k[1] * th)
-    adv = -(u[0] * grad_th[0] + u[1] * grad_th[1])
-    th_rhs = grid.truncate(grid.fftn(adv))
-    umax = float(np.max(np.sqrt(np.sum(u**2, axis=0))))
-    return fh, th_rhs, umax
+    _finish_tendency(grid, fh)
+    return (fh, th_rhs)
 
 
 def _check_cfl(grid: GridSpec, config: StepperConfig, umax: float) -> None:
@@ -134,53 +165,83 @@ def _check_finite(*arrays: np.ndarray) -> None:
             raise NonFiniteStateError("non-finite values in evolved state")
 
 
+def _rk4(grid: GridSpec, config: StepperConfig, rhs, y: tuple, u: np.ndarray | None):
+    """One classical RK4 step of the spectral arrays y = (y_1, ...).
+
+    rhs(grid, y, u) returns the tendencies of y, given the grid velocity
+    u of y[0] or None. `u` is the input state's velocity samples when they
+    are bit for bit the transform of y[0], else None. Returns the new
+    arrays and the stage tuples at t + dt/2, t + dt/2 and t + dt.
+
+    The stages are y + (dt/2) k1, y + (dt/2) k2 and y + dt k3, and the new
+    state is y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4): the textbook
+    expressions in their textbook order, computed in place.
+    """
+    dt = config.dt
+    if u is None:
+        u = grid.ifftn(y[0])
+    _check_cfl(grid, config, _max_speed(u))
+    k = rhs(grid, y, u)
+    del u
+    acc = k
+    stages = []
+    for step, c in enumerate((0.5 * dt, 0.5 * dt, dt)):
+        stage = tuple(_shifted(yi, c, ki) for yi, ki in zip(y, k))
+        stages.append(stage)
+        if step > 0:
+            for a, ki in zip(acc, k):
+                a += np.multiply(2.0, ki, out=ki)
+        k = rhs(grid, stage, None)
+    for a, ki, yi in zip(acc, k, y):
+        a += ki
+        np.multiply(dt / 6.0, a, out=a)
+        np.add(yi, a, out=a)
+    _check_finite(*acc)
+    return acc, stages
+
+
+def _shifted(y: np.ndarray, c: float, k: np.ndarray) -> np.ndarray:
+    """y + c k in a new array."""
+    out = np.multiply(c, k)
+    return np.add(y, out, out=out)
+
+
+def _stage_list(t0: float, dt: float, y0: np.ndarray, stages: list) -> list:
+    """The (time, velocity coefficients) of the four stages, read-only."""
+    velocities = [y0] + [stage[0] for stage in stages]
+    for uh in velocities:
+        uh.flags.writeable = False
+    return list(zip((t0, t0 + 0.5 * dt, t0 + 0.5 * dt, t0 + dt), velocities))
+
+
+def _exact_values(field) -> np.ndarray | None:
+    """The field's samples when they are the exact transform of its spectrum."""
+    return field.values if field._values_exact else None
+
+
 def rk4_stages_euler(state: EulerState, config: StepperConfig):
     """One RK4 step; returns the new state and the four (time, uh) stages."""
     grid = state.u.grid
-    dt = config.dt
-    t0 = state.time
     uh = state.u.spectral
-
-    k1, umax = _euler_rhs(grid, uh)
-    _check_cfl(grid, config, umax)
-    s2 = uh + 0.5 * dt * k1
-    k2, _ = _euler_rhs(grid, s2)
-    s3 = uh + 0.5 * dt * k2
-    k3, _ = _euler_rhs(grid, s3)
-    s4 = uh + dt * k3
-    k4, _ = _euler_rhs(grid, s4)
-    uh_new = uh + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    _check_finite(uh_new)
-    new_state = EulerState(time=t0 + dt, u=VectorField.from_spectral(grid, uh_new))
-    stages = [(t0, uh), (t0 + 0.5 * dt, s2), (t0 + 0.5 * dt, s3), (t0 + dt, s4)]
-    return new_state, stages
+    (uh_new,), stages = _rk4(grid, config, _euler_rhs, (uh,), _exact_values(state.u))
+    new_state = EulerState(
+        time=state.time + config.dt, u=VectorField._from_own_spectral(grid, uh_new)
+    )
+    return new_state, _stage_list(state.time, config.dt, uh, stages)
 
 
 def rk4_stages_boussinesq(state: BoussinesqState, config: StepperConfig):
+    """One RK4 step; returns the new state and the four (time, uh) stages."""
     grid = state.u.grid
-    dt = config.dt
-    t0 = state.time
     uh = state.u.spectral
-    th = state.theta.spectral
-
-    ku1, kt1, umax = _boussinesq_rhs(grid, uh, th)
-    _check_cfl(grid, config, umax)
-    su2, st2 = uh + 0.5 * dt * ku1, th + 0.5 * dt * kt1
-    ku2, kt2, _ = _boussinesq_rhs(grid, su2, st2)
-    su3, st3 = uh + 0.5 * dt * ku2, th + 0.5 * dt * kt2
-    ku3, kt3, _ = _boussinesq_rhs(grid, su3, st3)
-    su4, st4 = uh + dt * ku3, th + dt * kt3
-    ku4, kt4, _ = _boussinesq_rhs(grid, su4, st4)
-    uh_new = uh + (dt / 6.0) * (ku1 + 2.0 * ku2 + 2.0 * ku3 + ku4)
-    th_new = th + (dt / 6.0) * (kt1 + 2.0 * kt2 + 2.0 * kt3 + kt4)
-    _check_finite(uh_new, th_new)
+    y = (uh, state.theta.spectral)
+    (uh_new, th_new), stages = _rk4(grid, config, _boussinesq_rhs, y, _exact_values(state.u))
     new_state = BoussinesqState(
-        time=t0 + dt,
-        u=VectorField.from_spectral(grid, uh_new),
-        theta=ScalarField.from_spectral(grid, th_new),
+        time=state.time + config.dt,
+        u=VectorField._from_own_spectral(grid, uh_new),
+        theta=ScalarField._from_own_spectral(grid, th_new),
     )
-    stages = [(t0, uh), (t0 + 0.5 * dt, su2), (t0 + 0.5 * dt, su3), (t0 + dt, su4)]
-    return new_state, stages
+    return new_state, _stage_list(state.time, config.dt, uh, stages)
 
 
 def step_euler(state: EulerState, config: StepperConfig) -> EulerState:

@@ -23,14 +23,14 @@ from .grid import GridSpec
 _FIELD_CLASSES = {0: ScalarField, 1: VectorField, 2: TensorField}
 
 
-def _finite_or_null(obj):
+def finite_or_null(obj):
     """`obj` with every non-finite float replaced by None (JSON null)."""
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):
-        return {key: _finite_or_null(value) for key, value in obj.items()}
+        return {key: finite_or_null(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_finite_or_null(value) for value in obj]
+        return [finite_or_null(value) for value in obj]
     return obj
 
 
@@ -40,7 +40,7 @@ def write_json(path: Path, obj) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(_finite_or_null(obj), fh, indent=2, sort_keys=True, allow_nan=False)
+        json.dump(finite_or_null(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -167,6 +167,7 @@ def write_manifest(path: Path, config_echo: dict, files: list[Path], extra: dict
 
 
 __all__ = [
+    "finite_or_null",
     "write_json",
     "read_json",
     "save_field",

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -50,6 +53,36 @@ class TestGridSpec:
         assert g.dealias_mask[0, 0]
         assert g.dealias_mask[1, 2]
         assert not g.dealias_mask[g.n // 2, 0]
+
+    def test_only_grid_imports_scipy_fft(self):
+        # GridSpec.fftn / ifftn are the only transforms, so that counting
+        # them counts every FFT the package makes
+        package = Path(__file__).resolve().parent.parent / "src" / "vortexlab"
+        offenders = []
+        for path in sorted(package.glob("*.py")):
+            if path.name == "grid.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+                else:
+                    continue
+                if any(name == "scipy.fft" or name.startswith("scipy.fft.") for name in names):
+                    offenders.append(path.name)
+        assert offenders == []
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_in_place_inverse_matches_out_of_place(self, dim):
+        g = GridSpec(dim, 16)
+        rng = np.random.default_rng(4)
+        coeffs = rng.standard_normal((2,) + g.shape) + 1j * rng.standard_normal((2,) + g.shape)
+        expected = g.ifftn(coeffs)
+        buffer = coeffs.copy()
+        got = g.ifftn(buffer, overwrite=True)
+        assert np.shares_memory(got, buffer)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestFieldConstruction:
@@ -168,6 +201,56 @@ class TestHessian:
         rng = np.random.default_rng(3)
         H = hessian(ScalarField(g, rng.standard_normal(g.shape)))
         assert np.array_equal(H.values[0, 1], H.values[1, 0])
+
+
+class TestDerivativeExactness:
+    """Each derivative equals `from_spectral` of its per-entry coefficients
+    bit for bit, and hands out read-only arrays."""
+
+    @staticmethod
+    def _same(field, expected, spectral=True):
+        assert type(field) is type(expected)
+        assert field.values.tobytes() == expected.values.tobytes()
+        if spectral:
+            assert field.spectral.tobytes() == expected.spectral.tobytes()
+        assert not field.values.flags.writeable
+        assert not field.spectral.flags.writeable
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_scalar_gradient(self, dim):
+        g = GridSpec(dim, 16)
+        f = ScalarField(g, np.random.default_rng(1).standard_normal(g.shape))
+        k = g.wavenumbers
+        coeffs = np.stack([1j * k[i] * f.spectral for i in range(dim)])
+        self._same(gradient(f), VectorField.from_spectral(g, coeffs))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_vector_gradient(self, dim):
+        g = GridSpec(dim, 16)
+        u = VectorField(g, np.random.default_rng(2).standard_normal((dim,) + g.shape))
+        k = g.wavenumbers
+        coeffs = np.stack(
+            [np.stack([1j * k[i] * u.spectral[j] for j in range(dim)]) for i in range(dim)]
+        )
+        self._same(gradient(u), TensorField.from_spectral(g, coeffs))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_hessian(self, dim):
+        g = GridSpec(dim, 16)
+        p = ScalarField(g, np.random.default_rng(3).standard_normal(g.shape))
+        k = g.wavenumbers
+        coeffs = np.stack(
+            [np.stack([-(k[i] * k[j]) * p.spectral for j in range(dim)]) for i in range(dim)]
+        )
+        # the Hessian keeps no spectrum; it is transformed from the samples on demand
+        self._same(hessian(p), TensorField.from_spectral(g, coeffs), spectral=False)
+
+    def test_perp_gradient(self):
+        g = GridSpec(2, 16)
+        th = ScalarField(g, np.random.default_rng(4).standard_normal(g.shape))
+        k = g.wavenumbers
+        coeffs = np.stack([-(1j * k[1] * th.spectral), 1j * k[0] * th.spectral])
+        self._same(perp_gradient(th), VectorField.from_spectral(g, coeffs))
 
 
 class TestSolvePressure:
@@ -303,11 +386,20 @@ class TestRegionSupNorm:
             expected = brute_force_ball_sup(f, center, radius)
             assert region_sup_norm(f, center, radius) == pytest.approx(expected, abs=0)
 
-    def test_half_period_radius_is_global(self):
+    def test_half_period_radius_is_a_ball_corner_radius_is_global(self):
+        # the periodic ball of radius L/2 leaves out the points near the box
+        # corners; only radius sqrt(dim) L/2 reaches all of them
         g = grid2(16)
+        x = g.coords
+        peaked = ScalarField(g, (1.0 - np.cos(x[0])) * (1.0 - np.cos(x[1])))  # max at (pi, pi)
         rng = np.random.default_rng(1)
-        f = ScalarField(g, rng.standard_normal(g.shape))
-        assert region_sup_norm(f, (2.0, 2.0), g.length / 2.0) == np.max(np.abs(f.values))
+        noise = ScalarField(g, rng.standard_normal(g.shape))
+        half, corner = g.length / 2.0, np.sqrt(g.dim) * g.length / 2.0
+        for f, center in [(peaked, (0.0, 0.0)), (noise, (2.0, 2.0)), (noise, (0.0, 0.0))]:
+            expected = brute_force_ball_sup(f, center, half)
+            assert region_sup_norm(f, center, half) == pytest.approx(expected, abs=0)
+            assert region_sup_norm(f, center, corner) == np.max(np.abs(f.values))
+        assert region_sup_norm(peaked, (0.0, 0.0), half) < np.max(peaked.values)
 
     def test_monotone_in_radius(self):
         g = grid2(16)

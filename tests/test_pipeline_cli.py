@@ -323,6 +323,17 @@ class TestCli:
         overflowed = [name for name, value in report["residual_max"].items() if value is None]
         assert overflowed and not report["passed"]
 
+    def test_check_identities_overflow_stdout_is_strict(self, capsys):
+        assert main(["check-identities", "--count", "2000", "--scale", "1e80"]) == 1
+        out = capsys.readouterr().out
+        assert "max_residual=inf skipped=0 FAIL" in out
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        worst = json.loads(out.split("worst sample:\n", 1)[1], parse_constant=reject)
+        assert None in worst.values()
+
     def test_check_identities_bad_count(self, capsys):
         assert main(["check-identities", "--count", "0"]) == 2
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vortexlab.grid import GridSpec
-from vortexlab.fields import ScalarField, VectorField, max_divergence
+from vortexlab.fields import ScalarField, VectorField, max_divergence, project_spectral
 from vortexlab.solver import (
     BoussinesqState,
     CflError,
@@ -10,6 +10,8 @@ from vortexlab.solver import (
     StepperConfig,
     initial_condition,
     kinetic_energy,
+    rk4_stages_boussinesq,
+    rk4_stages_euler,
     scalar_l2_norm,
     spectral_tail_ratio,
     step_boussinesq,
@@ -192,3 +194,120 @@ def test_stepper_config_validation():
         StepperConfig(dt=0.0)
     with pytest.raises(ValueError):
         StepperConfig(dt=0.1, cfl_guard=-1.0)
+
+
+# A plain textbook RK4 with the expressions of the original solver: fresh
+# arrays everywhere, every velocity transformed from its spectrum. The
+# stepper must reproduce it byte for byte.
+
+
+def _textbook_vorticity(grid, uh):
+    k = grid.wavenumbers
+    if grid.dim == 3:
+        wh = np.empty_like(uh)
+        wh[0] = 1j * (k[1] * uh[2] - k[2] * uh[1])
+        wh[1] = 1j * (k[2] * uh[0] - k[0] * uh[2])
+        wh[2] = 1j * (k[0] * uh[1] - k[1] * uh[0])
+        return wh
+    return 1j * (k[0] * uh[1] - k[1] * uh[0])
+
+
+def _textbook_euler_rhs(grid, uh):
+    u = grid.ifftn(uh)
+    w = grid.ifftn(_textbook_vorticity(grid, uh))
+    force = np.empty_like(u)
+    force[0] = u[1] * w[2] - u[2] * w[1]
+    force[1] = u[2] * w[0] - u[0] * w[2]
+    force[2] = u[0] * w[1] - u[1] * w[0]
+    fh = grid.truncate(grid.fftn(force))
+    project_spectral(grid, fh)
+    fh[(slice(None),) + (0,) * grid.dim] = 0.0
+    return (fh,)
+
+
+def _textbook_boussinesq_rhs(grid, uh, th):
+    u = grid.ifftn(uh)
+    w = grid.ifftn(_textbook_vorticity(grid, uh))
+    force = np.empty_like(u)
+    force[0] = w * u[1]
+    force[1] = -w * u[0]
+    fh = grid.truncate(grid.fftn(force))
+    fh[1] += th
+    project_spectral(grid, fh)
+    fh[(slice(None),) + (0,) * grid.dim] = 0.0
+    k = grid.wavenumbers
+    grad_th = np.empty_like(u)
+    grad_th[0] = grid.ifftn(1j * k[0] * th)
+    grad_th[1] = grid.ifftn(1j * k[1] * th)
+    adv = -(u[0] * grad_th[0] + u[1] * grad_th[1])
+    return fh, grid.truncate(grid.fftn(adv))
+
+
+def _textbook_rk4(rhs, y, dt):
+    """Returns the new arrays and the stage tuples at t + dt/2, t + dt/2, t + dt."""
+    k1 = rhs(*y)
+    s2 = tuple(a + 0.5 * dt * b for a, b in zip(y, k1))
+    k2 = rhs(*s2)
+    s3 = tuple(a + 0.5 * dt * b for a, b in zip(y, k2))
+    k3 = rhs(*s3)
+    s4 = tuple(a + dt * b for a, b in zip(y, k3))
+    k4 = rhs(*s4)
+    new = tuple(
+        a + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+    )
+    return new, [s2, s3, s4]
+
+
+def _fields(state):
+    return [state.u] + ([state.theta] if hasattr(state, "theta") else [])
+
+
+@pytest.mark.parametrize(
+    "name, dim, stepper, rhs",
+    [
+        ("taylor-green-3d", 3, rk4_stages_euler, _textbook_euler_rhs),
+        ("random-band-limited", 3, rk4_stages_euler, _textbook_euler_rhs),
+        ("boussinesq-bubble", 2, rk4_stages_boussinesq, _textbook_boussinesq_rhs),
+        ("random-band-limited", 2, rk4_stages_boussinesq, _textbook_boussinesq_rhs),
+    ],
+)
+class TestRk4Exactness:
+    """The initial conditions here are built from grid values, whose
+    transform is not their samples bit for bit, so the first step covers
+    the stepper's transform of the state and the later ones its reuse."""
+
+    def test_matches_textbook_rk4_bytewise(self, name, dim, stepper, rhs):
+        g = GridSpec(dim, 16)
+        state = initial_condition(name, g, seed=5)
+        cfg = StepperConfig(dt=0.02)
+        y = tuple(f.spectral for f in _fields(state))
+        for _ in range(3):
+            expected, expected_stages = _textbook_rk4(lambda *a: rhs(g, *a), y, cfg.dt)
+            state, stages = stepper(state, cfg)
+            for want, field in zip(expected, _fields(state)):
+                assert field.spectral.tobytes() == want.tobytes()
+                assert field.values.tobytes() == g.ifftn(want).tobytes()
+            t0 = state.time - cfg.dt
+            assert [t for t, _ in stages] == pytest.approx([t0, t0 + 0.5 * cfg.dt, t0 + 0.5 * cfg.dt, t0 + cfg.dt])
+            assert stages[0][1].tobytes() == y[0].tobytes()
+            for (_, got), want in zip(stages[1:], expected_stages):
+                assert got.tobytes() == want[0].tobytes()
+            y = expected
+
+    def test_results_are_read_only_and_never_rewritten(self, name, dim, stepper, rhs):
+        g = GridSpec(dim, 16)
+        cfg = StepperConfig(dt=0.02)
+        state = stepper(initial_condition(name, g, seed=5), cfg)[0]
+        frozen = [(f.values.tobytes(), f.spectral.tobytes()) for f in _fields(state)]
+        later, stages = stepper(state, cfg)
+        for _ in range(2):
+            later, stages = stepper(later, cfg)
+        for field, (values, spectral) in zip(_fields(state), frozen):
+            assert field.values.tobytes() == values
+            assert field.spectral.tobytes() == spectral
+        for field in _fields(state) + _fields(later):
+            assert not field.values.flags.writeable
+            assert not field.spectral.flags.writeable
+        for _, coeffs in stages:
+            assert not coeffs.flags.writeable
