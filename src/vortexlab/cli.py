@@ -18,6 +18,7 @@ import numpy as np
 
 from . import criteria as crit
 from . import identities, pipeline, storage
+from .fields import DivergenceError
 from .solver import SolverError
 from .tracers import TracerError
 
@@ -78,7 +79,7 @@ def main(argv=None) -> int:
     except pipeline.ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SolverError, TracerError) as exc:
+    except (SolverError, TracerError, DivergenceError) as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
     return EXIT_CONFIG

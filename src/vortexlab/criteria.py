@@ -20,7 +20,8 @@ class SeriesError(ValueError):
     """Invalid time series input."""
 
 
-def _check_uniform(times: np.ndarray) -> float:
+def uniform_step(times: np.ndarray) -> float:
+    """The step of uniform, increasing sample times; SeriesError otherwise."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise SeriesError("need at least two sample times")
@@ -94,7 +95,7 @@ def criterion_functional(
     region: str = "global",
 ) -> CriterionSeries:
     """Evaluate int w(t) exp( int_0^t int_0^s m ) dt on a nonnegative norm series."""
-    _check_uniform(times)
+    uniform_step(times)
     m = np.asarray(norm_samples, dtype=float)
     if m.shape != np.asarray(times).shape:
         raise SeriesError("norm series must match the time grid")
@@ -227,7 +228,7 @@ class GronwallProblem:
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
         if self.y is not None:
             object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
-        _check_uniform(self.times)
+        uniform_step(self.times)
         n = self.times.size
         if self.alpha.shape != (n,) or self.beta.shape != (n,):
             raise SeriesError("alpha and beta must match the time grid")
@@ -397,6 +398,7 @@ __all__ = [
     "TypeIMonitor",
     "GronwallProblem",
     "GronwallReport",
+    "uniform_step",
     "cumulative_trapezoid",
     "trapezoid",
     "criterion_functional",

@@ -10,7 +10,9 @@ The same direction-field construction serves both settings:
 
 `direction_quantities(vec, mat, hess, eps)` is the one implementation of
 the pointwise algebra. The grid diagnostics (`diag_field`), the tracer
-series and the randomized identity suite all read from it. With A = mat
+series and the randomized identity suite all read from it, and
+`kernel_inputs` is the one assembly of its inputs from derivative values,
+on the grid (`diag_field`) and at the tracers (`pipeline.run`). With A = mat
 and P = hess it gives xi = vec/|vec|, zeta = A xi/|A xi|, alpha = xi.A xi,
 rho = xi.P xi, the alignment zeta.P xi, the stretch balance
 |A xi|^2 - 2 alpha^2 - rho, and the rates along the flow: alpha |vec| for
@@ -218,6 +220,21 @@ def direction_quantities(vec: np.ndarray, mat: np.ndarray, hess: np.ndarray, eps
     return DirectionQuantities(vec, mat, hess, eps)
 
 
+def kernel_inputs(grad_u: np.ndarray, hess_p: np.ndarray, carrier: np.ndarray | None = None):
+    """The (vec, mat, hess) of `direction_quantities` from component-first
+    values on the grid or at points: grad_u[i, j] = d_i u_j, hess_p[i, j] =
+    d_i d_j p and, in 2D, the carrier (the perpendicular temperature
+    gradient). Components move last as views, keeping the memory order."""
+    if grad_u.shape[0] == 3:
+        mat, skew = strain_rotation_split(np.moveaxis(grad_u, (0, 1), (-2, -1)))
+        vec = vorticity_from_rotation(skew)
+    else:
+        # Jacobian orientation: J[i, j] = d_j u_i, i.e. the transpose of grad_u
+        mat = np.moveaxis(grad_u, (0, 1), (-1, -2))
+        vec = np.moveaxis(carrier, 0, -1)
+    return vec, mat, np.moveaxis(hess_p, (0, 1), (-2, -1))
+
+
 def diag_field(
     u: VectorField,
     p: ScalarField,
@@ -236,23 +253,15 @@ def diag_field(
     grid = u.grid
     if p.grid != grid or (theta is not None and theta.grid != grid):
         raise ValueError("fields must share one grid")
+    if grid.dim == 2 and theta is None:
+        raise ValueError("2D diagnostics require the temperature field")
     if grad_u is None:
         grad_u = gradient(u).values
     elif grad_u.shape != (grid.dim, grid.dim) + grid.shape:
         raise ValueError(f"grad_u must have shape {(grid.dim, grid.dim) + grid.shape}, got {grad_u.shape}")
     hess_p = hessian(p).values
-    if grid.dim == 3:
-        mat, skew = strain_rotation_split(np.moveaxis(grad_u, (0, 1), (-2, -1)))
-        vec = vorticity_from_rotation(skew)
-    else:
-        if theta is None:
-            raise ValueError("2D diagnostics require the temperature field")
-        # Jacobian orientation: J[i, j] = d_j u_i, i.e. the transpose of grad_u
-        mat = np.moveaxis(grad_u, (0, 1), (-1, -2))
-        vec = np.moveaxis(perp_gradient(theta).values, 0, -1)
-    hess_pt = np.moveaxis(hess_p, (0, 1), (-2, -1))
-
-    q = direction_quantities(vec, mat, hess_pt, 0.0 if eps is None else eps)
+    carrier = perp_gradient(theta).values if grid.dim == 2 else None
+    q = direction_quantities(*kernel_inputs(grad_u, hess_p, carrier), 0.0 if eps is None else eps)
     if eps is None:
         q.eps = 1e-12 * float(np.max(q.vec_mag))
     return q
@@ -265,5 +274,6 @@ __all__ = [
     "vorticity_from_rotation",
     "DirectionQuantities",
     "direction_quantities",
+    "kernel_inputs",
     "diag_field",
 ]

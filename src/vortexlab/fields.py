@@ -162,34 +162,53 @@ def divergence(u: VectorField) -> ScalarField:
     return ScalarField._from_own_spectral(grid, div)
 
 
+def _perp_gradient_coeffs(grid: GridSpec, th: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Spectrum of (-d2 theta, d1 theta), written into out."""
+    np.negative(_derivative_coeffs(grid, th, 1, out=out[0]), out=out[0])
+    _derivative_coeffs(grid, th, 0, out=out[1])
+    return out
+
+
 def perp_gradient(theta: ScalarField) -> VectorField:
     """Perpendicular gradient (-d2 theta, d1 theta); defined in 2D only."""
     grid = theta.grid
     if grid.dim != 2:
         raise FieldError("perp_gradient is defined for 2D grids only")
-    th = theta.spectral
     out = np.empty((2,) + grid.shape, dtype=np.complex128)
-    np.negative(_derivative_coeffs(grid, th, 1, out=out[0]), out=out[0])
-    _derivative_coeffs(grid, th, 0, out=out[1])
-    return VectorField._from_own_spectral(grid, out)
+    return VectorField._from_own_spectral(grid, _perp_gradient_coeffs(grid, theta.spectral, out))
+
+
+def hessian_coeffs(p: ScalarField, theta: ScalarField | None = None) -> np.ndarray:
+    """Spectra of the d(d+1)/2 distinct entries d_i d_j p, upper triangle
+    row by row; given the 2D theta, the spectrum of `perp_gradient(theta)`
+    follows them in the same stack."""
+    grid = p.grid
+    pairs = list(zip(*np.triu_indices(grid.dim)))
+    out = np.empty((len(pairs) + (0 if theta is None else 2),) + grid.shape, dtype=np.complex128)
+    k = grid.wavenumbers
+    for (i, j), coeffs in zip(pairs, out):
+        np.multiply(-(k[i] * k[j]), p.spectral, out=coeffs)
+    if theta is not None:
+        _perp_gradient_coeffs(grid, theta.spectral, out[len(pairs) :])
+    return out
+
+
+def symmetric_from_upper(upper: np.ndarray, dim: int) -> np.ndarray:
+    """The symmetric (dim, dim, ...) tensor whose distinct entries, upper
+    triangle row by row, lie along the leading axis of `upper`."""
+    out = np.empty((dim, dim) + upper.shape[1:])
+    for i, j, values in zip(*np.triu_indices(dim), upper):
+        out[i, j] = values
+        out[j, i] = values
+    return out
 
 
 def hessian(p: ScalarField) -> TensorField:
     """Second-derivative tensor of p. The d(d+1)/2 distinct entries are
     inverse-transformed in one batched call and then mirrored."""
     grid = p.grid
-    ph = p.spectral
-    k = grid.wavenumbers
-    pairs = [(i, j) for i in range(grid.dim) for j in range(i, grid.dim)]
-    upper = np.empty((len(pairs),) + grid.shape, dtype=np.complex128)
-    for (i, j), coeffs in zip(pairs, upper):
-        np.multiply(-(k[i] * k[j]), ph, out=coeffs)
-    upper = grid.ifftn(upper, overwrite=True)
-    out = np.empty((grid.dim, grid.dim) + grid.shape)
-    for (i, j), values in zip(pairs, upper):
-        out[i, j] = values
-        out[j, i] = values
-    return TensorField._wrap(grid, out)
+    upper = grid.ifftn(hessian_coeffs(p), overwrite=True)
+    return TensorField._wrap(grid, symmetric_from_upper(upper, grid.dim))
 
 
 def max_divergence(
@@ -220,7 +239,9 @@ def solve_pressure(
     is supplied). The quadratic source is dealiased before inversion.
     grad_u, the grid values of `gradient(u)`, lets a caller that needs them
     too (`diagnostics.diag_field`) compute them once; they are computed
-    here when not given. The divergence check reads div u off their trace.
+    here when not given. The divergence check reads div u off their trace
+    and allows div_tol * max(1, max |grad u|), since the roundoff in div u
+    grows with the gradient.
     """
     grid = u.grid
     if grad_u is None:
@@ -228,10 +249,11 @@ def solve_pressure(
     elif grad_u.shape != (grid.dim, grid.dim) + grid.shape:
         raise FieldError(f"grad_u must have shape {(grid.dim, grid.dim) + grid.shape}, got {grad_u.shape}")
     worst, idx = max_divergence(u, grad_u)
-    if worst > div_tol:
+    scale = max(1.0, float(np.max(grad_u)), -float(np.min(grad_u))) if worst > div_tol else 1.0
+    if worst > div_tol * scale:
         coords = tuple(float(grid.axis_coords[i]) for i in idx)
         raise DivergenceError(
-            f"velocity divergence {worst:.3e} exceeds {div_tol:.1e} "
+            f"velocity divergence {worst:.3e} exceeds {div_tol * scale:.1e} "
             f"at grid index {idx}, x = {coords}"
         )
     if theta is not None and grid.dim != 2:
@@ -303,6 +325,8 @@ __all__ = [
     "divergence",
     "perp_gradient",
     "hessian",
+    "hessian_coeffs",
+    "symmetric_from_upper",
     "max_divergence",
     "solve_pressure",
     "project_spectral",

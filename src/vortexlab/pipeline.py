@@ -17,8 +17,17 @@ import numpy as np
 
 from . import criteria as crit
 from . import solver, tracers
-from .diagnostics import diag_field, strain_rotation_split, vorticity_from_rotation
-from .fields import EmptyRegionError, ball_mask, gradient, masked_max, solve_pressure
+from .diagnostics import diag_field, kernel_inputs
+from .fields import (
+    DivergenceError,
+    EmptyRegionError,
+    ball_mask,
+    gradient,
+    hessian_coeffs,
+    masked_max,
+    solve_pressure,
+    symmetric_from_upper,
+)
 from .grid import GridSpec
 from .storage import save_diagnostics, save_field, write_csv, write_json, write_manifest
 
@@ -289,53 +298,12 @@ def _tracer_seeds(config: RunConfig, grid: GridSpec) -> np.ndarray:
     return rng.uniform(0.0, grid.length, size=(config.tracer_count, grid.dim))
 
 
-def _sample_tracer_fields(grid: GridSpec, state, p, positions: np.ndarray):
-    """Point samples of the velocity gradient, pressure Hessian, and carrier
-    vector at tracer positions, given the pressure p of the state; returns
-    (vec, mat, hess) arrays."""
-    d = grid.dim
-    uh = state.u.spectral
-    ph = p.spectral
-    k = grid.wavenumbers
-
-    stack = []
-    for i in range(d):
-        for j in range(d):
-            stack.append(1j * k[i] * uh[j])  # d_i u_j
-    hess_index = len(stack)
-    for i in range(d):
-        for j in range(i, d):
-            stack.append(-(k[i] * k[j]) * ph)
-    carrier_index = len(stack)
-    if d == 2:
-        th = state.theta.spectral
-        stack.append(-1j * k[1] * th)
-        stack.append(1j * k[0] * th)
-
-    sampler = tracers.SpectralSampler(grid, positions)
-    sampled = sampler.sample(np.stack(stack))
-
-    npts = positions.shape[0]
-    grad_u = np.empty((npts, d, d))
-    idx = 0
-    for i in range(d):
-        for j in range(d):
-            grad_u[:, i, j] = sampled[idx]
-            idx += 1
-    hess = np.empty((npts, d, d))
-    idx = hess_index
-    for i in range(d):
-        for j in range(i, d):
-            hess[:, i, j] = sampled[idx]
-            hess[:, j, i] = sampled[idx]
-            idx += 1
-    if d == 3:
-        mat, skew = strain_rotation_split(grad_u)
-        vec = vorticity_from_rotation(skew)
-    else:
-        vec = np.stack([sampled[carrier_index], sampled[carrier_index + 1]], axis=-1)
-        mat = np.swapaxes(grad_u, 1, 2)  # Jacobian orientation
-    return vec, mat, hess
+def _series_first(values: np.ndarray) -> np.ndarray:
+    """Component-first values (..., samples, tracers) as a view of a C-ordered
+    (samples, tracers, ...) copy, so that `kernel_inputs` hands the tracer
+    series C-ordered arrays: the last bits of its contractions depend on it."""
+    values = np.ascontiguousarray(np.moveaxis(values, (-2, -1), (0, 1)))
+    return np.moveaxis(values, (0, 1), (-2, -1))
 
 
 SUP_QUANTITIES = (
@@ -369,20 +337,27 @@ def run(config: RunConfig, output_dir: str | Path | None = None) -> RunResult:
     theta_min = np.inf
     theta_max = -np.inf
     tracer_positions_hist = []
-    tracer_vec = []
-    tracer_mat = []
-    tracer_hess = []
+    tracer_grad = []  # per sample, grad u at the tracers, (d, d, tracers)
+    tracer_rows = []  # per sample, `hessian_coeffs` at the tracers, (rows, tracers)
     snapshots = []
 
     out_dir = Path(output_dir) if output_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    def pressure_and_diagnostics(current, theta_now, with_diag: bool = True):
-        """The pressure of `current` and, if asked, its grid diagnostics,
-        both from one velocity gradient."""
-        grad_u = gradient(current.u).values
+    def pressure_and_diagnostics(current, theta_now, with_diag: bool = True, pos=None):
+        """The pressure of `current` and, if asked, its grid diagnostics, both
+        from one velocity gradient. Given the tracer positions `pos`, records
+        the rows of grad u and of `hessian_coeffs` sampled there."""
+        grad = gradient(current.u)
+        if pos is not None:
+            sampler = tracers.SpectralSampler(grid, pos)
+            tracer_grad.append(sampler.sample(grad.spectral))
+        grad_u = grad.values
+        del grad  # keep no spectrum of grad u past this point
         p = solve_pressure(current.u, theta_now, grad_u=grad_u)
+        if pos is not None:
+            tracer_rows.append(sampler.sample(hessian_coeffs(p, theta_now)))
         diag = diag_field(current.u, p, theta_now, eps=eps, grad_u=grad_u) if with_diag else None
         return p, diag
 
@@ -410,7 +385,7 @@ def run(config: RunConfig, output_dir: str | Path | None = None) -> RunResult:
         nonlocal theta_min, theta_max, eps
         t = step * config.dt
         theta_now = current.theta if config.dim == 2 else None
-        p, diag = pressure_and_diagnostics(current, theta_now)
+        p, diag = pressure_and_diagnostics(current, theta_now, pos=pos if n_tracers else None)
         if eps is None:
             # vec_mag does not depend on eps, and nothing that does is read yet
             eps = 1e-12 * max(float(np.max(diag.vec_mag)), 1.0)
@@ -436,26 +411,22 @@ def run(config: RunConfig, output_dir: str | Path | None = None) -> RunResult:
             theta_max = max(theta_max, float(np.max(theta_now.values)))
         tail_series.append(solver.spectral_tail_ratio(grid, *spectra))
         if n_tracers:
-            vec, mat, hess = _sample_tracer_fields(grid, current, p, pos)
             tracer_positions_hist.append(pos.copy())
-            tracer_vec.append(vec)
-            tracer_mat.append(mat)
-            tracer_hess.append(hess)
         return p, diag
 
     for step_index in range(config.n_steps + 1):
-        sampled = None
-        if step_index % config.sample_every == 0:
-            sampled = sample(step_index, state, positions)
-        want_snapshot = step_index in (0, config.n_steps) or (
-            config.snapshot_every > 0 and step_index % config.snapshot_every == 0
-        )
-        if want_snapshot:
-            take_snapshot(step_index, state, sampled)
-        del sampled  # free the sample's grid arrays before the RK4 step
-        if step_index == config.n_steps:
-            break
         try:
+            sampled = None
+            if step_index % config.sample_every == 0:
+                sampled = sample(step_index, state, positions)
+            want_snapshot = step_index in (0, config.n_steps) or (
+                config.snapshot_every > 0 and step_index % config.snapshot_every == 0
+            )
+            if want_snapshot:
+                take_snapshot(step_index, state, sampled)
+            del sampled  # free the sample's grid arrays before the RK4 step
+            if step_index == config.n_steps:
+                break
             if config.dim == 3:
                 state, stages = solver.rk4_stages_euler(state, stepper)
             else:
@@ -463,7 +434,7 @@ def run(config: RunConfig, output_dir: str | Path | None = None) -> RunResult:
             if n_tracers:
                 positions = tracers.advance_positions(grid, stages, positions, config.dt)
             del stages  # the stage arrays are not needed past the step
-        except (solver.SolverError, tracers.TracerError) as exc:
+        except (solver.SolverError, tracers.TracerError, DivergenceError) as exc:
             raise type(exc)(f"aborted at step {step_index}: {exc}") from exc
 
     times = np.asarray(sample_times)
@@ -473,9 +444,13 @@ def run(config: RunConfig, output_dir: str | Path | None = None) -> RunResult:
     residual_summaries = {}
     bound_aggregate = {}
     if n_tracers:
-        vec = np.stack(tracer_vec)
-        mat = np.stack(tracer_mat)
-        hess = np.stack(tracer_hess)
+        d = config.dim
+        upper, carrier = np.split(np.stack(tracer_rows, axis=-2), [d * (d + 1) // 2])
+        vec, mat, hess = kernel_inputs(
+            _series_first(np.stack(tracer_grad, axis=-2)),
+            _series_first(symmetric_from_upper(upper, d)),
+            _series_first(carrier) if d == 2 else None,
+        )
         pos_hist = np.stack(tracer_positions_hist)
         series = tracers.diagnostics_series(vec, mat, hess, eps)
         carrier_max = max(float(np.max(series["vec_mag"])), 1e-300)

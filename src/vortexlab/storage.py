@@ -118,7 +118,8 @@ def save_diagnostics(base: Path, grid: GridSpec, diag, time: float) -> list[Path
 
     diag holds the grid-shaped quantities of `diagnostics.diag_field`.
     Writes carrier magnitude, stretching rate, alignment, stretch balance,
-    and the two bracketed monitor quantities next to `base`.
+    and the two bracketed monitor quantities next to `base`, as they are:
+    a diagnostic that overflowed is written as inf or NaN.
     """
     entries = {
         "carrier_mag": diag.vec_mag,
@@ -131,8 +132,9 @@ def save_diagnostics(base: Path, grid: GridSpec, diag, time: float) -> list[Path
     }
     paths = []
     for role, values in entries.items():
-        pair = save_field(Path(f"{base}_{role}"), ScalarField(grid, values), role, time)
-        paths.extend(pair)
+        # a frozen copy, as `ScalarField` makes, that may hold inf or NaN
+        field = ScalarField._wrap(grid, np.array(values, dtype=np.float64))
+        paths.extend(save_field(Path(f"{base}_{role}"), field, role, time))
     return paths
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .criteria import cumulative_trapezoid, uniform_step
 from .diagnostics import direction_quantities, negative_part, positive_part
 from .grid import GridSpec
 
@@ -59,18 +60,13 @@ class SpectralSampler:
         ]
 
     def sample(self, coeffs: np.ndarray) -> np.ndarray:
-        """Sample stacked spectral arrays; leading axes are preserved."""
+        """Sample stacked spectral arrays into a new real array; leading axes are preserved."""
         coeffs = np.asarray(coeffs)
         lead = coeffs.shape[: coeffs.ndim - self.grid.dim]
         flat = coeffs.reshape((-1,) + self.grid.shape)
         dim = self.grid.dim
         out = np.einsum(_SAMPLE_SUBSCRIPTS[dim], flat, *self._phases, optimize=_SAMPLE_PATHS[dim])
-        return out.real.reshape(lead + (self.points.shape[0],))
-
-
-def _eval_velocity(grid: GridSpec, uh: np.ndarray, points: np.ndarray) -> np.ndarray:
-    sampler = SpectralSampler(grid, points)
-    return sampler.sample(uh).T
+        return np.ascontiguousarray(out.real).reshape(lead + (self.points.shape[0],))
 
 
 def advance_positions(
@@ -78,23 +74,15 @@ def advance_positions(
 ) -> np.ndarray:
     """RK4 position update fed by the solver's four stage velocity fields."""
     (_, uh1), (_, uh2), (_, uh3), (_, uh4) = stages
-    v1 = _eval_velocity(grid, uh1, positions)
-    v2 = _eval_velocity(grid, uh2, positions + 0.5 * dt * v1)
-    v3 = _eval_velocity(grid, uh3, positions + 0.5 * dt * v2)
-    v4 = _eval_velocity(grid, uh4, positions + dt * v3)
+    v1 = SpectralSampler(grid, positions).sample(uh1).T
+    v2 = SpectralSampler(grid, positions + 0.5 * dt * v1).sample(uh2).T
+    v3 = SpectralSampler(grid, positions + 0.5 * dt * v2).sample(uh3).T
+    v4 = SpectralSampler(grid, positions + dt * v3).sample(uh4).T
     new = positions + (dt / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
     if not np.all(np.isfinite(new)):
         bad = int(np.argwhere(~np.all(np.isfinite(new), axis=1))[0, 0])
         raise TracerError(f"tracer {bad} produced a non-finite position")
     return np.mod(new, grid.length)
-
-
-def _uniform_dt(times: np.ndarray) -> float:
-    times = np.asarray(times, dtype=float)
-    steps = np.diff(times)
-    if steps.size == 0 or np.max(np.abs(steps - steps[0])) > 1e-9 * max(abs(steps[0]), 1.0):
-        raise ValueError("sample times must be uniform")
-    return float(steps[0])
 
 
 def time_derivative(values: np.ndarray, dt: float, order: int, accuracy: int = 2) -> np.ndarray:
@@ -147,7 +135,7 @@ class TracerRecord:
 
     @property
     def dt(self) -> float:
-        return _uniform_dt(self.times)
+        return uniform_step(self.times)
 
 
 SERIES_KEYS = (
@@ -274,8 +262,6 @@ class BoundCheck:
 
 
 def _double_cumtrapz(times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    from .criteria import cumulative_trapezoid
-
     return cumulative_trapezoid(times, cumulative_trapezoid(times, values))
 
 
@@ -293,8 +279,6 @@ def growth_bound_check(record: TracerRecord, variant: str, tolerance: float) -> 
 
     where m0 and s0 are the initial carrier and stretched magnitudes.
     """
-    from .criteria import cumulative_trapezoid
-
     s = record.series
     t = record.times - record.times[0]
     m0 = float(s["vec_mag"][0])

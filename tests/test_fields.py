@@ -73,6 +73,17 @@ class TestGridSpec:
                     offenders.append(path.name)
         assert offenders == []
 
+    def test_only_fields_builds_derivative_coefficients(self):
+        # the grid diagnostics and the tracer sampling read the spectra that
+        # fields.py builds, so a sign or an orientation lives in one place
+        package = Path(__file__).resolve().parent.parent / "src" / "vortexlab"
+        offenders = []
+        for name in ("pipeline.py", "diagnostics.py"):
+            for node in ast.walk(ast.parse((package / name).read_text())):
+                if isinstance(node, ast.Attribute) and node.attr in ("wavenumbers", "axis_wavenumbers"):
+                    offenders.append(f"{name}:{node.lineno}")
+        assert offenders == []
+
     @pytest.mark.parametrize("dim", [2, 3])
     def test_in_place_inverse_matches_out_of_place(self, dim):
         g = GridSpec(dim, 16)
@@ -325,6 +336,20 @@ class TestSolvePressure:
             messages.append(str(err.value))
         assert messages[0] == messages[1]
         assert f"at grid index {peak}" in messages[0]
+
+    @pytest.mark.parametrize("amplitude", [1.0, 1e8, 1e12])
+    def test_divergence_check_scales_with_the_flow(self, amplitude):
+        # roundoff puts about 1e-16 max |grad u| into div u of a solenoidal
+        # field, which an absolute bound of 1e-8 rejects from about 1e8 on
+        g = grid3()
+        x = g.coords
+        zero = np.zeros(g.shape)
+        solenoidal = np.stack([np.sin(x[0]) * np.cos(x[1]), -np.cos(x[0]) * np.sin(x[1]), zero])
+        p = solve_pressure(VectorField(g, amplitude * solenoidal))
+        assert np.max(np.abs(p.values)) > 0
+        divergent = VectorField(g, amplitude * np.stack([np.sin(x[0]), zero, zero]))
+        with pytest.raises(DivergenceError, match="grid index"):
+            solve_pressure(divergent)
 
     def test_buoyancy_needs_2d(self):
         g = grid3()

@@ -34,6 +34,23 @@ ball1 = 3.14159, 3.14159 ; 1.0
 candidate_time = 0.2
 """
 
+TAYLOR_GREEN_INI = """
+[run]
+system = euler3d
+
+[grid]
+n = 16
+
+[time]
+dt = {dt}
+t_end = {t_end}
+{extra}
+
+[initial]
+name = taylor-green-3d
+amplitude = {amplitude}
+"""
+
 
 @pytest.fixture()
 def bubble_config(tmp_path):
@@ -274,6 +291,51 @@ class TestCli:
         entry = report["criteria"][0]
         rows = (tmp_path / "csv" / f"criterion_{entry['name']}_{entry['region']}.csv").read_text()
         assert rows.splitlines()[-1].endswith(",nan")
+
+    def test_large_solenoidal_flow_runs(self, tmp_path, capsys):
+        # max |grad u| near 1e8: the roundoff in div u is above 1e-8 but
+        # within the divergence check's scaled bound
+        path = tmp_path / "big.ini"
+        path.write_text(TAYLOR_GREEN_INI.format(amplitude="1e8", dt="1e-12", t_end="2e-12", extra=""))
+        assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 0
+        assert "run complete" in capsys.readouterr().out
+
+    def test_divergent_flow_aborts_run(self, tmp_path, capsys, monkeypatch):
+        from vortexlab import solver
+        from vortexlab.fields import VectorField
+
+        def divergent(name, grid, **kwargs):
+            x = grid.coords
+            u = np.stack([np.sin(x[0]), np.zeros(grid.shape), np.zeros(grid.shape)])
+            return solver.EulerState(time=0.0, u=VectorField(grid, u))
+
+        monkeypatch.setattr(solver, "initial_condition", divergent)
+        path = tmp_path / "run.ini"
+        path.write_text(TAYLOR_GREEN_INI.format(amplitude="1", dt="0.01", t_end="0.01", extra=""))
+        assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 1
+        assert "run aborted: aborted at step 0: velocity divergence" in capsys.readouterr().err
+
+    def test_overflowing_diagnostics_are_written(self, tmp_path, capsys):
+        # |grad u|^2 near 1e310 overflows: the step-0 snapshot holds inf and
+        # NaN as they are, and the step after it stops the run
+        path = tmp_path / "huge.ini"
+        path.write_text(
+            TAYLOR_GREEN_INI.format(
+                amplitude="1e155", dt="1e-170", t_end="2e-170", extra="snapshot_diagnostics = true"
+            )
+        )
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert main(["run", str(path), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "run aborted: aborted at step 0: non-finite values in evolved state" in err
+        roles = ["velocity", "pressure", "carrier_mag", "alpha", "rho", "align", "stretch_balance"]
+        roles += ["alignment_negative", "stretch_excess"]
+        for role in roles:
+            for suffix in (".bin", ".json"):
+                assert (out / "snapshots" / f"snap_000000_{role}{suffix}").exists(), role
+        stretch = np.fromfile(out / "snapshots" / "snap_000000_stretch_balance.bin", dtype="<f8")
+        assert not np.all(np.isfinite(stretch))
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"

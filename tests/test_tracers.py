@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vortexlab.criteria import SeriesError
 from vortexlab.grid import GridSpec
 from vortexlab.fields import VectorField
 from vortexlab.solver import StepperConfig, initial_condition, rk4_stages_euler
@@ -177,6 +178,12 @@ class TestTimeDerivative:
         times = np.linspace(0.0, 1.0, 11)
         record = TracerRecord(0, np.zeros(2), "boussinesq", times, np.zeros((11, 2)))
         assert np.allclose(time_derivative(times**2, record.dt, 1), 2 * times, atol=1e-12)
+
+    def test_record_dt_needs_uniform_times(self):
+        times = np.array([0.0, 0.1, 0.2, 0.35])
+        record = TracerRecord(0, np.zeros(2), "boussinesq", times, np.zeros((4, 2)))
+        with pytest.raises(SeriesError, match="uniform"):
+            record.dt
 
 
 def constant_field_record(kind, n_samples=11, vec=None):
