@@ -12,12 +12,13 @@ The same direction-field construction serves both settings:
 the pointwise algebra. The grid diagnostics (`diag_field`), the tracer
 series and the randomized identity suite all read from it, and
 `kernel_inputs` is the one assembly of its inputs from derivative values,
-on the grid (`diag_field`) and at the tracers (`pipeline.run`). With A = mat
-and P = hess it gives xi = vec/|vec|, zeta = A xi/|A xi|, alpha = xi.A xi,
-rho = xi.P xi, the alignment zeta.P xi, the stretch balance
-|A xi|^2 - 2 alpha^2 - rho, and the rates along the flow: alpha |vec| for
-|vec|, A xi - alpha xi for xi, -(zeta.P xi) |vec| for |A vec|, and
-(-P xi + (zeta.P xi) zeta)/|A xi| for zeta.
+at the tracers (`pipeline.run`) and, in two parts so that the 3D velocity
+gradient can be freed before the Hessian is built, on the grid
+(`diag_field`). With A = mat and P = hess it gives xi = vec/|vec|,
+zeta = A xi/|A xi|, alpha = xi.A xi, rho = xi.P xi, the alignment zeta.P xi,
+the stretch balance |A xi|^2 - 2 alpha^2 - rho, and the rates along the
+flow: alpha |vec| for |vec|, A xi - alpha xi for xi, -(zeta.P xi) |vec|
+for |A vec|, and (-P xi + (zeta.P xi) zeta)/|A xi| for zeta.
 
 Degeneracy convention: where |vec| <= eps, xi and every quantity derived
 from it are zero; where |vec| > eps but |A xi| <= eps, zeta, the alignment
@@ -30,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import ScalarField, VectorField, gradient, hessian, perp_gradient
+from .fields import ScalarField, VectorField, gradient, hessian_values
 
 
 def positive_part(f):
@@ -41,14 +42,56 @@ def negative_part(f):
     return np.maximum(-f, 0.0)
 
 
+def _check_finite_gradient(grad_u: np.ndarray) -> None:
+    if not np.all(np.isfinite(grad_u)):
+        raise ValueError("velocity gradient has non-finite entries")
+
+
+def _strain(grad_u: np.ndarray) -> np.ndarray:
+    """The symmetric part 0.5 (G + G^T) of a batch of (..., d, d) matrices,
+    in one new array with the memory order of grad_u."""
+    sym = np.add(grad_u, np.swapaxes(grad_u, -1, -2))
+    sym *= 0.5
+    return sym
+
+
 def strain_rotation_split(grad_u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split a velocity-gradient matrix into symmetric and skew parts."""
     grad_u = np.asarray(grad_u, dtype=float)
-    if not np.all(np.isfinite(grad_u)):
-        raise ValueError("velocity gradient has non-finite entries")
-    sym = 0.5 * (grad_u + np.swapaxes(grad_u, -1, -2))
-    skew = grad_u - sym
-    return sym, skew
+    _check_finite_gradient(grad_u)
+    sym = _strain(grad_u)
+    return sym, np.subtract(grad_u, sym)
+
+
+def _vorticity(entry, batch_shape: tuple, skew_tol: float) -> np.ndarray:
+    """The vorticity of the 3x3 skew matrices whose (i, j) entries
+    `entry(i, j)` returns as new arrays over the batch, built one pair of
+    entries at a time into a C-ordered (..., 3) array. Raises ValueError
+    when max |W + W^T| exceeds skew_tol * max(max |W|, 1)."""
+    vec = np.empty(batch_shape + (3,))
+    entry_max = []
+    defect = []
+
+    def sup(w):  # max |w| with no temporary; NaN if w holds one
+        return np.max([np.max(w), -np.min(w)])
+
+    for i in range(3):
+        w_ii = entry(i, i)
+        entry_max.append(sup(w_ii))
+        defect.append(sup(np.add(w_ii, w_ii, out=w_ii)))
+        del w_ii
+    for c, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        w_ij = entry(i, j)
+        w_ji = entry(j, i)
+        entry_max.extend((sup(w_ij), sup(w_ji)))
+        np.subtract(w_ij, w_ji, out=vec[..., c])
+        defect.append(sup(np.add(w_ij, w_ji, out=w_ij)))
+        del w_ij, w_ji
+    scale = max(float(np.max(entry_max)), 1.0)
+    asym = np.max(defect)
+    if asym > skew_tol * scale:
+        raise ValueError(f"matrix is not skew-symmetric (defect {asym:.3e})")
+    return vec
 
 
 def vorticity_from_rotation(omega_mat: np.ndarray, skew_tol: float = 1e-12) -> np.ndarray:
@@ -56,14 +99,7 @@ def vorticity_from_rotation(omega_mat: np.ndarray, skew_tol: float = 1e-12) -> n
     omega_mat = np.asarray(omega_mat, dtype=float)
     if omega_mat.shape[-2:] != (3, 3):
         raise ValueError("rotation matrix must be 3x3")
-    scale = max(float(np.max(np.abs(omega_mat))), 1.0)
-    asym = np.max(np.abs(omega_mat + np.swapaxes(omega_mat, -1, -2)))
-    if asym > skew_tol * scale:
-        raise ValueError(f"matrix is not skew-symmetric (defect {asym:.3e})")
-    w1 = omega_mat[..., 1, 2] - omega_mat[..., 2, 1]
-    w2 = omega_mat[..., 2, 0] - omega_mat[..., 0, 2]
-    w3 = omega_mat[..., 0, 1] - omega_mat[..., 1, 0]
-    return np.stack([w1, w2, w3], axis=-1)
+    return _vorticity(lambda i, j: np.array(omega_mat[..., i, j]), omega_mat.shape[:-2], skew_tol)
 
 
 def _norm(x: np.ndarray) -> np.ndarray:
@@ -111,6 +147,20 @@ class DirectionQuantities:
         if "active" in self.__dict__:
             raise ValueError("eps is fixed once a quantity that depends on it has been read")
         self._eps = value
+
+    def slabs(self, width: int):
+        """The batch in consecutive slabs of `width` entries along its first
+        axis: (slice, DirectionQuantities with this eps) pairs, read one at a
+        time so that only one slab's quantities are held. Each quantity of
+        a slab equals this batch's at the same entries, bit for bit. A width
+        that covers the batch yields the batch itself, with its cache."""
+        size = len(self.vec)
+        if width >= size:
+            yield slice(0, size), self
+            return
+        for start in range(0, size, width):
+            s = slice(start, min(start + width, size))
+            yield s, direction_quantities(self.vec[s], self.mat[s], self.hess[s], self.eps)
 
     @cached_property
     def vec_mag(self):
@@ -220,19 +270,25 @@ def direction_quantities(vec: np.ndarray, mat: np.ndarray, hess: np.ndarray, eps
     return DirectionQuantities(vec, mat, hess, eps)
 
 
+def _carrier_and_matrix(grad_u: np.ndarray, carrier: np.ndarray | None = None):
+    """The (vec, mat) of `kernel_inputs`: in 3D the vorticity and the strain,
+    built with no full skew part; in 2D the carrier and the Jacobian."""
+    if grad_u.shape[0] == 3:
+        g = np.moveaxis(grad_u, (0, 1), (-2, -1))
+        _check_finite_gradient(g)
+        mat = _strain(g)
+        vec = _vorticity(lambda i, j: np.subtract(g[..., i, j], mat[..., i, j]), g.shape[:-2], 1e-12)
+        return vec, mat
+    # Jacobian orientation: J[i, j] = d_j u_i, i.e. the transpose of grad_u
+    return np.moveaxis(carrier, 0, -1), np.moveaxis(grad_u, (0, 1), (-1, -2))
+
+
 def kernel_inputs(grad_u: np.ndarray, hess_p: np.ndarray, carrier: np.ndarray | None = None):
     """The (vec, mat, hess) of `direction_quantities` from component-first
     values on the grid or at points: grad_u[i, j] = d_i u_j, hess_p[i, j] =
     d_i d_j p and, in 2D, the carrier (the perpendicular temperature
     gradient). Components move last as views, keeping the memory order."""
-    if grad_u.shape[0] == 3:
-        mat, skew = strain_rotation_split(np.moveaxis(grad_u, (0, 1), (-2, -1)))
-        vec = vorticity_from_rotation(skew)
-    else:
-        # Jacobian orientation: J[i, j] = d_j u_i, i.e. the transpose of grad_u
-        mat = np.moveaxis(grad_u, (0, 1), (-1, -2))
-        vec = np.moveaxis(carrier, 0, -1)
-    return vec, mat, np.moveaxis(hess_p, (0, 1), (-2, -1))
+    return (*_carrier_and_matrix(grad_u, carrier), np.moveaxis(hess_p, (0, 1), (-2, -1)))
 
 
 def diag_field(
@@ -241,6 +297,7 @@ def diag_field(
     theta: ScalarField | None = None,
     eps: float | None = None,
     grad_u: np.ndarray | None = None,
+    hess_coeffs: np.ndarray | None = None,
 ) -> DirectionQuantities:
     """Evaluate the pointwise diagnostics over the whole grid.
 
@@ -248,7 +305,11 @@ def diag_field(
     temperature field and gives the perpendicular-gradient/Jacobian ones.
     Quantities have the grid shape. eps defaults to 1e-12 max |vec|.
     grad_u, the grid values of `gradient(u)` (as `fields.solve_pressure`
-    takes them), is computed here when not given.
+    takes them), is computed here when not given; in 3D it is read before
+    the Hessian is built, so a caller that hands over its only reference
+    lets it be freed first. hess_coeffs, the `fields.hessian_coeffs(p,
+    theta)` stack of a caller that samples it too, is transformed in place,
+    and so destroyed; without it the rows are built here one at a time.
     """
     grid = u.grid
     if p.grid != grid or (theta is not None and theta.grid != grid):
@@ -259,9 +320,16 @@ def diag_field(
         grad_u = gradient(u).values
     elif grad_u.shape != (grid.dim, grid.dim) + grid.shape:
         raise ValueError(f"grad_u must have shape {(grid.dim, grid.dim) + grid.shape}, got {grad_u.shape}")
-    hess_p = hessian(p).values
-    carrier = perp_gradient(theta).values if grid.dim == 2 else None
-    q = direction_quantities(*kernel_inputs(grad_u, hess_p, carrier), 0.0 if eps is None else eps)
+    theta = theta if grid.dim == 2 else None
+    if theta is None:
+        vec, mat = _carrier_and_matrix(grad_u)
+        del grad_u
+        hess_p, _ = hessian_values(p, coeffs=hess_coeffs)
+    else:
+        hess_p, carrier = hessian_values(p, theta, coeffs=hess_coeffs)
+        vec, mat = _carrier_and_matrix(grad_u, carrier)
+    hess = np.moveaxis(hess_p, (0, 1), (-2, -1))
+    q = direction_quantities(vec, mat, hess, 0.0 if eps is None else eps)
     if eps is None:
         q.eps = 1e-12 * float(np.max(q.vec_mag))
     return q

@@ -8,6 +8,8 @@ products only (here: the pressure source), never to plain derivatives.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .grid import GridSpec
@@ -35,6 +37,9 @@ class _Field:
     """Shared machinery for grid-sampled fields; do not instantiate directly."""
 
     rank = -1
+    # Builds the exact spectrum of a derived field that keeps none; see
+    # `_derived`. Without it `spectral` transforms the samples.
+    _spectral_of = None
     # True when `values` is bit for bit the real part of the inverse
     # transform of the cached spectrum, so a solver may reuse it instead of
     # transforming again. Samples given in physical space are not: there
@@ -77,6 +82,17 @@ class _Field:
         return field
 
     @classmethod
+    def _derived(cls, grid: GridSpec, values: np.ndarray, spectral_of):
+        """Internal constructor of a derivative whose fresh `values` are bit
+        for bit the transform of the exact coefficients that `spectral_of()`
+        builds. The coefficients are built, and cached, only if `spectral`
+        is read, so a caller of the values alone never holds them."""
+        field = cls._wrap(grid, values)
+        field._values_exact = True
+        field._spectral_of = spectral_of
+        return field
+
+    @classmethod
     def from_spectral(cls, grid: GridSpec, coeffs: np.ndarray):
         coeffs = np.array(coeffs, dtype=np.complex128)
         expected = (grid.dim,) * cls.rank + grid.shape
@@ -88,9 +104,11 @@ class _Field:
 
     @property
     def spectral(self) -> np.ndarray:
-        """Cached forward transform of the samples."""
+        """Cached forward transform of the samples (for a derivative: its
+        exact coefficients)."""
         if self._spectral is None:
-            spectral = self.grid.fftn(self.values)
+            build = self._spectral_of
+            spectral = self.grid.fftn(self.values) if build is None else build()
             spectral.flags.writeable = False
             self._spectral = spectral
         return self._spectral
@@ -130,27 +148,33 @@ def _derivative_coeffs(
     return np.multiply(1j * k, coeffs, out=out)
 
 
+def _gradient_coeffs(grid: GridSpec, fh: np.ndarray) -> np.ndarray:
+    """Spectrum of the gradient of one field or a stack of fields fh:
+    out[i] = 1j k_i fh."""
+    out = np.empty((grid.dim,) + fh.shape, dtype=np.complex128)
+    for i in range(grid.dim):
+        _derivative_coeffs(grid, fh, i, out=out[i])
+    return out
+
+
 def gradient(field: ScalarField | VectorField) -> VectorField | TensorField:
     """Spectral gradient.
 
     For a scalar f returns the vector (d_i f). For a vector u returns the
-    tensor G with G[i, j] = d_i u_j.
+    tensor G with G[i, j] = d_i u_j. The values are transformed one row
+    d_i at a time, through one reused coefficient buffer; the exact spectrum
+    of G is built only if the result's `spectral` is read.
     """
+    if not isinstance(field, (ScalarField, VectorField)):
+        raise FieldError("gradient expects a ScalarField or VectorField")
     grid = field.grid
-    if isinstance(field, ScalarField):
-        fh = field.spectral
-        out = np.empty((grid.dim,) + grid.shape, dtype=np.complex128)
-        for i in range(grid.dim):
-            _derivative_coeffs(grid, fh, i, out=out[i])
-        return VectorField._from_own_spectral(grid, out)
-    if isinstance(field, VectorField):
-        uh = field.spectral
-        out = np.empty((grid.dim, grid.dim) + grid.shape, dtype=np.complex128)
-        for i in range(grid.dim):
-            for j in range(grid.dim):
-                _derivative_coeffs(grid, uh[j], i, out=out[i, j])
-        return TensorField._from_own_spectral(grid, out)
-    raise FieldError("gradient expects a ScalarField or VectorField")
+    fh = field.spectral
+    values = np.empty((grid.dim,) + fh.shape)
+    row = np.empty(fh.shape, dtype=np.complex128)
+    for i, out in enumerate(values):
+        out[...] = grid.ifftn(_derivative_coeffs(grid, fh, i, out=row), overwrite=True)
+    cls = VectorField if isinstance(field, ScalarField) else TensorField
+    return cls._derived(grid, values, lambda: _gradient_coeffs(grid, fh))
 
 
 def divergence(u: VectorField) -> ScalarField:
@@ -162,11 +186,12 @@ def divergence(u: VectorField) -> ScalarField:
     return ScalarField._from_own_spectral(grid, div)
 
 
-def _perp_gradient_coeffs(grid: GridSpec, th: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Spectrum of (-d2 theta, d1 theta), written into out."""
-    np.negative(_derivative_coeffs(grid, th, 1, out=out[0]), out=out[0])
-    _derivative_coeffs(grid, th, 0, out=out[1])
-    return out
+def _perp_gradient_rows(grid: GridSpec, th: np.ndarray, buffers):
+    """Yield the spectrum of (-d2 theta, d1 theta) one component at a time,
+    each written into the next of `buffers`."""
+    out = next(buffers)
+    yield np.negative(_derivative_coeffs(grid, th, 1, out=out), out=out)
+    yield _derivative_coeffs(grid, th, 0, out=next(buffers))
 
 
 def perp_gradient(theta: ScalarField) -> VectorField:
@@ -175,7 +200,21 @@ def perp_gradient(theta: ScalarField) -> VectorField:
     if grid.dim != 2:
         raise FieldError("perp_gradient is defined for 2D grids only")
     out = np.empty((2,) + grid.shape, dtype=np.complex128)
-    return VectorField._from_own_spectral(grid, _perp_gradient_coeffs(grid, theta.spectral, out))
+    for _ in _perp_gradient_rows(grid, theta.spectral, iter(out)):
+        pass
+    return VectorField._from_own_spectral(grid, out)
+
+
+def _hessian_coeff_rows(p: ScalarField, theta: ScalarField | None, out: np.ndarray):
+    """Yield the rows of `hessian_coeffs(p, theta)` in turn, each written
+    into out[r] when out is such a stack, else into the one grid array out."""
+    grid = p.grid
+    buffers = iter(out) if out.ndim > grid.dim else itertools.repeat(out)
+    k = grid.wavenumbers
+    for i, j in zip(*np.triu_indices(grid.dim)):
+        yield np.multiply(-(k[i] * k[j]), p.spectral, out=next(buffers))
+    if theta is not None:
+        yield from _perp_gradient_rows(grid, theta.spectral, buffers)
 
 
 def hessian_coeffs(p: ScalarField, theta: ScalarField | None = None) -> np.ndarray:
@@ -183,13 +222,10 @@ def hessian_coeffs(p: ScalarField, theta: ScalarField | None = None) -> np.ndarr
     row by row; given the 2D theta, the spectrum of `perp_gradient(theta)`
     follows them in the same stack."""
     grid = p.grid
-    pairs = list(zip(*np.triu_indices(grid.dim)))
-    out = np.empty((len(pairs) + (0 if theta is None else 2),) + grid.shape, dtype=np.complex128)
-    k = grid.wavenumbers
-    for (i, j), coeffs in zip(pairs, out):
-        np.multiply(-(k[i] * k[j]), p.spectral, out=coeffs)
-    if theta is not None:
-        _perp_gradient_coeffs(grid, theta.spectral, out[len(pairs) :])
+    rows = grid.dim * (grid.dim + 1) // 2 + (0 if theta is None else 2)
+    out = np.empty((rows,) + grid.shape, dtype=np.complex128)
+    for _ in _hessian_coeff_rows(p, theta, out):
+        pass
     return out
 
 
@@ -203,12 +239,41 @@ def symmetric_from_upper(upper: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def hessian(p: ScalarField) -> TensorField:
-    """Second-derivative tensor of p. The d(d+1)/2 distinct entries are
-    inverse-transformed in one batched call and then mirrored."""
+def hessian_values(
+    p: ScalarField, theta: ScalarField | None = None, coeffs: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Grid values of the rows of `hessian_coeffs(p, theta)`: the symmetric
+    (d, d, ...) Hessian of p and, given the 2D theta, the (2, ...) carrier
+    `perp_gradient(theta)`, else None. Each row is inverse-transformed in
+    place and mirrored into the result: the rows of `coeffs`, that stack of
+    a caller that samples it too, which is destroyed, or else rows built one
+    at a time in one buffer. The bits are those of one batched transform."""
     grid = p.grid
-    upper = grid.ifftn(hessian_coeffs(p), overwrite=True)
-    return TensorField._wrap(grid, symmetric_from_upper(upper, grid.dim))
+    pairs = list(zip(*np.triu_indices(grid.dim)))
+    if coeffs is None:
+        coeffs = _hessian_coeff_rows(p, theta, np.empty(grid.shape, dtype=np.complex128))
+    else:
+        expected = (len(pairs) + (0 if theta is None else 2),) + grid.shape
+        if coeffs.shape != expected:
+            raise FieldError(f"Hessian coefficients must have shape {expected}, got {coeffs.shape}")
+    hess = np.empty((grid.dim, grid.dim) + grid.shape)
+    carrier = None if theta is None else np.empty((2,) + grid.shape)
+    for r, row in enumerate(coeffs):
+        values = grid.ifftn(row, overwrite=True)
+        if r < len(pairs):
+            i, j = pairs[r]
+            hess[i, j] = values
+            hess[j, i] = values
+        else:
+            carrier[r - len(pairs)] = values
+    return hess, carrier
+
+
+def hessian(p: ScalarField) -> TensorField:
+    """Second-derivative tensor of p, transformed one distinct entry at a
+    time and mirrored."""
+    hess, _ = hessian_values(p)
+    return TensorField._wrap(p.grid, hess)
 
 
 def max_divergence(
@@ -326,6 +391,7 @@ __all__ = [
     "perp_gradient",
     "hessian",
     "hessian_coeffs",
+    "hessian_values",
     "symmetric_from_upper",
     "max_divergence",
     "solve_pressure",

@@ -24,7 +24,6 @@ from .fields import (
     ball_mask,
     gradient,
     hessian_coeffs,
-    masked_max,
     solve_pressure,
     symmetric_from_upper,
 )
@@ -104,6 +103,10 @@ class RunConfig:
             self.candidate_time = self.t_end
         if self.candidate_time < self.t_end:
             raise ConfigError("candidate_time must be at least t_end")
+        try:
+            self.grid()
+        except ValueError as exc:
+            raise ConfigError(f"invalid grid: {exc}") from exc
         if self.initial not in solver.INITIAL_CONDITIONS:
             raise ConfigError(
                 f"unknown initial condition {self.initial!r}; choose from {solver.INITIAL_CONDITIONS}"
@@ -313,6 +316,38 @@ SUP_QUANTITIES = (
     "hessian_direction_sup",
     "velocity_sup",
 )
+# A sample reads its sup norms over this many slabs of grid planes, so that
+# the direction quantities of one slab, not of the grid, are held at a time.
+SUP_SLABS = 8
+
+
+def _sup_norms(diag, velocity: np.ndarray, masks: dict, width: int) -> dict:
+    """Max over each region of the `SUP_QUANTITIES`, read from the grid
+    diagnostics `diag` and the grid velocity in slabs of `width` planes along
+    the first grid axis. The slab maxima are combined with np.max, so a NaN
+    anywhere gives NaN, as a max over the whole region does; a slab a ball
+    does not reach is skipped."""
+    parts = {name: {label: [] for label in masks} for name in SUP_QUANTITIES}
+    for s, part in diag.slabs(width):
+        values = {
+            "alignment_negative": part.align_negative,
+            "stretch_excess": part.stretch_excess,
+            "carrier_sup": part.vec_mag,
+            "hessian_direction_sup": part.p_xi_mag,
+            # as `VectorField.magnitude`, slab by slab
+            "velocity_sup": np.sqrt(np.sum(velocity[:, s] ** 2, axis=0)),
+        }
+        for label, mask in masks.items():
+            inside = None if mask is None else mask[s]
+            if inside is not None and not np.any(inside):
+                continue
+            for name, arr in values.items():
+                parts[name][label].append(np.max(arr if inside is None else arr[inside]))
+        del part, values  # hold one slab's quantities at a time
+    return {
+        name: {label: float(np.max(maxima)) for label, maxima in per_region.items()}
+        for name, per_region in parts.items()
+    }
 
 
 def run(config: RunConfig, output_dir: str | Path | None = None) -> RunResult:
@@ -348,18 +383,29 @@ def run(config: RunConfig, output_dir: str | Path | None = None) -> RunResult:
     def pressure_and_diagnostics(current, theta_now, with_diag: bool = True, pos=None):
         """The pressure of `current` and, if asked, its grid diagnostics, both
         from one velocity gradient. Given the tracer positions `pos`, records
-        the rows of grad u and of `hessian_coeffs` sampled there."""
+        the rows of grad u and of `hessian_coeffs` sampled there; the grid
+        diagnostics then transform that same Hessian stack."""
         grad = gradient(current.u)
         if pos is not None:
             sampler = tracers.SpectralSampler(grid, pos)
-            tracer_grad.append(sampler.sample(grad.spectral))
-        grad_u = grad.values
+            # row by row (d_i u), which bounds the sampler's temporaries
+            tracer_grad.append(np.stack([sampler.sample(row) for row in grad.spectral]))
+        # held in a list so that diag_field receives the only reference and
+        # can free grad u before it builds the Hessian
+        grad_u = [grad.values]
         del grad  # keep no spectrum of grad u past this point
-        p = solve_pressure(current.u, theta_now, grad_u=grad_u)
+        p = solve_pressure(current.u, theta_now, grad_u=grad_u[0])
+        hess_coeffs = None
         if pos is not None:
-            tracer_rows.append(sampler.sample(hessian_coeffs(p, theta_now)))
-        diag = diag_field(current.u, p, theta_now, eps=eps, grad_u=grad_u) if with_diag else None
-        return p, diag
+            hess_coeffs = hessian_coeffs(p, theta_now)
+            tracer_rows.append(sampler.sample(hess_coeffs))
+        if not with_diag:
+            return p, None
+        # eps 0.0 until the step-0 sample sets it from its own carrier, see `sample`
+        return p, diag_field(
+            current.u, p, theta_now, eps=0.0 if eps is None else eps, grad_u=grad_u.pop(),
+            hess_coeffs=hess_coeffs,
+        )
 
     def take_snapshot(step: int, current, sampled) -> None:
         """Write the state at `step`; `sampled` is that step's (pressure,
@@ -380,29 +426,15 @@ def run(config: RunConfig, output_dir: str | Path | None = None) -> RunResult:
             paths.extend(save_diagnostics(base, grid, diag, t))
         snapshots.extend(paths)
 
-    def sample(step: int, current, pos: np.ndarray):
-        """Record the diagnostics of `current`; returns its (pressure, diagnostics)."""
+    def sample(step: int, current, pos: np.ndarray, keep_diag: bool):
+        """Record the diagnostics of `current`; returns its (pressure,
+        diagnostics). The sup norms are read slab by slab, unless keep_diag
+        asks for the whole grid's quantities, which a snapshot then writes;
+        otherwise the grid diagnostics are dropped here."""
         nonlocal theta_min, theta_max, eps
-        t = step * config.dt
-        theta_now = current.theta if config.dim == 2 else None
-        p, diag = pressure_and_diagnostics(current, theta_now, pos=pos if n_tracers else None)
-        if eps is None:
-            # vec_mag does not depend on eps, and nothing that does is read yet
-            eps = 1e-12 * max(float(np.max(diag.vec_mag)), 1.0)
-            diag.eps = eps
-        velocity_mag = current.u.magnitude()
-        values = {
-            "alignment_negative": diag.align_negative,
-            "stretch_excess": diag.stretch_excess,
-            "carrier_sup": diag.vec_mag,
-            "hessian_direction_sup": diag.p_xi_mag,
-            "velocity_sup": velocity_mag,
-        }
-        for name, arr in values.items():
-            for region in regions:
-                sup_series[name][region.label].append(masked_max(arr, masks[region.label]))
-        sample_times.append(t)
+        sample_times.append(step * config.dt)
         energy_series.append(solver.kinetic_energy(current.u))
+        theta_now = current.theta if config.dim == 2 else None
         spectra = [current.u.spectral]
         if theta_now is not None:
             spectra.append(theta_now.spectral)
@@ -412,25 +444,36 @@ def run(config: RunConfig, output_dir: str | Path | None = None) -> RunResult:
         tail_series.append(solver.spectral_tail_ratio(grid, *spectra))
         if n_tracers:
             tracer_positions_hist.append(pos.copy())
-        return p, diag
+        p, diag = pressure_and_diagnostics(current, theta_now, pos=pos if n_tracers else None)
+        width = grid.n if keep_diag else -(-grid.n // SUP_SLABS)
+        if eps is None:
+            # vec_mag does not depend on eps, and nothing that does is read yet
+            vec_max = np.max([np.max(part.vec_mag) for _, part in diag.slabs(width)])
+            eps = 1e-12 * max(float(vec_max), 1.0)
+            diag.eps = eps
+        for name, per_region in _sup_norms(diag, current.u.values, masks, width).items():
+            for label, value in per_region.items():
+                sup_series[name][label].append(value)
+        return p, (diag if keep_diag else None)
 
     for step_index in range(config.n_steps + 1):
         try:
-            sampled = None
-            if step_index % config.sample_every == 0:
-                sampled = sample(step_index, state, positions)
             want_snapshot = step_index in (0, config.n_steps) or (
                 config.snapshot_every > 0 and step_index % config.snapshot_every == 0
             )
+            sampled = None
+            if step_index % config.sample_every == 0:
+                keep_diag = want_snapshot and config.snapshot_diagnostics and out_dir is not None
+                sampled = sample(step_index, state, positions, keep_diag)
             if want_snapshot:
                 take_snapshot(step_index, state, sampled)
             del sampled  # free the sample's grid arrays before the RK4 step
             if step_index == config.n_steps:
                 break
             if config.dim == 3:
-                state, stages = solver.rk4_stages_euler(state, stepper)
+                state, stages = solver.rk4_stages_euler(state, stepper, keep_stages=n_tracers > 0)
             else:
-                state, stages = solver.rk4_stages_boussinesq(state, stepper)
+                state, stages = solver.rk4_stages_boussinesq(state, stepper, keep_stages=n_tracers > 0)
             if n_tracers:
                 positions = tracers.advance_positions(grid, stages, positions, config.dt)
             del stages  # the stage arrays are not needed past the step

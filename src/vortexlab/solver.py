@@ -100,7 +100,8 @@ def _euler_rhs(grid: GridSpec, y: tuple, u: np.ndarray | None) -> tuple:
     velocity, bit for bit ifftn(uh); otherwise it is transformed here."""
     (uh,) = y
     if u is None:
-        u = grid.ifftn(uh)
+        # a real copy, so that the complex transform is not held with w
+        u = np.ascontiguousarray(grid.ifftn(uh))
     w = grid.ifftn(_vorticity_spectral(grid, uh, np.empty_like(uh)), overwrite=True)
     force = np.empty(u.shape)
     term = np.empty(grid.shape)
@@ -165,33 +166,40 @@ def _check_finite(*arrays: np.ndarray) -> None:
             raise NonFiniteStateError("non-finite values in evolved state")
 
 
-def _rk4(grid: GridSpec, config: StepperConfig, rhs, y: tuple, u: np.ndarray | None):
+def _rk4(grid: GridSpec, config: StepperConfig, rhs, y: tuple, u: np.ndarray | None, keep_stages: bool):
     """One classical RK4 step of the spectral arrays y = (y_1, ...).
 
     rhs(grid, y, u) returns the tendencies of y, given the grid velocity
     u of y[0] or None. `u` is the input state's velocity samples when they
     are bit for bit the transform of y[0], else None. Returns the new
-    arrays and the stage tuples at t + dt/2, t + dt/2 and t + dt.
+    arrays and, with keep_stages, the stage tuples at t + dt/2, t + dt/2
+    and t + dt, else None: then no stage outlives its own rhs call.
 
     The stages are y + (dt/2) k1, y + (dt/2) k2 and y + dt k3, and the new
     state is y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4): the textbook
-    expressions in their textbook order, computed in place.
+    expressions in their textbook order, computed in place. A tendency is
+    released before the next rhs call, so at most one k is alive beside
+    the accumulator.
     """
     dt = config.dt
     if u is None:
-        u = grid.ifftn(y[0])
+        u = np.ascontiguousarray(grid.ifftn(y[0]))
     _check_cfl(grid, config, _max_speed(u))
     k = rhs(grid, y, u)
     del u
     acc = k
-    stages = []
+    stages = [] if keep_stages else None
     for step, c in enumerate((0.5 * dt, 0.5 * dt, dt)):
         stage = tuple(_shifted(yi, c, ki) for yi, ki in zip(y, k))
-        stages.append(stage)
+        if keep_stages:
+            stages.append(stage)
         if step > 0:
             for a, ki in zip(acc, k):
                 a += np.multiply(2.0, ki, out=ki)
+            del ki
+        del k
         k = rhs(grid, stage, None)
+        del stage
     for a, ki, yi in zip(acc, k, y):
         a += ki
         np.multiply(dt / 6.0, a, out=a)
@@ -206,8 +214,10 @@ def _shifted(y: np.ndarray, c: float, k: np.ndarray) -> np.ndarray:
     return np.add(y, out, out=out)
 
 
-def _stage_list(t0: float, dt: float, y0: np.ndarray, stages: list) -> list:
+def _stage_list(t0: float, dt: float, y0: np.ndarray, stages: list | None) -> list | None:
     """The (time, velocity coefficients) of the four stages, read-only."""
+    if stages is None:
+        return None
     velocities = [y0] + [stage[0] for stage in stages]
     for uh in velocities:
         uh.flags.writeable = False
@@ -219,23 +229,28 @@ def _exact_values(field) -> np.ndarray | None:
     return field.values if field._values_exact else None
 
 
-def rk4_stages_euler(state: EulerState, config: StepperConfig):
-    """One RK4 step; returns the new state and the four (time, uh) stages."""
+def rk4_stages_euler(state: EulerState, config: StepperConfig, keep_stages: bool = True):
+    """One RK4 step; returns the new state and the four (time, uh) stages,
+    or None for them with keep_stages=False, which keeps no stage past its
+    use and so holds less memory."""
     grid = state.u.grid
     uh = state.u.spectral
-    (uh_new,), stages = _rk4(grid, config, _euler_rhs, (uh,), _exact_values(state.u))
+    (uh_new,), stages = _rk4(grid, config, _euler_rhs, (uh,), _exact_values(state.u), keep_stages)
     new_state = EulerState(
         time=state.time + config.dt, u=VectorField._from_own_spectral(grid, uh_new)
     )
     return new_state, _stage_list(state.time, config.dt, uh, stages)
 
 
-def rk4_stages_boussinesq(state: BoussinesqState, config: StepperConfig):
-    """One RK4 step; returns the new state and the four (time, uh) stages."""
+def rk4_stages_boussinesq(state: BoussinesqState, config: StepperConfig, keep_stages: bool = True):
+    """One RK4 step; returns the new state and the four (time, uh) stages,
+    or None for them with keep_stages=False, as in `rk4_stages_euler`."""
     grid = state.u.grid
     uh = state.u.spectral
     y = (uh, state.theta.spectral)
-    (uh_new, th_new), stages = _rk4(grid, config, _boussinesq_rhs, y, _exact_values(state.u))
+    (uh_new, th_new), stages = _rk4(
+        grid, config, _boussinesq_rhs, y, _exact_values(state.u), keep_stages
+    )
     new_state = BoussinesqState(
         time=state.time + config.dt,
         u=VectorField._from_own_spectral(grid, uh_new),
@@ -246,13 +261,13 @@ def rk4_stages_boussinesq(state: BoussinesqState, config: StepperConfig):
 
 def step_euler(state: EulerState, config: StepperConfig) -> EulerState:
     """Advance a 3D state by one RK4 step."""
-    new_state, _ = rk4_stages_euler(state, config)
+    new_state, _ = rk4_stages_euler(state, config, keep_stages=False)
     return new_state
 
 
 def step_boussinesq(state: BoussinesqState, config: StepperConfig) -> BoussinesqState:
     """Advance a 2D buoyant state by one RK4 step."""
-    new_state, _ = rk4_stages_boussinesq(state, config)
+    new_state, _ = rk4_stages_boussinesq(state, config, keep_stages=False)
     return new_state
 
 
@@ -264,7 +279,8 @@ def initial_condition(
     band: int = 3,
 ):
     """Named divergence-free, band-limited initial states."""
-    x = grid.coords
+    # the coordinates as in `grid.coords`, but not cached on the grid for the run
+    x = np.meshgrid(*([grid.axis_coords] * grid.dim), indexing="ij")
     if name == "taylor-green-3d":
         if grid.dim != 3:
             raise ValueError("taylor-green-3d requires a 3D grid")

@@ -75,7 +75,8 @@ def save_field(base: Path, field, role: str, time: float) -> tuple[Path, Path]:
 
 
 def load_field(base: Path):
-    """Read a snapshot pair back; returns (field, header)."""
+    """Read a snapshot pair back; returns (field, header). Samples are read
+    as they were written, inf and NaN included."""
     base = Path(base)
     header = read_json(base.with_suffix(".json"))
     grid = GridSpec(
@@ -89,9 +90,17 @@ def load_field(base: Path):
             f"{bin_path} holds {len(data)} bytes, but its header shape {header['shape']} "
             f"needs {expected}"
         )
-    values = np.frombuffer(data, dtype="<f8").reshape(header["shape"]).astype(np.float64)
     cls = _FIELD_CLASSES[header["rank"]]
-    return cls(grid, values), header
+    expected_shape = [grid.dim] * cls.rank + [grid.n] * grid.dim
+    if header["shape"] != expected_shape:
+        raise ValueError(
+            f"{base.with_suffix('.json')} gives shape {header['shape']}, but rank {cls.rank} "
+            f"on its grid needs {expected_shape}"
+        )
+    values = np.frombuffer(data, dtype="<f8").reshape(header["shape"]).astype(np.float64)
+    # unchecked, so that a snapshot holding inf or NaN (an overflowed
+    # diagnostic, say) reads back as it was written
+    return cls._wrap(grid, values), header
 
 
 def format_float(x: float) -> str:

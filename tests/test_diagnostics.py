@@ -1,12 +1,22 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
 from vortexlab.grid import GridSpec
-from vortexlab.fields import ScalarField, VectorField, gradient, hessian, solve_pressure
+from vortexlab.fields import (
+    ScalarField,
+    VectorField,
+    gradient,
+    hessian,
+    hessian_coeffs,
+    solve_pressure,
+)
 from vortexlab.identities import AlgebraicSample
 from vortexlab.solver import initial_condition
 from vortexlab.tracers import diagnostics_series
 from vortexlab.diagnostics import (
+    DirectionQuantities,
     diag_field,
     direction_quantities,
     negative_part,
@@ -76,6 +86,24 @@ class TestVorticityFromRotation:
     def test_non_skew_rejected(self):
         with pytest.raises(ValueError, match="skew"):
             vorticity_from_rotation(np.eye(3))
+
+    def test_batch_check_reads_the_whole_matrices(self):
+        # defect max |W + W^T| and scale max(max |W|, 1) over every entry of the batch
+        rng = np.random.default_rng(5)
+        w = 10.0 * rng.standard_normal((4, 5, 3, 3))
+        mat = w - np.swapaxes(w, -1, -2)
+        mat[2, 3, 1, 0] += 1e-9
+        mat[1, 1, 2, 2] = 3e-10
+        defect = np.max(np.abs(mat + np.swapaxes(mat, -1, -2)))
+        scale = max(float(np.max(np.abs(mat))), 1.0)
+        with pytest.raises(ValueError, match=f"defect {defect:.3e}"):
+            vorticity_from_rotation(mat, skew_tol=0.999 * defect / scale)
+        omega = vorticity_from_rotation(mat, skew_tol=1.001 * defect / scale)
+        expected = np.stack(
+            [mat[..., 1, 2] - mat[..., 2, 1], mat[..., 2, 0] - mat[..., 0, 2], mat[..., 0, 1] - mat[..., 1, 0]],
+            axis=-1,
+        )
+        assert omega.shape == expected.shape and omega.tobytes() == expected.tobytes()
 
 
 class TestEulerDirections:
@@ -212,6 +240,19 @@ class TestDiagField:
         for name in ("vec", "mat", "hess", "align", "stretch_balance"):
             assert np.array_equal(getattr(given, name), getattr(computed, name)), name
 
+    @pytest.mark.parametrize("initial, dim", [("random-band-limited", 3), ("random-band-limited", 2)])
+    def test_given_hessian_stack_matches_built(self, initial, dim):
+        state = initial_condition(initial, GridSpec(dim, 16), seed=4)
+        theta = getattr(state, "theta", None)
+        p = solve_pressure(state.u, theta)
+        given = diag_field(state.u, p, theta, hess_coeffs=hessian_coeffs(p, theta))
+        built = diag_field(state.u, p, theta)
+        for name in ("vec", "mat", "hess"):
+            a, b = getattr(given, name), getattr(built, name)
+            assert a.strides == b.strides and a.tobytes() == b.tobytes(), name
+        with pytest.raises(ValueError, match="Hessian coefficients must have shape"):
+            diag_field(state.u, p, theta, hess_coeffs=hessian_coeffs(p)[1:])
+
     def test_requires_theta_in_2d(self):
         g = GridSpec(2, 16)
         u = VectorField(g, np.zeros((2,) + g.shape))
@@ -292,3 +333,28 @@ def test_grid_tracer_and_suite_paths_agree_exactly(initial, dim):
         assert np.array_equal(on_grid, getattr(suite_q, key).reshape(vec.shape[0], -1)), key
         if key in series:
             assert np.array_equal(on_grid, series[key].reshape(vec.shape[0], -1)), key
+
+
+QUANTITIES = [name for name, v in vars(DirectionQuantities).items() if isinstance(v, cached_property)]
+
+
+@pytest.mark.parametrize("dim, n, width", [(3, 32, 8), (3, 32, 5), (2, 64, 8), (2, 64, 5)])
+def test_slabs_equal_the_whole_grid_bit_for_bit(dim, n, width):
+    g = GridSpec(dim, n)
+    state = initial_condition("random-band-limited", g, seed=3)
+    theta = getattr(state, "theta", None)
+    p = solve_pressure(state.u, theta)
+    whole = diag_field(state.u, p, theta)
+    parts = {name: [] for name in QUANTITIES}
+    covered = []
+    for s, part in diag_field(state.u, p, theta).slabs(width):
+        assert part.eps == whole.eps
+        covered.append((s.start, s.stop))
+        for name in QUANTITIES:
+            parts[name].append(getattr(part, name))
+    assert covered == [(a, min(a + width, n)) for a in range(0, n, width)]
+    assert len(QUANTITIES) >= 19
+    for name in QUANTITIES:
+        assert np.concatenate(parts[name]).tobytes() == getattr(whole, name).tobytes(), name
+    # a width that covers the batch hands out the batch itself
+    assert [part for _, part in whole.slabs(n)] == [whole]

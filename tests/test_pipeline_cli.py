@@ -357,6 +357,18 @@ class TestCli:
         assert main(["run", str(bad), "-o", str(tmp_path / "out")]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "grid",
+        ["n = 9", "n = 6", "n = 32\ndealias = 2.0", "n = 32\ndealias = 0", "n = 32\nlength = 0",
+         "n = 32\nlength = -1"],
+    )
+    def test_bad_grid_exits_2(self, tmp_path, capsys, grid):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(BUBBLE_INI.replace("n = 32", grid))
+        assert main(["run", str(bad), "-o", str(tmp_path / "out")]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_check_identities_pass(self, capsys):
         assert main(["check-identities", "--count", "5000", "--dim", "2", "--seed", "1"]) == 0
         out = capsys.readouterr().out

@@ -295,6 +295,18 @@ class TestRk4Exactness:
                 assert got.tobytes() == want[0].tobytes()
             y = expected
 
+    def test_without_stages_same_bits(self, name, dim, stepper, rhs):
+        g = GridSpec(dim, 16)
+        cfg = StepperConfig(dt=0.02)
+        kept = lean = initial_condition(name, g, seed=5)
+        for _ in range(3):
+            kept, stages = stepper(kept, cfg)
+            lean, none = stepper(lean, cfg, keep_stages=False)
+            assert none is None and len(stages) == 4
+            for a, b in zip(_fields(kept), _fields(lean)):
+                assert a.spectral.tobytes() == b.spectral.tobytes()
+                assert a.values.tobytes() == b.values.tobytes()
+
     def test_results_are_read_only_and_never_rewritten(self, name, dim, stepper, rhs):
         g = GridSpec(dim, 16)
         cfg = StepperConfig(dt=0.02)

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,11 +10,16 @@ from vortexlab.storage import (
     format_float,
     load_field,
     run_id_for,
+    save_diagnostics,
     save_field,
     sha256_file,
     write_csv,
     write_json,
     write_manifest,
+)
+
+DIAGNOSTIC_KEYS = (
+    "vec_mag", "alpha", "rho", "align", "stretch_balance", "align_negative", "stretch_excess",
 )
 
 
@@ -35,6 +41,27 @@ class TestSnapshots:
         bin_path = tmp_path / "snap.bin"
         bin_path.write_bytes(bin_path.read_bytes()[:-8])
         with pytest.raises(ValueError, match=r"snap\.bin holds 504 bytes.*needs 512"):
+            load_field(tmp_path / "snap")
+
+    def test_non_finite_round_trip(self, tmp_path):
+        # an overflowed diagnostic is written as it is and must read back so
+        g = GridSpec(2, 8)
+        vals = np.arange(64, dtype=float).reshape(8, 8)
+        vals[1, 2], vals[3, 4], vals[5, 6] = np.inf, -np.inf, np.nan
+        save_diagnostics(tmp_path / "snap", g, SimpleNamespace(**dict.fromkeys(DIAGNOSTIC_KEYS, vals)), 0.5)
+        back, header = load_field(tmp_path / "snap_stretch_balance")
+        assert isinstance(back, ScalarField)
+        assert back.values.tobytes() == vals.tobytes()
+        assert not back.values.flags.writeable
+        assert header["role"] == "stretch_balance"
+
+    def test_header_shape_must_fit_its_grid(self, tmp_path):
+        g = GridSpec(2, 8)
+        save_field(tmp_path / "snap", ScalarField(g, np.ones(g.shape)), role="pressure", time=0.0)
+        header = json.loads((tmp_path / "snap.json").read_text())
+        header["shape"] = [4, 16]
+        (tmp_path / "snap.json").write_text(json.dumps(header))
+        with pytest.raises(ValueError, match=r"shape \[4, 16\].*needs \[8, 8\]"):
             load_field(tmp_path / "snap")
 
     def test_vector_round_trip(self, tmp_path):
