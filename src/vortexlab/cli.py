@@ -29,8 +29,12 @@ EXIT_CONFIG = 2
 THREADS_HELP = """environment:
   VORTEXLAB_THREADS  FFT worker threads. Default: 1. A value is clamped to
                      [1, the CPUs this process may run on (its CPU
-                     affinity)]; a non-integer is ignored. Artifacts are
-                     byte-identical for every thread count."""
+                     affinity)]; a non-integer is ignored. The transforms
+                     run on numpy.fft (numpy >= 2.0); with more than one
+                     worker each pass splits its lines over a thread pool.
+                     Artifacts are byte-identical for every thread count,
+                     and equal to those of scipy.fft (checked with numpy
+                     2.4 and scipy 1.17)."""
 
 
 def build_parser() -> argparse.ArgumentParser:

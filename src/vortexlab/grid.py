@@ -1,13 +1,21 @@
-"""Uniform periodic grid with precomputed spectral machinery."""
+"""Uniform periodic grid with precomputed spectral machinery.
+
+The transforms are built from `numpy.fft` (numpy >= 2.0, which takes
+`out=`) so that importing the package does not import scipy. They follow
+the steps of scipy.fft's pocketfft for the same calls, and their output is
+bit for bit that of `scipy.fft.fftn` / `ifftn(...).real`; this was checked
+with numpy 2.4 against scipy 1.17, and the tier-1 tests check it wherever
+scipy is installed.
+"""
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import fft as sp_fft
 
 TWO_PI = 2.0 * np.pi
 
@@ -35,6 +43,45 @@ def fft_workers() -> int:
     except ValueError:
         return 1
     return min(max(requested, 1), _available_cpus())
+
+
+@lru_cache(maxsize=None)
+def _thread_pool(workers: int):
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="vortexlab-fft")
+
+
+def _fft_pass(transform, src, out, axis: int, dim: int, workers: int, norm=None) -> None:
+    """`transform` (a numpy.fft function) of `src` along the grid axis
+    `axis` (negative, of the trailing `dim`) into `out`.
+
+    With workers > 1 the lines are split into one block per worker along
+    the first other grid axis. The numpy FFT ufuncs release the GIL, and a
+    line's bits do not depend on which call transforms it.
+    """
+    if workers == 1:
+        transform(src, axis=axis, norm=norm, out=out)
+        return
+    split = -dim + (axis == -dim)
+    size = src.shape[split]
+    tail = (slice(None),) * (-split - 1)
+    blocks = [
+        (..., slice(size * w // workers, size * (w + 1) // workers)) + tail for w in range(workers)
+    ]
+    pool = _thread_pool(workers)
+    futures = [
+        pool.submit(transform, src[block], axis=axis, norm=norm, out=out[block]) for block in blocks
+    ]
+    for future in futures:
+        future.result()
+
+
+def _mirror_blocks(k: int) -> list[tuple[tuple, tuple]]:
+    """Slice pairs (dst, src) over k axes of length n that together map each
+    index I to -I mod n: index 0 maps to itself, 1..n-1 to n-1..1."""
+    pairs = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
+    return [tuple(zip(*combo)) if combo else ((), ()) for combo in itertools.product(pairs, repeat=k)]
 
 
 @dataclass(frozen=True)
@@ -91,7 +138,7 @@ class GridSpec:
 
     @cached_property
     def axis_wavenumbers(self) -> np.ndarray:
-        return TWO_PI * sp_fft.fftfreq(self.n, d=self.dx)
+        return TWO_PI * np.fft.fftfreq(self.n, d=self.dx)
 
     @cached_property
     def wavenumbers(self) -> list[np.ndarray]:
@@ -136,20 +183,95 @@ class GridSpec:
             mask &= np.abs(k) <= cut
         return mask
 
+    @cached_property
+    def outer_band_mask(self) -> np.ndarray:
+        """Boolean mask of the retained modes with |k_i| >= 3/4 of the
+        cutoff along some axis: the outer band of `spectral_tail_ratio`."""
+        outer = np.zeros(self.shape, dtype=bool)
+        cut = 0.75 * self.k_cutoff
+        for k in self.wavenumbers:
+            outer |= np.abs(k) >= cut
+        outer &= self.dealias_mask
+        return outer
+
+    @cached_property
+    def _spectrum_fill(self) -> list[tuple[tuple, tuple]]:
+        """(dst, src) slice pairs that complete the spectrum of real values
+        from the conjugate of its half l <= n/2 on the last axis, as
+        pocketfft does for a real input.
+
+        Index I runs over the other grid axes, and -I maps each index i to
+        -i mod n. The points l = n/2+1..n-1 at I take the conjugate of the
+        half's l = n/2-1..1 at -I. On the planes l = 0 and l = n/2, each
+        pair of points I != -I takes, at the later point in C order, the
+        conjugate of the earlier one, and a point with I = -I its own
+        conjugate.
+        """
+        h = self.n // 2
+        upper, lower, both = slice(h + 1, None), slice(h - 1, 0, -1), slice(0, h + 1, h)
+        others = self.dim - 1
+        fill = [((...,) + d + (upper,), (...,) + s + (lower,)) for d, s in _mirror_blocks(others)]
+        # rows h+1.. of an axis are the later points of their pairs; rows 0
+        # and n/2 pair with themselves there, so the next axis decides
+        fixed = ()
+        for k in range(others):
+            for d, s in _mirror_blocks(others - k - 1):
+                fill.append(((...,) + fixed + (upper,) + d + (both,), (...,) + fixed + (lower,) + s + (both,)))
+            fixed += (both,)
+        fill.append(((...,) + fixed + (both,),) * 2)
+        return fill
+
+    @cached_property
+    def _inverse_scale(self) -> np.float64:
+        # pocketfft's norm_fct: 1/N rounded from long double
+        return np.float64(1 / np.longdouble(self.n**self.dim))
+
     def fftn(self, values: np.ndarray) -> np.ndarray:
-        """Forward FFT over the trailing dim axes."""
-        axes = tuple(range(values.ndim - self.dim, values.ndim))
-        return sp_fft.fftn(values, axes=axes, workers=fft_workers())
+        """Forward FFT of real values over the trailing dim axes.
+
+        The steps of pocketfft for a real input: rfft along the last axis
+        into a contiguous half spectrum, fft along the other grid axes in
+        increasing order, then the rest from Hermitian symmetry
+        (`_spectrum_fill`).
+        """
+        workers = fft_workers()
+        dim, h = self.dim, self.n // 2
+        half = np.empty(values.shape[:-1] + (h + 1,), dtype=np.complex128)
+        _fft_pass(np.fft.rfft, values, half, -1, dim, workers)
+        for axis in range(-dim, -1):
+            _fft_pass(np.fft.fft, half, half, axis, dim, workers)
+        out = np.empty(values.shape, dtype=np.complex128)
+        out[..., : h + 1] = half
+        # strided copies are much faster than a strided conjugate
+        np.conjugate(half, out=half)
+        for dst, src in self._spectrum_fill:
+            out[dst] = half[src]
+        return out
 
     def ifftn(self, coeffs: np.ndarray, overwrite: bool = False) -> np.ndarray:
         """Inverse FFT over the trailing dim axes, real part.
 
-        With overwrite=True a complex128 `coeffs` becomes the transform's
-        output buffer and is destroyed; the result is the real part of it.
-        The bits are those of the out-of-place transform.
+        The steps of pocketfft: an unnormalized ifft along the first grid
+        axis, a real multiply by 1/N (which keeps signed zeros), then the
+        unnormalized ifft along the remaining grid axes.
+
+        With overwrite=True a C-contiguous complex128 `coeffs` becomes the
+        transform's output buffer and is destroyed; the result is the real
+        part of it. The bits are those of the out-of-place transform.
         """
-        axes = tuple(range(coeffs.ndim - self.dim, coeffs.ndim))
-        return sp_fft.ifftn(coeffs, axes=axes, workers=fft_workers(), overwrite_x=overwrite).real
+        workers = fft_workers()
+        dim = self.dim
+        if overwrite and coeffs.dtype == np.complex128 and coeffs.flags.c_contiguous:
+            out = coeffs
+        else:
+            # a copy and in-place passes beat a first pass out of place
+            out = np.array(coeffs, dtype=np.complex128, order="C")
+        for axis in range(-dim, 0):
+            _fft_pass(np.fft.ifft, out, out, axis, dim, workers, "forward")
+            if axis == -dim:
+                flat = out.view(np.float64)
+                np.multiply(flat, self._inverse_scale, out=flat)
+        return out.real
 
     def truncate(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Zero all modes outside the dealias cutoff (in place with out=coeffs)."""

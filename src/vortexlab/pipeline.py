@@ -89,6 +89,8 @@ class RunConfig:
         if self.dt <= 0:
             raise ConfigError("dt must be positive")
         steps = self.t_end / self.dt
+        if not np.isfinite(steps):
+            raise ConfigError("t_end / dt must be a finite number of steps")
         if abs(steps - round(steps)) > 1e-9:
             raise ConfigError("t_end must be an integer multiple of dt")
         if self.sample_every < 1:
@@ -101,8 +103,10 @@ class RunConfig:
             raise ConfigError("sample_every must divide the number of steps")
         if self.candidate_time is None:
             self.candidate_time = self.t_end
-        if self.candidate_time < self.t_end:
-            raise ConfigError("candidate_time must be at least t_end")
+        if not np.isfinite(self.candidate_time) or self.candidate_time < self.t_end:
+            raise ConfigError("candidate_time must be finite and at least t_end")
+        if not 0.0 < self.window_fraction <= 1.0:
+            raise ConfigError("window_fraction must lie in (0, 1]")
         try:
             self.grid()
         except ValueError as exc:
@@ -174,11 +178,28 @@ def _parse_points(text: str, dim: int) -> np.ndarray:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Parse the sectioned key-value run configuration file."""
+    """Parse the sectioned key-value run configuration file (UTF-8).
+
+    Any defect of the file, from its encoding and syntax to its values,
+    raises ConfigError.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
+    try:
+        return _config_from(parser)
+    except ConfigError:
+        raise
+    except (ValueError, TypeError, OverflowError, configparser.Error) as exc:
+        # int("x"), float("1,2"), interpolation syntax ("%") and the like
+        raise ConfigError(str(exc)) from exc
+
+
+def _config_from(parser: configparser.ConfigParser) -> RunConfig:
     try:
         run = parser["run"]
         grid_sec = parser["grid"] if parser.has_section("grid") else {}
@@ -223,33 +244,28 @@ def load_config(path: str | Path) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"{key} must be a number, got {value!r}") from exc
 
-    try:
-        return RunConfig(
-            system=system,
-            seed=int(run.get("seed", 0)),
-            n=_require_int(grid_sec, "n"),
-            dealias=_getfloat(grid_sec, "dealias", 2.0 / 3.0),
-            length=_getfloat(grid_sec, "length", 2.0 * np.pi),
-            dt=_require_float(time_sec, "dt"),
-            t_end=_require_float(time_sec, "t_end"),
-            snapshot_every=int(time_sec.get("snapshot_every", 0)),
-            snapshot_diagnostics=str(time_sec.get("snapshot_diagnostics", "false")).lower()
-            in ("1", "true", "yes"),
-            sample_every=int(time_sec.get("sample_every", 1)),
-            cfl_guard=_getfloat(time_sec, "cfl_guard", None),
-            initial=initial.get("name", "").strip(),
-            amplitude=_getfloat(initial, "amplitude", 1.0),
-            band=int(initial.get("band", 3)),
-            tracer_count=tracer_count,
-            tracer_points=tracer_points,
-            regions=regions,
-            candidate_time=_getfloat(crit_sec, "candidate_time", None),
-            window_fraction=_getfloat(crit_sec, "window_fraction", 0.25),
-        )
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    return RunConfig(
+        system=system,
+        seed=int(run.get("seed", 0)),
+        n=_require_int(grid_sec, "n"),
+        dealias=_getfloat(grid_sec, "dealias", 2.0 / 3.0),
+        length=_getfloat(grid_sec, "length", 2.0 * np.pi),
+        dt=_require_float(time_sec, "dt"),
+        t_end=_require_float(time_sec, "t_end"),
+        snapshot_every=int(time_sec.get("snapshot_every", 0)),
+        snapshot_diagnostics=str(time_sec.get("snapshot_diagnostics", "false")).lower()
+        in ("1", "true", "yes"),
+        sample_every=int(time_sec.get("sample_every", 1)),
+        cfl_guard=_getfloat(time_sec, "cfl_guard", None),
+        initial=initial.get("name", "").strip(),
+        amplitude=_getfloat(initial, "amplitude", 1.0),
+        band=int(initial.get("band", 3)),
+        tracer_count=tracer_count,
+        tracer_points=tracer_points,
+        regions=regions,
+        candidate_time=_getfloat(crit_sec, "candidate_time", None),
+        window_fraction=_getfloat(crit_sec, "window_fraction", 0.25),
+    )
 
 
 def _require_float(section, key) -> float:
@@ -352,10 +368,14 @@ def _sup_norms(diag, velocity: np.ndarray, masks: dict, width: int) -> dict:
 
 def run(config: RunConfig, output_dir: str | Path | None = None) -> RunResult:
     grid = config.grid()
-    state = solver.initial_condition(
-        config.initial, grid, seed=config.seed, amplitude=config.amplitude, band=config.band
-    )
-    stepper = solver.StepperConfig(dt=config.dt, cfl_guard=config.cfl_guard)
+    try:
+        state = solver.initial_condition(
+            config.initial, grid, seed=config.seed, amplitude=config.amplitude, band=config.band
+        )
+        stepper = solver.StepperConfig(dt=config.dt, cfl_guard=config.cfl_guard)
+    except ValueError as exc:
+        # a start that does not fit the system, a non-finite amplitude, a bad cfl_guard
+        raise ConfigError(str(exc)) from exc
     regions = config.all_regions()
     masks = _region_masks(grid, regions)
     positions = _tracer_seeds(config, grid)

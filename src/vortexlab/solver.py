@@ -361,19 +361,18 @@ def spectral_tail_ratio(grid: GridSpec, *spectral_arrays: np.ndarray) -> float:
     Values above ~1e-3 indicate the resolution is being exhausted and runs
     should be flagged as under-resolved.
     """
-    outer = np.zeros(grid.shape, dtype=bool)
-    cut = 0.75 * grid.k_cutoff
-    for k in grid.wavenumbers:
-        outer |= np.abs(k) >= cut
-    outer &= grid.dealias_mask
     total = 0.0
     tail = 0.0
     for arr in spectral_arrays:
-        e = np.abs(arr) ** 2
-        if e.ndim > grid.dim:
-            e = np.sum(e, axis=tuple(range(e.ndim - grid.dim)))
+        # |u|^2 in one array; the components are summed into its first row
+        e = np.abs(arr)
+        np.square(e, out=e)
+        rows = e.reshape((-1,) + grid.shape)
+        for row in rows[1:]:
+            rows[0] += row
+        e = rows[0]
         total += float(np.sum(e[grid.dealias_mask]))
-        tail += float(np.sum(e[outer]))
+        tail += float(np.sum(e[grid.outer_band_mask]))
     return tail / total if total > 0 else 0.0
 
 

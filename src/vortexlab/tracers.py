@@ -30,8 +30,11 @@ class TracerError(RuntimeError):
 # it picks one naive loop over all modes and points, more than ten times
 # slower than these pairwise BLAS contractions. These are the orders it picks
 # for the diagnostic stacks at n=32 (3D) and n=256 (2D), so pinning them
-# leaves those bits as they were, and the velocity rows of a stack equal the
-# velocity sampled alone.
+# leaves those bits as they were. With the order pinned, a row of a stack of
+# two or more rows samples to the same bits in any such stack (the velocity
+# rows of a stack equal the velocity sampled alone); a stack of one row, or a
+# lone field, does not: numpy's einsum takes other inner loops for a
+# length-1 stack axis, and the values can differ in the last bits.
 _SAMPLE_PATHS = {
     2: ["einsum_path", (0, 1), (0, 1)],
     3: ["einsum_path", (1, 2), (0, 2), (0, 1)],
@@ -43,8 +46,10 @@ class SpectralSampler:
     """Evaluate trigonometric interpolants of grid fields at arbitrary points.
 
     The contraction order is pinned per dimension (`_SAMPLE_PATHS`) instead of
-    chosen per call, so every stack goes through pairwise BLAS contractions
-    and a row's value does not depend on which other rows share its stack.
+    chosen per call, so every stack goes through pairwise BLAS contractions.
+    A row's bits do not depend on which other rows share its stack as long
+    as the stack has at least two rows; a one-row stack (a lone field is
+    one) can differ from the same row in a larger stack in the last bits.
     """
 
     def __init__(self, grid: GridSpec, points: np.ndarray):

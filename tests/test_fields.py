@@ -1,4 +1,6 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +74,38 @@ class TestGridSpec:
                 if any(name == "scipy.fft" or name.startswith("scipy.fft.") for name in names):
                     offenders.append(path.name)
         assert offenders == []
+
+    def test_only_grid_uses_numpy_fft(self):
+        # the transforms are GridSpec.fftn / ifftn, built on numpy.fft
+        package = Path(__file__).resolve().parent.parent / "src" / "vortexlab"
+        offenders = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and node.attr == "fft":
+                    used = isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+                elif isinstance(node, ast.Import):
+                    used = any(a.name.startswith("numpy.fft") for a in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    used = node.module.startswith("numpy.fft") or (
+                        node.module == "numpy" and any(a.name == "fft" for a in node.names)
+                    )
+                else:
+                    continue
+                if used:
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders and all(o.startswith("grid.py:") for o in offenders), offenders
+
+    def test_importing_the_package_does_not_import_scipy(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]);"
+            "import vortexlab, vortexlab.cli, vortexlab.pipeline;"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "[]"
 
     def test_only_fields_builds_derivative_coefficients(self):
         # the grid diagnostics and the tracer sampling read the spectra that

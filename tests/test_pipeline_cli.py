@@ -369,6 +369,26 @@ class TestCli:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("name = boussinesq-bubble", "name = boussinesq-bubble\namplitude = nan"),
+            ("name = boussinesq-bubble", "name = boussinesq-bubble\namplitude = inf"),
+            ("name = boussinesq-bubble", "name = taylor-green-3d"),
+            ("snapshot_every = 5", "snapshot_every = 5\ncfl_guard = -1"),
+            ("snapshot_every = 5", "snapshot_every = 5\ncfl_guard = nan"),
+            ("candidate_time = 0.2", "candidate_time = nan"),
+            ("candidate_time = 0.2", "candidate_time = 0.2\nwindow_fraction = 0"),
+            ("candidate_time = 0.2", "candidate_time = 0.2\nwindow_fraction = nan"),
+        ],
+    )
+    def test_values_that_parse_but_cannot_run_exit_2(self, tmp_path, capsys, old, new):
+        # these used to pass load_config and end the run with a traceback
+        bad = tmp_path / "bad.ini"
+        bad.write_text(BUBBLE_INI.replace(old, new))
+        assert main(["run", str(bad), "-o", str(tmp_path / "out")]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_check_identities_pass(self, capsys):
         assert main(["check-identities", "--count", "5000", "--dim", "2", "--seed", "1"]) == 0
         out = capsys.readouterr().out

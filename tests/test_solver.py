@@ -188,6 +188,32 @@ class TestSpectralTail:
         ratio = spectral_tail_ratio(g, coeffs[None])
         assert ratio == pytest.approx(1.0 / 101.0, rel=1e-12)
 
+    @pytest.mark.parametrize("dim, n", [(3, 16), (2, 64)])
+    def test_same_bits_as_the_per_call_mask(self, dim, n):
+        # the outer band is a cached GridSpec mask and |u|^2 is built in one
+        # array; the sums, and so the ratio, keep their bits
+        def reference(grid, *arrays):
+            outer = np.zeros(grid.shape, dtype=bool)
+            for k in grid.wavenumbers:
+                outer |= np.abs(k) >= 0.75 * grid.k_cutoff
+            outer &= grid.dealias_mask
+            total = tail = 0.0
+            for arr in arrays:
+                e = np.abs(arr) ** 2
+                if e.ndim > grid.dim:
+                    e = np.sum(e, axis=tuple(range(e.ndim - grid.dim)))
+                total += float(np.sum(e[grid.dealias_mask]))
+                tail += float(np.sum(e[outer]))
+            return tail / total
+
+        g = GridSpec(dim, n)
+        rng = np.random.default_rng(7)
+        u = g.fftn(rng.standard_normal((dim,) + g.shape))
+        theta = g.fftn(rng.standard_normal(g.shape))
+        assert spectral_tail_ratio(g, u, theta) == reference(g, u, theta)
+        assert spectral_tail_ratio(g, u) == reference(g, u)
+        assert g.outer_band_mask is g.outer_band_mask
+
 
 def test_stepper_config_validation():
     with pytest.raises(ValueError):

@@ -56,6 +56,20 @@ class TestSpectralSampler:
         alone = sampler.sample(stack[:dim])
         assert np.array_equal(sampler.sample(stack)[:dim], alone)
 
+    @pytest.mark.parametrize("dim, n, npts", [(3, 16, 7), (2, 64, 5)])
+    def test_rows_of_a_stack_keep_their_bits_in_a_larger_stack(self, dim, n, npts):
+        # any window of at least two rows (the d rows of a vector field
+        # among them) samples to the bits of the same rows in a 9-row stack
+        g = GridSpec(dim, n)
+        rng = np.random.default_rng(5)
+        stack = g.fftn(rng.standard_normal((9,) + g.shape))
+        sampler = SpectralSampler(g, rng.uniform(0, 2 * np.pi, (npts, dim)))
+        full = sampler.sample(stack)
+        for rows in (dim, 2, 5):
+            for start in range(9 - rows + 1):
+                got = sampler.sample(stack[start : start + rows])
+                assert got.tobytes() == full[start : start + rows].tobytes(), (rows, start)
+
     def test_matches_grid_values_at_nodes(self):
         g = GridSpec(3, 16)
         rng = np.random.default_rng(1)
