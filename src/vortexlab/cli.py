@@ -3,13 +3,14 @@
 Subcommands: run (simulate + monitor), check-identities (randomized
 algebraic suite), gronwall (comparison-lemma verification), report
 (re-render a run report as tables/CSV). Exit codes: 0 success,
-1 verification failure, 2 configuration error.
+1 verification failure, 2 configuration error. Every input error of run,
+check-identities and gronwall, in a file or in an option, exits 2 with
+"configuration error: ...".
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import sys
 from pathlib import Path
@@ -119,6 +120,8 @@ def _cmd_run(args) -> int:
 def _cmd_check_identities(args) -> int:
     if args.count < 1:
         raise pipeline.ConfigError("count must be >= 1")
+    if args.scale == 0 or not np.isfinite(args.scale):
+        raise pipeline.ConfigError("scale must be finite and nonzero")
     report = identities.run_identity_suite(
         count=args.count,
         dim=args.dim,
@@ -148,19 +151,19 @@ def _cmd_check_identities(args) -> int:
 
 def _parse_profile(text: str, times: np.ndarray) -> np.ndarray:
     text = text.strip()
-    if text.startswith("linear:"):
-        c0, c1 = (float(v) for v in text[len("linear:") :].split(","))
-        return c0 + c1 * times
     try:
+        if text.startswith("linear:"):
+            c0, c1 = (float(v) for v in text[len("linear:") :].split(","))
+            return c0 + c1 * times
         return np.full_like(times, float(text))
     except ValueError as exc:
         raise pipeline.ConfigError(f"cannot parse profile {text!r} (use a number or linear:c0,c1)") from exc
 
 
-def _cmd_gronwall(args) -> int:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    if not parser.read(args.spec):
-        raise pipeline.ConfigError(f"cannot read spec file {args.spec}")
+def _gronwall_spec(parser) -> dict:
+    """The settings of a gronwall spec: the variant and sample times, and
+    either the [batch] count and seed or the rest of the single problem's
+    `GronwallProblem` arguments (alpha, beta and y)."""
     if not parser.has_section("gronwall"):
         raise pipeline.ConfigError("spec file needs a [gronwall] section")
     sec = parser["gronwall"]
@@ -170,21 +173,38 @@ def _cmd_gronwall(args) -> int:
     t_start = float(sec.get("t_start", 0.0))
     t_end = float(sec.get("t_end", 1.0))
     samples = int(sec.get("samples", 257))
-    if t_end <= t_start or samples < 5:
-        raise pipeline.ConfigError("need t_end > t_start and at least 5 samples")
-    times = np.linspace(t_start, t_end, samples)
-
-    out: dict = {"variant": variant}
-    failed = False
+    if not np.isfinite(t_end - t_start) or t_end <= t_start or samples < 5:
+        raise pipeline.ConfigError("need finite t_end > t_start and at least 5 samples")
+    spec = {"variant": variant, "times": np.linspace(t_start, t_end, samples)}
     if parser.has_section("batch"):
-        batch = parser["batch"]
-        count = int(batch.get("count", 1000))
-        seed = int(batch.get("seed", 0))
+        spec["count"] = int(parser["batch"].get("count", 1000))
+        spec["seed"] = int(parser["batch"].get("seed", 0))
+        if spec["count"] < 1:
+            raise pipeline.ConfigError("batch count must be >= 1")
+        return spec
+    times = spec["times"]
+    spec["alpha"] = _parse_profile(sec.get("alpha", "1.0"), times)
+    spec["beta"] = _parse_profile(sec.get("beta", "0.0"), times)
+    y_spec = sec.get("y", "equality").strip()
+    spec["y"] = None
+    if y_spec.startswith("const:"):
+        spec["y"] = np.full_like(times, float(y_spec[len("const:") :]))
+    elif y_spec not in ("equality", "none", ""):
+        raise pipeline.ConfigError(f"unknown y spec {y_spec!r}")
+    return spec
+
+
+def _cmd_gronwall(args) -> int:
+    spec = pipeline.read_config(args.spec, _gronwall_spec)
+    variant = spec["variant"]
+    out: dict = {"variant": variant}
+    if "count" in spec:
+        count, seed = spec["count"], spec["seed"]
         rng = np.random.default_rng(seed)
         worst = 0.0
         dominated = 0
         for _ in range(count):
-            problem = crit.random_gronwall_problem(rng, variant, n=samples)
+            problem = crit.random_gronwall_problem(rng, variant, n=spec["times"].size)
             rep = crit.verify_gronwall(problem)
             worst = max(worst, rep.max_relative_excess)
             dominated += int(rep.domination_satisfied)
@@ -193,15 +213,7 @@ def _cmd_gronwall(args) -> int:
         failed = dominated != count
     else:
         try:
-            alpha = _parse_profile(sec.get("alpha", "1.0"), times)
-            beta = _parse_profile(sec.get("beta", "0.0"), times)
-            y_spec = sec.get("y", "equality").strip()
-            y = None
-            if y_spec.startswith("const:"):
-                y = np.full_like(times, float(y_spec[len("const:") :]))
-            elif y_spec not in ("equality", "none", ""):
-                raise pipeline.ConfigError(f"unknown y spec {y_spec!r}")
-            problem = crit.GronwallProblem(times=times, alpha=alpha, beta=beta, y=y, variant=variant)
+            problem = crit.GronwallProblem(**spec)
         except (crit.SeriesError, crit.HypothesisError) as exc:
             print(f"hypothesis violation: {exc}", file=sys.stderr)
             return EXIT_VERIFICATION

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .storage import fields_to_json
+
 VERDICT_SATISFIED = "condition satisfied (< threshold)"
 VERDICT_NOT_VERIFIED = "condition not verified"
 
@@ -74,17 +76,7 @@ class CriterionSeries:
     region: str
 
     def to_dict(self) -> dict:
-        return {
-            "region": self.region,
-            "weight": self.weight,
-            "horizon": self.horizon,
-            "value": self.value,
-            "times": self.times.tolist(),
-            "norm_samples": self.norm_samples.tolist(),
-            "inner_integral": self.inner.tolist(),
-            "double_integral": self.double.tolist(),
-            "integrand": self.integrand.tolist(),
-        }
+        return fields_to_json(self, rename={"inner": "inner_integral", "double": "double_integral"})
 
 
 def criterion_functional(
@@ -137,16 +129,7 @@ class TypeIMonitor:
         return self.verdict == VERDICT_SATISFIED
 
     def to_dict(self) -> dict:
-        return {
-            "region": self.region,
-            "horizon": self.horizon,
-            "threshold": self.threshold,
-            "window_fraction": self.window_fraction,
-            "window_max": self.window_max,
-            "verdict": self.verdict,
-            "times": self.times.tolist(),
-            "scaled": self.scaled.tolist(),
-        }
+        return fields_to_json(self)
 
 
 def type_one_monitor(
@@ -316,16 +299,7 @@ class GronwallReport:
     notes: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "bound": self.bound.tolist(),
-            "y": None if self.y is None else self.y.tolist(),
-            "hypothesis_satisfied": self.hypothesis_satisfied,
-            "domination_satisfied": self.domination_satisfied,
-            "max_relative_excess": self.max_relative_excess,
-            "quadrature_tolerance": self.quadrature_tolerance,
-            "notes": self.notes,
-        }
+        return fields_to_json(self)
 
 
 def verify_gronwall(

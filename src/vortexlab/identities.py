@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import direction_quantities
+from .storage import fields_to_json
 
 RESIDUAL_FLOOR = 1e-14
 IDENTITY_TOL = 1e-10
@@ -229,20 +230,8 @@ class IdentitySuiteReport:
     worst: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "count": self.count,
-            "seed": self.seed,
-            "scale": self.scale,
-            "tolerance": self.tolerance,
-            "inequality_tolerance": self.inequality_tolerance,
-            "residual_max": self.residual_max,
-            "inequality_min_slack": self.inequality_min_slack,
-            "inequality_max_ratio": self.inequality_max_ratio,
-            "skipped": self.skipped,
-            "elapsed_seconds": self.elapsed_seconds,
-            "passed": self.passed,
-        }
+        """Every field but `worst`, which the CLI prints on failure."""
+        return fields_to_json(self, exclude=("worst",))
 
 
 def run_identity_suite(

@@ -10,7 +10,7 @@ Everything written to disk is deterministic for a given configuration.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ from .fields import (
     symmetric_from_upper,
 )
 from .grid import GridSpec
-from .storage import save_diagnostics, save_field, write_csv, write_json, write_manifest
+from .storage import fields_to_json, save_diagnostics, save_field, write_csv, write_json, write_manifest
 
 UNDER_RESOLVED_TAIL = 1e-3
 WEAKER_CRITERION_NOTE = "weaker than the alignment criterion"
@@ -59,27 +59,34 @@ class Region:
         }
 
 
+def _setting(section: str, key: str | None = None, **default):
+    """A RunConfig field read from `key` (by default the field's name) in
+    `[section]` of a config file."""
+    return field(metadata={"section": section, "key": key}, **default)
+
+
 @dataclass
 class RunConfig:
-    system: str
-    n: int
-    dt: float
-    t_end: float
-    initial: str
-    seed: int = 0
-    dealias: float = 2.0 / 3.0
-    length: float = 2.0 * np.pi
-    amplitude: float = 1.0
-    band: int = 3
-    snapshot_every: int = 0
-    snapshot_diagnostics: bool = False
-    sample_every: int = 1
-    cfl_guard: float | None = None
-    tracer_count: int = 0
-    tracer_points: np.ndarray | None = None
-    regions: list = field(default_factory=list)
-    candidate_time: float | None = None
-    window_fraction: float = 0.25
+    system: str = _setting("run")
+    n: int = _setting("grid")
+    dt: float = _setting("time")
+    t_end: float = _setting("time")
+    initial: str = _setting("initial", "name")
+    seed: int = _setting("run", default=0)
+    dealias: float = _setting("grid", default=2.0 / 3.0)
+    length: float = _setting("grid", default=2.0 * np.pi)
+    amplitude: float = _setting("initial", default=1.0)
+    band: int = _setting("initial", default=3)
+    snapshot_every: int = _setting("time", default=0)
+    snapshot_diagnostics: bool = _setting("time", default=False)
+    sample_every: int = _setting("time", default=1)
+    cfl_guard: float | None = _setting("time", default=None)
+    # `points` sets the count; every key of [regions] is a region's label
+    tracer_count: int = _setting("tracers", "count", default=0)
+    tracer_points: np.ndarray | None = _setting("tracers", "points", default=None)
+    regions: list = _setting("regions", default_factory=list)
+    candidate_time: float | None = _setting("criteria", default=None)
+    window_fraction: float = _setting("criteria", default=0.25)
 
     def __post_init__(self):
         if self.system not in ("euler3d", "boussinesq2d"):
@@ -93,6 +100,8 @@ class RunConfig:
             raise ConfigError("t_end / dt must be a finite number of steps")
         if abs(steps - round(steps)) > 1e-9:
             raise ConfigError("t_end must be an integer multiple of dt")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if self.sample_every < 1:
             raise ConfigError("sample_every must be at least 1")
         if self.snapshot_every < 0:
@@ -137,29 +146,9 @@ class RunConfig:
         return [Region("global")] + list(self.regions)
 
     def to_echo(self) -> dict:
-        return {
-            "system": self.system,
-            "n": self.n,
-            "dealias": self.dealias,
-            "length": self.length,
-            "dt": self.dt,
-            "t_end": self.t_end,
-            "initial": self.initial,
-            "amplitude": self.amplitude,
-            "band": self.band,
-            "seed": self.seed,
-            "snapshot_every": self.snapshot_every,
-            "snapshot_diagnostics": self.snapshot_diagnostics,
-            "sample_every": self.sample_every,
-            "cfl_guard": self.cfl_guard,
-            "tracer_count": self.tracer_count,
-            "tracer_points": None
-            if self.tracer_points is None
-            else np.asarray(self.tracer_points).tolist(),
-            "regions": [r.to_dict() for r in self.all_regions()],
-            "candidate_time": self.candidate_time,
-            "window_fraction": self.window_fraction,
-        }
+        echo = fields_to_json(self)
+        echo["regions"] = [r.to_dict() for r in self.all_regions()]
+        return echo
 
 
 def _parse_points(text: str, dim: int) -> np.ndarray:
@@ -177,12 +166,10 @@ def _parse_points(text: str, dim: int) -> np.ndarray:
     return np.asarray(points)
 
 
-def load_config(path: str | Path) -> RunConfig:
-    """Parse the sectioned key-value run configuration file (UTF-8).
-
-    Any defect of the file, from its encoding and syntax to its values,
-    raises ConfigError.
-    """
+def read_config(path: str | Path, build):
+    """`build(parser)` of the sectioned key-value file at `path` (UTF-8), for
+    a `configparser.ConfigParser` holding the file. Any defect of the file,
+    from its encoding and syntax to its values, raises ConfigError."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         read = parser.read(path, encoding="utf-8")
@@ -191,7 +178,7 @@ def load_config(path: str | Path) -> RunConfig:
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     try:
-        return _config_from(parser)
+        return build(parser)
     except ConfigError:
         raise
     except (ValueError, TypeError, OverflowError, configparser.Error) as exc:
@@ -199,28 +186,54 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _config_from(parser: configparser.ConfigParser) -> RunConfig:
-    try:
-        run = parser["run"]
-        grid_sec = parser["grid"] if parser.has_section("grid") else {}
-        time_sec = parser["time"]
-        initial = parser["initial"]
-    except KeyError as exc:
-        raise ConfigError(f"missing config section {exc}") from exc
+def load_config(path: str | Path) -> RunConfig:
+    """Parse a run configuration file.
 
-    system = run.get("system", "").strip()
-    dim = 3 if system == "euler3d" else 2
-    tracer_count = 0
-    tracer_points = None
+    The sections are [run], [grid], [time], [initial], [tracers], [regions]
+    and [criteria]. The declaration of RunConfig is the list of keys: each
+    field names its section and key. [tracers] takes `count` or `points`
+    ("x, y[, z] ; ..."), and each key of [regions] is a label, set to
+    "c1, c2[, c3] ; radius". Any defect raises ConfigError.
+    """
+    return read_config(path, _config_from)
+
+
+# a field's annotation -> the reader of its text
+_PARSE = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "float | None": float,
+    "bool": lambda text: text.lower() in ("1", "true", "yes"),
+}
+
+
+def _config_from(parser: configparser.ConfigParser) -> RunConfig:
+    values = {}
+    for f in fields(RunConfig):
+        section, key = f.metadata["section"], f.metadata["key"] or f.name
+        if section in ("tracers", "regions"):
+            continue  # read below
+        text = parser.get(section, key, fallback=None)
+        if text is None:
+            if f.default is MISSING:
+                raise ConfigError(f"missing required key {key!r} in [{section}]")
+            continue
+        try:
+            values[f.name] = _PARSE[f.type](text)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key} must be {f.type}, got {text!r}") from exc
+
     if parser.has_section("tracers"):
         sec = parser["tracers"]
         if "points" in sec:
-            tracer_points = _parse_points(sec["points"], dim)
-            tracer_count = tracer_points.shape[0]
+            dim = 3 if values["system"] == "euler3d" else 2
+            values["tracer_points"] = _parse_points(sec["points"], dim)
+            values["tracer_count"] = values["tracer_points"].shape[0]
         else:
-            tracer_count = sec.getint("count", 0)
+            values["tracer_count"] = int(sec.get("count", 0))
 
-    regions = []
+    regions = values["regions"] = []
     if parser.has_section("regions"):
         for label, value in parser["regions"].items():
             try:
@@ -232,54 +245,7 @@ def _config_from(parser: configparser.ConfigParser) -> RunConfig:
                     f"region {label!r} must be 'c1,c2[,c3] ; radius', got {value!r}"
                 ) from exc
             regions.append(Region(label=label, center=center, radius=radius))
-
-    crit_sec = parser["criteria"] if parser.has_section("criteria") else {}
-
-    def _getfloat(section, key, default=None):
-        value = section.get(key)
-        if value is None:
-            return default
-        try:
-            return float(value)
-        except ValueError as exc:
-            raise ConfigError(f"{key} must be a number, got {value!r}") from exc
-
-    return RunConfig(
-        system=system,
-        seed=int(run.get("seed", 0)),
-        n=_require_int(grid_sec, "n"),
-        dealias=_getfloat(grid_sec, "dealias", 2.0 / 3.0),
-        length=_getfloat(grid_sec, "length", 2.0 * np.pi),
-        dt=_require_float(time_sec, "dt"),
-        t_end=_require_float(time_sec, "t_end"),
-        snapshot_every=int(time_sec.get("snapshot_every", 0)),
-        snapshot_diagnostics=str(time_sec.get("snapshot_diagnostics", "false")).lower()
-        in ("1", "true", "yes"),
-        sample_every=int(time_sec.get("sample_every", 1)),
-        cfl_guard=_getfloat(time_sec, "cfl_guard", None),
-        initial=initial.get("name", "").strip(),
-        amplitude=_getfloat(initial, "amplitude", 1.0),
-        band=int(initial.get("band", 3)),
-        tracer_count=tracer_count,
-        tracer_points=tracer_points,
-        regions=regions,
-        candidate_time=_getfloat(crit_sec, "candidate_time", None),
-        window_fraction=_getfloat(crit_sec, "window_fraction", 0.25),
-    )
-
-
-def _require_float(section, key) -> float:
-    value = section.get(key)
-    if value is None:
-        raise ConfigError(f"missing required key {key!r}")
-    return float(value)
-
-
-def _require_int(section, key) -> int:
-    value = section.get(key)
-    if value is None:
-        raise ConfigError(f"missing required key {key!r}")
-    return int(value)
+    return RunConfig(**values)
 
 
 @dataclass
@@ -728,6 +694,7 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "load_config",
+    "read_config",
     "run",
     "UNDER_RESOLVED_TAIL",
     "WEAKER_CRITERION_NOTE",

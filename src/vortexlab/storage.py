@@ -10,6 +10,7 @@ configurations produce byte-identical artifacts.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -32,6 +33,18 @@ def finite_or_null(obj):
     if isinstance(obj, (list, tuple)):
         return [finite_or_null(value) for value in obj]
     return obj
+
+
+def fields_to_json(record, rename: dict | None = None, exclude: tuple = ()) -> dict:
+    """The fields of the dataclass instance `record` as a dict for JSON, each
+    keyed by its name or by its entry in `rename`; numpy arrays become lists."""
+    rename = rename or {}
+    out = {}
+    for f in dataclasses.fields(record):
+        if f.name not in exclude:
+            value = getattr(record, f.name)
+            out[rename.get(f.name, f.name)] = value.tolist() if isinstance(value, np.ndarray) else value
+    return out
 
 
 def write_json(path: Path, obj) -> None:
@@ -179,6 +192,7 @@ def write_manifest(path: Path, config_echo: dict, files: list[Path], extra: dict
 
 __all__ = [
     "finite_or_null",
+    "fields_to_json",
     "write_json",
     "read_json",
     "save_field",

@@ -1,14 +1,19 @@
 """Property test of the run configuration parser: whatever the file holds,
 `load_config` returns a RunConfig or raises ConfigError (the CLI's exit
-code 2), never any other exception."""
+code 2), never any other exception. And the declaration of RunConfig is the
+one list of keys that the parser reads and the run echoes."""
 
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from vortexlab.pipeline import ConfigError, RunConfig, load_config
+from vortexlab.pipeline import ConfigError, Region, RunConfig, load_config
+from vortexlab.storage import run_id_for
 
 VALID = [
     "[run]",
@@ -136,3 +141,65 @@ def test_the_valid_file_loads(tmp_path):
     path.write_text("\n".join(VALID))
     config = load_config(path)
     assert (config.n, config.n_steps, config.tracer_count) == (16, 4, 4)
+
+
+BASE = {
+    "run": {"system": "euler3d"},
+    "grid": {"n": "16"},
+    "time": {"dt": "0.01", "t_end": "0.04"},
+    "initial": {"name": "taylor-green-3d"},
+}
+
+# field name -> (text in the file, loaded value), none of them a default
+NON_DEFAULT = {
+    "system": ("boussinesq2d", "boussinesq2d"),
+    "n": ("24", 24),
+    "dt": ("0.02", 0.02),
+    "t_end": ("0.08", 0.08),
+    "initial": ("boussinesq-bubble", "boussinesq-bubble"),
+    "seed": ("7", 7),
+    "dealias": ("0.6", 0.6),
+    "length": ("3.0", 3.0),
+    "amplitude": ("2.5", 2.5),
+    "band": ("5", 5),
+    "snapshot_every": ("2", 2),
+    "snapshot_diagnostics": ("YES", True),
+    "sample_every": ("2", 2),
+    "cfl_guard": ("0.5", 0.5),
+    "tracer_count": ("4", 4),
+    "tracer_points": ("1, 2, 3 ; 4, 5, 6", np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])),
+    # each key of [regions] is a region's label
+    "regions": ("1.0, 2.0, 3.0 ; 0.5", [Region("regions", center=(1.0, 2.0, 3.0), radius=0.5)]),
+    "candidate_time": ("1.0", 1.0),
+    "window_fraction": ("0.5", 0.5),
+}
+
+
+@pytest.mark.parametrize("declared", fields(RunConfig), ids=lambda f: f.name)
+def test_every_declared_key_loads(tmp_path, declared):
+    """A field added without its section and key, or that the parser does
+    not read, fails here."""
+    text, expected = NON_DEFAULT[declared.name]
+    sections = {name: dict(keys) for name, keys in BASE.items()}
+    key = declared.metadata["key"] or declared.name
+    sections.setdefault(declared.metadata["section"], {})[key] = text
+    path = tmp_path / "run.ini"
+    path.write_text(
+        "\n".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+            for name, keys in sections.items()
+        )
+    )
+    np.testing.assert_equal(getattr(load_config(path), declared.name), expected)
+
+
+def test_the_echo_has_the_declared_fields(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("\n".join(VALID))
+    assert list(load_config(path).to_echo()) == [f.name for f in fields(RunConfig)]
+
+
+def test_the_run_id_of_the_valid_file_is_pinned(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("\n".join(VALID))
+    assert run_id_for(load_config(path).to_echo()) == "f32d2dcad6e17793"

@@ -380,6 +380,7 @@ class TestCli:
             ("candidate_time = 0.2", "candidate_time = nan"),
             ("candidate_time = 0.2", "candidate_time = 0.2\nwindow_fraction = 0"),
             ("candidate_time = 0.2", "candidate_time = 0.2\nwindow_fraction = nan"),
+            ("seed = 5", "seed = -5"),
         ],
     )
     def test_values_that_parse_but_cannot_run_exit_2(self, tmp_path, capsys, old, new):
@@ -431,6 +432,15 @@ class TestCli:
     def test_check_identities_bad_count(self, capsys):
         assert main(["check-identities", "--count", "0"]) == 2
 
+    @pytest.mark.parametrize("scale", ["0", "-0.0", "nan", "inf", "-inf"])
+    def test_check_identities_bad_scale_exits_2(self, capsys, scale):
+        # every sample would be skipped or NaN, and all checks would read PASS
+        assert main(["check-identities", "--count", "100", f"--scale={scale}"]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_check_identities_negative_scale_passes(self, capsys):
+        assert main(["check-identities", "--count", "2000", "--scale", "-1"]) == 0
+
     def test_gronwall_single(self, tmp_path, capsys):
         spec = tmp_path / "gw.ini"
         spec.write_text(
@@ -445,6 +455,23 @@ class TestCli:
         spec.write_text("[gronwall]\nvariant = double\n\n[batch]\ncount = 50\nseed = 4\n")
         assert main(["gronwall", str(spec)]) == 0
         assert "dominated=50/50" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "[gronwall\nvariant = single\n",
+            "[gronwall]\nt_start = x\n",
+            "[gronwall]\nalpha = linear:1\n",
+            "[gronwall]\nsamples = 3.5\n",
+            "[gronwall]\nvariant = double\n\n[batch]\ncount = 0\n",
+            "[gronwall]\nt_end = nan\n",
+        ],
+    )
+    def test_gronwall_bad_spec_exits_2(self, tmp_path, capsys, spec):
+        path = tmp_path / "gw.ini"
+        path.write_text(spec)
+        assert main(["gronwall", str(path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_gronwall_bad_variant(self, tmp_path):
         spec = tmp_path / "gw.ini"
