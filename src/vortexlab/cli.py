@@ -204,7 +204,7 @@ def _cmd_gronwall(args) -> int:
         worst = 0.0
         dominated = 0
         for _ in range(count):
-            problem = crit.random_gronwall_problem(rng, variant, n=spec["times"].size)
+            problem = crit.random_gronwall_problem(rng, variant, spec["times"])
             rep = crit.verify_gronwall(problem)
             worst = max(worst, rep.max_relative_excess)
             dominated += int(rep.domination_satisfied)

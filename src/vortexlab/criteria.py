@@ -226,16 +226,16 @@ class GronwallProblem:
             raise HypothesisError("variant 'double' requires y >= 0")
 
 
-def _beta_integral(problem: GronwallProblem) -> np.ndarray:
-    acc = cumulative_trapezoid(problem.times, problem.beta)
-    if problem.variant == "double":
-        acc = cumulative_trapezoid(problem.times, acc)
-    return acc
+def _lemma_integral(times: np.ndarray, values: np.ndarray, variant: str) -> np.ndarray:
+    """I[values] of the lemma: the running trapezoidal integral, iterated
+    once more for variant 'double'."""
+    acc = cumulative_trapezoid(times, values)
+    return cumulative_trapezoid(times, acc) if variant == "double" else acc
 
 
 def gronwall_bound(problem: GronwallProblem) -> np.ndarray:
     """Comparison bound alpha(t) exp(I[beta]) with I matching the variant."""
-    return problem.alpha * np.exp(_beta_integral(problem))
+    return problem.alpha * np.exp(_lemma_integral(problem.times, problem.beta, problem.variant))
 
 
 def gronwall_oracle(
@@ -259,16 +259,10 @@ def gronwall_oracle(
         beta = np.interp(fine_times, times, beta)
         times = fine_times
 
-    def apply(y):
-        acc = cumulative_trapezoid(times, beta * y)
-        if problem.variant == "double":
-            acc = cumulative_trapezoid(times, acc)
-        return alpha + acc
-
     y = alpha.copy()
     scale = max(float(np.max(np.abs(alpha))), 1.0)
     for _ in range(max_iter):
-        y_next = apply(y)
+        y_next = alpha + _lemma_integral(times, beta * y, problem.variant)
         delta = float(np.max(np.abs(y_next - y)))
         y = y_next
         if delta <= tol * max(scale, float(np.max(np.abs(y)))):
@@ -281,9 +275,7 @@ def hypothesis_residual(problem: GronwallProblem) -> np.ndarray:
     hypothesis holds)."""
     if problem.y is None:
         raise SeriesError("problem has no y series to test")
-    acc = cumulative_trapezoid(problem.times, problem.beta * problem.y)
-    if problem.variant == "double":
-        acc = cumulative_trapezoid(problem.times, acc)
+    acc = _lemma_integral(problem.times, problem.beta * problem.y, problem.variant)
     return problem.alpha + acc - problem.y
 
 
@@ -341,14 +333,18 @@ def verify_gronwall(
     )
 
 
-def random_gronwall_problem(rng: np.random.Generator, variant: str, n: int = 257) -> GronwallProblem:
-    """Random instance with strictly increasing alpha and piecewise-linear beta.
+def random_gronwall_problem(
+    rng: np.random.Generator, variant: str, times: np.ndarray | None = None
+) -> GronwallProblem:
+    """Random instance with strictly increasing alpha and piecewise-linear beta
+    on the uniform `times` (by default 257 samples of [0, 1]).
 
     Knots sit on the sample grid so the trapezoidal integrals are exact for
     the generated data; the instance margin is then controlled by the lemma
     itself rather than by quadrature error.
     """
-    times = np.linspace(0.0, 1.0, n)
+    times = np.linspace(0.0, 1.0, 257) if times is None else np.asarray(times, dtype=float)
+    n = times.size
     n_knots = int(rng.integers(3, 9))
     spacing = max(1, (n - 1) // 32)
     candidates = np.arange(spacing, n - 1, spacing)

@@ -355,8 +355,10 @@ def ball_mask(grid: GridSpec, center, radius: float) -> np.ndarray | None:
     Such a radius gives None, so that a max over the "ball" is the global
     max exactly.
     """
-    if radius <= 0:
+    if not radius > 0:
         raise FieldError("radius must be positive")
+    if not np.all(np.isfinite(center)):
+        raise FieldError("center must be finite")
     if radius >= np.sqrt(grid.dim) * grid.length / 2.0:
         return None
     mask = grid.periodic_distance(np.asarray(center, dtype=float)) <= radius

@@ -1,10 +1,11 @@
-"""Run orchestration: configure, integrate, monitor, verify, persist.
+"""Run orchestration: configure, integrate, analyse, persist.
 
-A run advances the chosen system with fixed-step RK4, carries a tracer
-cloud along with the solver stages, samples the geometric diagnostics on a
-fixed cadence, and post-processes the samples into criterion functionals,
-type-I monitors, transport-identity residuals, and growth-bound margins.
-Everything written to disk is deterministic for a given configuration.
+`run` is `integrate`, then `analyse`, then the writes. `integrate` advances
+the chosen system with fixed-step RK4, carries a tracer cloud along with the
+solver stages, writes snapshots and logs the geometric diagnostics of each
+sample in a `SampleLog`. `analyse` turns a `SampleLog` alone into criterion
+functionals, type-I monitors, BKM integrals, transport-identity residuals and
+growth-bound margins. Everything written to disk is deterministic.
 """
 
 from __future__ import annotations
@@ -116,6 +117,8 @@ class RunConfig:
             raise ConfigError("candidate_time must be finite and at least t_end")
         if not 0.0 < self.window_fraction <= 1.0:
             raise ConfigError("window_fraction must lie in (0, 1]")
+        if self.cfl_guard is not None and not self.cfl_guard > 0:
+            raise ConfigError("cfl_guard must be positive when set")
         try:
             self.grid()
         except ValueError as exc:
@@ -128,7 +131,9 @@ class RunConfig:
             if not region.is_global:
                 if len(region.center) != self.dim:
                     raise ConfigError(f"region {region.label!r} center must have {self.dim} components")
-                if not region.radius or region.radius <= 0:
+                if not np.all(np.isfinite(region.center)):
+                    raise ConfigError(f"region {region.label!r} center must be finite")
+                if region.radius is None or not region.radius > 0:
                     raise ConfigError(f"region {region.label!r} needs a positive radius")
 
     @property
@@ -332,37 +337,44 @@ def _sup_norms(diag, velocity: np.ndarray, masks: dict, width: int) -> dict:
     }
 
 
-def run(config: RunConfig, output_dir: str | Path | None = None) -> RunResult:
+@dataclass
+class SampleLog:
+    """All that `analyse` reads, one entry per sample. `sup_norms` maps each
+    of the `SUP_QUANTITIES` to a series per region label; the theta entries
+    are 2D only. At the tracers: `positions` (tracers, d), `tracer_grad`
+    (grad u, (d, d, tracers)) and `tracer_rows` (`hessian_coeffs`, (rows,
+    tracers)). eps is set by the first sample from its carrier."""
+
+    times: list = field(default_factory=list)
+    sup_norms: dict = field(default_factory=dict)
+    energy: list = field(default_factory=list)
+    tail_ratio: list = field(default_factory=list)
+    theta_l2: list = field(default_factory=list)
+    theta_range: list = field(default_factory=lambda: [np.inf, -np.inf])
+    positions: list = field(default_factory=list)
+    tracer_grad: list = field(default_factory=list)
+    tracer_rows: list = field(default_factory=list)
+    eps: float | None = None
+
+
+def integrate(config: RunConfig, log: SampleLog, out_dir: Path | None = None):
+    """Advance `config` from its initial state, append each sample to `log`
+    and write the snapshots under `out_dir` (if not None). Returns the final
+    state and the snapshot files. Input errors raise before any write."""
     grid = config.grid()
+    # built here, not by the caller: the loop holds the only state
     try:
         state = solver.initial_condition(
             config.initial, grid, seed=config.seed, amplitude=config.amplitude, band=config.band
         )
-        stepper = solver.StepperConfig(dt=config.dt, cfl_guard=config.cfl_guard)
     except ValueError as exc:
-        # a start that does not fit the system, a non-finite amplitude, a bad cfl_guard
+        # a start that does not fit the system, a non-finite amplitude
         raise ConfigError(str(exc)) from exc
-    regions = config.all_regions()
-    masks = _region_masks(grid, regions)
+    stepper = solver.StepperConfig(dt=config.dt, cfl_guard=config.cfl_guard)
+    masks = _region_masks(grid, config.all_regions())
     positions = _tracer_seeds(config, grid)
-    seeds = positions.copy()
     n_tracers = positions.shape[0]
-
-    eps = None  # set from the step-0 sample's carrier, see `sample`
-
-    sample_times = []
-    sup_series = {name: {r.label: [] for r in regions} for name in SUP_QUANTITIES}
-    energy_series = []
-    tail_series = []
-    theta_l2_series = []
-    theta_min = np.inf
-    theta_max = -np.inf
-    tracer_positions_hist = []
-    tracer_grad = []  # per sample, grad u at the tracers, (d, d, tracers)
-    tracer_rows = []  # per sample, `hessian_coeffs` at the tracers, (rows, tracers)
     snapshots = []
-
-    out_dir = Path(output_dir) if output_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -375,7 +387,7 @@ def run(config: RunConfig, output_dir: str | Path | None = None) -> RunResult:
         if pos is not None:
             sampler = tracers.SpectralSampler(grid, pos)
             # row by row (d_i u), which bounds the sampler's temporaries
-            tracer_grad.append(np.stack([sampler.sample(row) for row in grad.spectral]))
+            log.tracer_grad.append(np.stack([sampler.sample(row) for row in grad.spectral]))
         # held in a list so that diag_field receives the only reference and
         # can free grad u before it builds the Hessian
         grad_u = [grad.values]
@@ -384,12 +396,12 @@ def run(config: RunConfig, output_dir: str | Path | None = None) -> RunResult:
         hess_coeffs = None
         if pos is not None:
             hess_coeffs = hessian_coeffs(p, theta_now)
-            tracer_rows.append(sampler.sample(hess_coeffs))
+            log.tracer_rows.append(sampler.sample(hess_coeffs))
         if not with_diag:
             return p, None
         # eps 0.0 until the step-0 sample sets it from its own carrier, see `sample`
         return p, diag_field(
-            current.u, p, theta_now, eps=0.0 if eps is None else eps, grad_u=grad_u.pop(),
+            current.u, p, theta_now, eps=0.0 if log.eps is None else log.eps, grad_u=grad_u.pop(),
             hess_coeffs=hess_coeffs,
         )
 
@@ -417,29 +429,29 @@ def run(config: RunConfig, output_dir: str | Path | None = None) -> RunResult:
         diagnostics). The sup norms are read slab by slab, unless keep_diag
         asks for the whole grid's quantities, which a snapshot then writes;
         otherwise the grid diagnostics are dropped here."""
-        nonlocal theta_min, theta_max, eps
-        sample_times.append(step * config.dt)
-        energy_series.append(solver.kinetic_energy(current.u))
+        log.times.append(step * config.dt)
+        log.energy.append(solver.kinetic_energy(current.u))
         theta_now = current.theta if config.dim == 2 else None
         spectra = [current.u.spectral]
         if theta_now is not None:
             spectra.append(theta_now.spectral)
-            theta_l2_series.append(solver.scalar_l2_norm(theta_now))
-            theta_min = min(theta_min, float(np.min(theta_now.values)))
-            theta_max = max(theta_max, float(np.max(theta_now.values)))
-        tail_series.append(solver.spectral_tail_ratio(grid, *spectra))
+            log.theta_l2.append(solver.scalar_l2_norm(theta_now))
+            low, high = log.theta_range
+            log.theta_range = [
+                min(low, float(np.min(theta_now.values))), max(high, float(np.max(theta_now.values)))
+            ]
+        log.tail_ratio.append(solver.spectral_tail_ratio(grid, *spectra))
         if n_tracers:
-            tracer_positions_hist.append(pos.copy())
+            log.positions.append(pos.copy())
         p, diag = pressure_and_diagnostics(current, theta_now, pos=pos if n_tracers else None)
         width = grid.n if keep_diag else -(-grid.n // SUP_SLABS)
-        if eps is None:
+        if log.eps is None:
             # vec_mag does not depend on eps, and nothing that does is read yet
             vec_max = np.max([np.max(part.vec_mag) for _, part in diag.slabs(width)])
-            eps = 1e-12 * max(float(vec_max), 1.0)
-            diag.eps = eps
+            log.eps = diag.eps = 1e-12 * max(float(vec_max), 1.0)
         for name, per_region in _sup_norms(diag, current.u.values, masks, width).items():
             for label, value in per_region.items():
-                sup_series[name][label].append(value)
+                log.sup_norms.setdefault(name, {}).setdefault(label, []).append(value)
         return p, (diag if keep_diag else None)
 
     for step_index in range(config.n_steps + 1):
@@ -465,115 +477,69 @@ def run(config: RunConfig, output_dir: str | Path | None = None) -> RunResult:
             del stages  # the stage arrays are not needed past the step
         except (solver.SolverError, tracers.TracerError, DivergenceError) as exc:
             raise type(exc)(f"aborted at step {step_index}: {exc}") from exc
+    return state, snapshots
 
-    times = np.asarray(sample_times)
-    kind = "euler" if config.dim == 3 else "boussinesq"
 
-    records = []
+def _tracer_analysis(times: np.ndarray, vec, mat, hess, eps: float, positions: np.ndarray):
+    """(records, residual_summaries, bound_checks) of the tracers at
+    `positions` (samples, tracers, d) from their kernel inputs (vec, mat,
+    hess), of shape (samples, tracers, d[, d]), sampled at `times`."""
+    kind = "euler" if vec.shape[-1] == 3 else "boussinesq"
+    series = tracers.diagnostics_series(vec, mat, hess, eps)
+    carrier_max = max(float(np.max(series["vec_mag"])), 1e-300)
+    bound_tol = 1e-6 * carrier_max
+    variants = ("lemma", "double-exp", "damped") if kind == "euler" else ("lemma", "double-exp")
+    bound_checks = {
+        v: {"min_margin": np.inf, "violations": 0, "tolerance": bound_tol} for v in variants
+    }
     residual_summaries = {}
-    bound_aggregate = {}
-    if n_tracers:
-        d = config.dim
-        upper, carrier = np.split(np.stack(tracer_rows, axis=-2), [d * (d + 1) // 2])
-        vec, mat, hess = kernel_inputs(
-            _series_first(np.stack(tracer_grad, axis=-2)),
-            _series_first(symmetric_from_upper(upper, d)),
-            _series_first(carrier) if d == 2 else None,
+    records = []
+    for p in range(positions.shape[1]):
+        record = tracers.TracerRecord(
+            index=p,
+            seed_point=positions[0, p],
+            kind=kind,
+            times=times,
+            positions=positions[:, p],
+            series={k: v[:, p] for k, v in series.items()},
         )
-        pos_hist = np.stack(tracer_positions_hist)
-        series = tracers.diagnostics_series(vec, mat, hess, eps)
-        carrier_max = max(float(np.max(series["vec_mag"])), 1e-300)
-        bound_tol = 1e-6 * carrier_max
-        variants = ("lemma", "double-exp", "damped") if kind == "euler" else ("lemma", "double-exp")
-        bound_aggregate = {
-            v: {"min_margin": np.inf, "violations": 0, "tolerance": bound_tol} for v in variants
-        }
-        for p in range(n_tracers):
-            record = tracers.TracerRecord(
-                index=p,
-                seed_point=seeds[p],
-                kind=kind,
-                times=times,
-                positions=pos_hist[:, p],
-                series={k: v[:, p] for k, v in series.items()},
-            )
-            if times.size >= 5:
-                record.series["residuals"] = tracers.dynamical_residuals(record)
-                for name, value in tracers.residual_summary(record.series["residuals"]).items():
-                    residual_summaries[name] = max(residual_summaries.get(name, 0.0), value)
-            record.series["bounds"] = {}
-            for variant in variants:
-                check = tracers.growth_bound_check(record, variant, bound_tol)
-                record.series["bounds"][variant] = check
-                agg = bound_aggregate[variant]
-                agg["min_margin"] = min(agg["min_margin"], check.min_margin)
-                agg["violations"] += check.violations
-            records.append(record)
-        for agg in bound_aggregate.values():
-            agg["min_margin"] = float(agg["min_margin"])
-
-    report = _build_report(
-        config,
-        times,
-        sup_series,
-        energy_series,
-        tail_series,
-        theta_l2_series,
-        (theta_min, theta_max),
-        residual_summaries,
-        bound_aggregate,
-    )
-
-    manifest = None
-    if out_dir is not None:
-        files = list(snapshots)
-        for record in records:
-            path = out_dir / "tracers" / f"tracer_{record.index:03d}.csv"
-            _write_tracer_csv(path, record)
-            files.append(path)
-        report_path = out_dir / "report.json"
-        write_json(report_path, report)
-        files.append(report_path)
-        manifest = write_manifest(
-            out_dir / "manifest.json",
-            config.to_echo(),
-            files,
-            {
-                "under_resolved": report["under_resolved"],
-                "n_steps": config.n_steps,
-                "tracer_seeds": seeds.tolist(),
-            },
-        )
-
-    return RunResult(
-        config=config,
-        times=times,
-        report=report,
-        records=records,
-        residual_summaries=residual_summaries,
-        bound_checks=bound_aggregate,
-        final_state=state,
-        manifest=manifest,
-        output_dir=out_dir,
-    )
+        if times.size >= 5:
+            record.series["residuals"] = tracers.dynamical_residuals(record)
+            for name, value in tracers.residual_summary(record.series["residuals"]).items():
+                residual_summaries[name] = max(residual_summaries.get(name, 0.0), value)
+        record.series["bounds"] = {}
+        for variant in variants:
+            check = tracers.growth_bound_check(record, variant, bound_tol)
+            record.series["bounds"][variant] = check
+            agg = bound_checks[variant]
+            agg["min_margin"] = float(min(agg["min_margin"], check.min_margin))
+            agg["violations"] += check.violations
+        records.append(record)
+    return records, residual_summaries, bound_checks
 
 
-def _build_report(
-    config: RunConfig,
-    times: np.ndarray,
-    sup_series: dict,
-    energy_series: list,
-    tail_series: list,
-    theta_l2_series: list,
-    theta_range: tuple,
-    residual_summaries: dict,
-    bound_aggregate: dict,
-) -> dict:
+def analyse(config: RunConfig, log: SampleLog) -> tuple[dict, list]:
+    """The report and the tracer records of the samples in `log`, which need
+    not come from `integrate`: only `config` and `log` are read."""
     kind = "euler" if config.dim == 3 else "boussinesq"
     weight = "none" if kind == "euler" else "linear"
     threshold = 1.0 if kind == "euler" else 2.0
     horizon = config.candidate_time
     regions = config.all_regions()
+    times = np.asarray(log.times)
+
+    records, residual_summaries, bound_checks = [], {}, {}
+    if log.positions:
+        d = config.dim
+        upper, carrier = np.split(np.stack(log.tracer_rows, axis=-2), [d * (d + 1) // 2])
+        vec, mat, hess = kernel_inputs(
+            _series_first(np.stack(log.tracer_grad, axis=-2)),
+            _series_first(symmetric_from_upper(upper, d)),
+            _series_first(carrier) if d == 2 else None,
+        )
+        records, residual_summaries, bound_checks = _tracer_analysis(
+            times, vec, mat, hess, log.eps, np.stack(log.positions)
+        )
 
     monitor_mask = times < horizon
     criteria_entries = []
@@ -581,13 +547,9 @@ def _build_report(
     bkm_entries = []
     for region in regions:
         label = region.label
-        align = np.asarray(sup_series["alignment_negative"][label])
-        stretch = np.asarray(sup_series["stretch_excess"][label])
-        carrier = np.asarray(sup_series["carrier_sup"][label])
-        velocity = np.asarray(sup_series["velocity_sup"][label])
-        hess_dir = np.asarray(sup_series["hessian_direction_sup"][label])
-
-        for name, series in (("alignment_negative", align), ("stretch_excess", stretch)):
+        sup = {name: np.asarray(per_region[label]) for name, per_region in log.sup_norms.items()}
+        for name in ("alignment_negative", "stretch_excess"):
+            series = sup[name]
             entry = crit.criterion_functional(
                 times, series, weight=None if weight == "none" else weight,
                 horizon=None if weight == "none" else horizon, region=label,
@@ -607,40 +569,22 @@ def _build_report(
                 monitor["samples_used"] = int(np.count_nonzero(monitor_mask))
                 monitors.append(monitor)
         if kind == "euler":
-            entry = crit.criterion_functional(times, 2.0 * hess_dir, region=label).to_dict()
+            entry = crit.criterion_functional(
+                times, 2.0 * sup["hessian_direction_sup"], region=label
+            ).to_dict()
             entry["name"] = "hessian_direction"
             entry["note"] = WEAKER_CRITERION_NOTE
             criteria_entries.append(entry)
-
-        if kind == "euler":
-            bkm_entries.append(
-                {
-                    "name": "carrier_supnorm_integral",
-                    "region": label,
-                    "weight": "none",
-                    "value": crit.bkm_integral(times, carrier),
-                }
+        for name, bkm_weight in (("carrier", weight), ("velocity", "none")):
+            entry = {"name": f"{name}_supnorm_integral", "region": label, "weight": bkm_weight}
+            if bkm_weight == "linear":
+                entry["horizon"] = horizon
+            entry["value"] = crit.bkm_integral(
+                times, sup[f"{name}_sup"], weight=bkm_weight, horizon=horizon
             )
-        else:
-            bkm_entries.append(
-                {
-                    "name": "carrier_supnorm_integral",
-                    "region": label,
-                    "weight": "linear",
-                    "horizon": horizon,
-                    "value": crit.bkm_integral(times, carrier, weight="linear", horizon=horizon),
-                }
-            )
-        bkm_entries.append(
-            {
-                "name": "velocity_supnorm_integral",
-                "region": label,
-                "weight": "none",
-                "value": crit.bkm_integral(times, velocity),
-            }
-        )
+            bkm_entries.append(entry)
 
-    tail = np.asarray(tail_series)
+    tail = np.asarray(log.tail_ratio)
     report = {
         "system": config.system,
         "kind": kind,
@@ -651,24 +595,65 @@ def _build_report(
         "regions": [r.to_dict() for r in regions],
         "series": {
             "times": times.tolist(),
-            "kinetic_energy": list(energy_series),
+            "kinetic_energy": list(log.energy),
             "spectral_tail_ratio": tail.tolist(),
             "sup_norms": {
                 name: {label: list(series) for label, series in per_region.items()}
-                for name, per_region in sup_series.items()
+                for name, per_region in log.sup_norms.items()
             },
         },
         "criteria": criteria_entries,
         "type_one": monitors,
         "bkm": bkm_entries,
         "residual_summaries": residual_summaries,
-        "bound_checks": bound_aggregate,
+        "bound_checks": bound_checks,
         "under_resolved": bool(np.any(tail > UNDER_RESOLVED_TAIL)),
     }
-    if theta_l2_series:
-        report["series"]["theta_l2"] = list(theta_l2_series)
-        report["theta_range"] = [theta_range[0], theta_range[1]]
-    return report
+    if log.theta_l2:
+        report["series"]["theta_l2"] = list(log.theta_l2)
+        report["theta_range"] = list(log.theta_range)
+    return report, records
+
+
+def run(config: RunConfig, output_dir: str | Path | None = None) -> RunResult:
+    """`integrate`, `analyse`, and write the tracer CSVs, report.json and
+    manifest.json beside the snapshots in `output_dir` (if not None)."""
+    out_dir = Path(output_dir) if output_dir is not None else None
+    log = SampleLog()
+    state, files = integrate(config, log, out_dir)
+    report, records = analyse(config, log)
+
+    manifest = None
+    if out_dir is not None:
+        for record in records:
+            path = out_dir / "tracers" / f"tracer_{record.index:03d}.csv"
+            _write_tracer_csv(path, record)
+            files.append(path)
+        report_path = out_dir / "report.json"
+        write_json(report_path, report)
+        files.append(report_path)
+        manifest = write_manifest(
+            out_dir / "manifest.json",
+            config.to_echo(),
+            files,
+            {
+                "under_resolved": report["under_resolved"],
+                "n_steps": config.n_steps,
+                "tracer_seeds": [record.seed_point.tolist() for record in records],
+            },
+        )
+
+    return RunResult(
+        config=config,
+        times=np.asarray(log.times),
+        report=report,
+        records=records,
+        residual_summaries=report["residual_summaries"],
+        bound_checks=report["bound_checks"],
+        final_state=state,
+        manifest=manifest,
+        output_dir=out_dir,
+    )
 
 
 def _write_tracer_csv(path: Path, record: tracers.TracerRecord) -> None:
@@ -693,6 +678,9 @@ __all__ = [
     "Region",
     "RunConfig",
     "RunResult",
+    "SampleLog",
+    "analyse",
+    "integrate",
     "load_config",
     "read_config",
     "run",

@@ -14,6 +14,7 @@ from vortexlab.fields import (
     ScalarField,
     TensorField,
     VectorField,
+    ball_mask,
     divergence,
     gradient,
     hessian,
@@ -483,6 +484,20 @@ class TestRegionSupNorm:
         f = ScalarField(g, np.ones(g.shape))
         with pytest.raises(FieldError):
             region_sup_norm(f, (0.0, 0.0), 0.0)
+
+    @pytest.mark.parametrize(
+        "center, radius, message",
+        [
+            ((0.0, 0.0), np.nan, "radius must be positive"),
+            ((np.nan, 0.0), 1.0, "center must be finite"),
+            ((np.inf, 0.0), 1.0, "center must be finite"),
+        ],
+    )
+    def test_non_finite_ball_rejected(self, center, radius, message):
+        # these used to pass as a ball holding no grid point
+        g = grid2(16)
+        with pytest.raises(FieldError, match=message):
+            ball_mask(g, center, radius)
 
 
 def test_divergence_of_curl_like_field():

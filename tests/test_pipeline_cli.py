@@ -94,6 +94,8 @@ class TestConfigParsing:
             (dict(sample_every=3), "sample_every"),
             (dict(regions=[Region("r", center=(1.0, 2.0, 3.0), radius=1.0)]), "components"),
             (dict(regions=[Region("r", center=(1.0, 2.0), radius=-1.0)]), "radius"),
+            (dict(regions=[Region("r", center=(1.0, 2.0), radius=float("nan"))]), "radius"),
+            (dict(regions=[Region("r", center=(1.0, float("nan")), radius=1.0)]), "center must be finite"),
         ],
     )
     def test_invalid_configs(self, kwargs, message):
@@ -381,6 +383,9 @@ class TestCli:
             ("candidate_time = 0.2", "candidate_time = 0.2\nwindow_fraction = 0"),
             ("candidate_time = 0.2", "candidate_time = 0.2\nwindow_fraction = nan"),
             ("seed = 5", "seed = -5"),
+            ("3.14159, 3.14159 ; 1.0", "0.01, 0.01 ; 0.0001"),
+            ("3.14159, 3.14159 ; 1.0", "3.14159, 3.14159 ; nan"),
+            ("3.14159, 3.14159 ; 1.0", "nan, 3.14159 ; 1.0"),
         ],
     )
     def test_values_that_parse_but_cannot_run_exit_2(self, tmp_path, capsys, old, new):
@@ -389,6 +394,7 @@ class TestCli:
         bad.write_text(BUBBLE_INI.replace(old, new))
         assert main(["run", str(bad), "-o", str(tmp_path / "out")]) == 2
         assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_check_identities_pass(self, capsys):
         assert main(["check-identities", "--count", "5000", "--dim", "2", "--seed", "1"]) == 0
@@ -455,6 +461,19 @@ class TestCli:
         spec.write_text("[gronwall]\nvariant = double\n\n[batch]\ncount = 50\nseed = 4\n")
         assert main(["gronwall", str(spec)]) == 0
         assert "dominated=50/50" in capsys.readouterr().out
+
+    def test_gronwall_batch_samples_its_interval(self, tmp_path, capsys):
+        batch = "\n\n[batch]\ncount = 20\nseed = 4\n"
+        outputs = {}
+        intervals = {"default": "", "unit": "t_start = 0\nt_end = 1\n", "late": "t_start = 5\nt_end = 9\n"}
+        for name, interval in intervals.items():
+            spec = tmp_path / f"{name}.ini"
+            spec.write_text("[gronwall]\nvariant = double\n" + interval + batch)
+            assert main(["gronwall", str(spec), "--json", str(tmp_path / f"{name}.json")]) == 0
+            outputs[name] = (tmp_path / f"{name}.json").read_bytes()
+        assert outputs["unit"] == outputs["default"]
+        assert outputs["late"] != outputs["default"]
+        assert json.loads(outputs["late"])["dominated"] == 20
 
     @pytest.mark.parametrize(
         "spec",
