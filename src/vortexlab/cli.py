@@ -201,15 +201,31 @@ def _cmd_gronwall(args) -> int:
     if "count" in spec:
         count, seed = spec["count"], spec["seed"]
         rng = np.random.default_rng(seed)
-        worst = 0.0
-        dominated = 0
-        for _ in range(count):
-            problem = crit.random_gronwall_problem(rng, variant, spec["times"])
-            rep = crit.verify_gronwall(problem)
-            worst = max(worst, rep.max_relative_excess)
-            dominated += int(rep.domination_satisfied)
-        out.update({"count": count, "seed": seed, "dominated": dominated, "max_relative_excess": worst})
-        print(f"gronwall batch: variant={variant} dominated={dominated}/{count} max_excess={worst:.3e}")
+        excesses = []
+        dominated = overflowed = 0
+        # over a long interval exp(I[beta]) can overflow: the bound or the
+        # oracle turns inf, the excess NaN, and the problem counts as overflowed
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(count):
+                problem = crit.random_gronwall_problem(rng, variant, spec["times"])
+                rep = crit.verify_gronwall(problem)
+                excesses.append(rep.max_relative_excess)
+                dominated += int(rep.domination_satisfied)
+                overflowed += int(not (np.all(np.isfinite(rep.bound)) and np.all(np.isfinite(rep.y))))
+        worst = float(np.max(excesses, initial=0.0))  # a NaN carries through
+        out.update(
+            {
+                "count": count,
+                "seed": seed,
+                "dominated": dominated,
+                "overflowed": overflowed,
+                "max_relative_excess": worst,
+            }
+        )
+        print(
+            f"gronwall batch: variant={variant} dominated={dominated}/{count} overflowed={overflowed} "
+            f"max_excess={_report_number(storage.finite_or_null(worst), '.3e')}"
+        )
         failed = dominated != count
     else:
         try:

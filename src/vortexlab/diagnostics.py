@@ -103,7 +103,13 @@ def vorticity_from_rotation(omega_mat: np.ndarray, skew_tol: float = 1e-12) -> n
 
 
 def _norm(x: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(x, axis=-1)
+    """|x| along the last axis, bit for bit `np.linalg.norm(x, axis=-1)`: the
+    squares added in component order, with no (..., d) array of squares. A
+    single vector of shape (d,) gives a numpy scalar, as there."""
+    sq = x[..., 0] * x[..., 0]
+    for i in range(1, x.shape[-1]):
+        sq += x[..., i] * x[..., i]
+    return np.sqrt(sq)
 
 
 def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:

@@ -15,6 +15,13 @@ and the checks confirm the Pythagoras-type identities, the orthogonal
 decomposition of P xi, and the sqrt(2)/sqrt(3) differential inequalities
 these proxies satisfy. In 2D the matrix is a full (nonsymmetric) velocity
 Jacobian; in 3D it is a symmetric strain. Either way the trace is zero.
+
+`run_identity_suite` evaluates the kernel and the checks slab by slab, SLAB
+samples at a time (`DirectionQuantities.slabs`), so that it holds one slab's
+quantities and residuals at a time. Each residual is elementwise in the
+sample, so a slab's values equal the whole batch's at the same samples bit
+for bit, and the report (maxima, skip counts, the worst sample, min slack,
+max ratio) equals that of the checks run on the whole batch.
 """
 
 from __future__ import annotations
@@ -24,16 +31,31 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import direction_quantities
+from .diagnostics import _norm, direction_quantities
 from .storage import fields_to_json
 
 RESIDUAL_FLOOR = 1e-14
 IDENTITY_TOL = 1e-10
 INEQUALITY_TOL = 1e-12
+SLAB = 16384  # samples per slab of run_identity_suite
 
 
-def _norm(x: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(x, axis=-1)
+def _trace(S: np.ndarray) -> np.ndarray:
+    """The traces of a batch of (d, d) matrices, summed in diagonal order,
+    bit for bit `np.trace(S, axis1=1, axis2=2)`."""
+    tr = S[:, 0, 0].copy()
+    for i in range(1, S.shape[-1]):
+        tr += S[:, i, i]
+    return tr
+
+
+def _symmetrize(a: np.ndarray) -> np.ndarray:
+    """a + a^T of a batch of (d, d) matrices, in place, pair by pair."""
+    for i, j in zip(*np.triu_indices(a.shape[-1])):
+        a[:, i, j] += a[:, j, i]
+        if i != j:
+            a[:, j, i] = a[:, i, j]
+    return a
 
 
 class AlgebraicSample:
@@ -51,13 +73,32 @@ class AlgebraicSample:
         m, d = v.shape
         if S.shape != (m, d, d) or P.shape != (m, d, d):
             raise ValueError("shape mismatch between S, P, v")
-        scale = np.maximum(np.abs(S).max(axis=(1, 2)), 1.0)
-        if np.any(np.abs(np.trace(S, axis1=1, axis2=2)) > 1e-12 * scale):
+        # max |S_ij| entry by entry over the batch; a NaN reads as in np.max
+        scale = np.abs(S[:, 0, 0])
+        for i, j in np.ndindex(d, d):
+            np.maximum(scale, np.abs(S[:, i, j]), out=scale)
+        if np.any(np.abs(_trace(S)) > 1e-12 * np.maximum(scale, 1.0, out=scale)):
             raise ValueError("S must be trace-free")
-        if np.max(np.abs(P - np.swapaxes(P, 1, 2))) > 1e-12 * max(np.abs(P).max(), 1.0):
+        defect = [np.max(np.abs(P[:, i, j] - P[:, j, i])) for i, j in zip(*np.triu_indices(d, 1))]
+        if np.max(defect, initial=0.0) > 1e-12 * max(np.max([P.max(), -P.min()]), 1.0):
             raise ValueError("P must be symmetric")
         self.S, self.P, self.v = S, P, v
         self.q = direction_quantities(v, S, P, 0.0)
+
+    @classmethod
+    def _view(cls, S: np.ndarray, P: np.ndarray, v: np.ndarray, q) -> AlgebraicSample:
+        """A sample of arrays already checked, with their quantities q."""
+        view = cls.__new__(cls)
+        view.S, view.P, view.v, view.q = S, P, v, q
+        return view
+
+    def slabs(self, width: int):
+        """The batch in consecutive slabs of `width` samples: (slice,
+        AlgebraicSample) pairs, read one at a time. Each slab's quantities
+        come from `DirectionQuantities.slabs`, so they equal this batch's
+        bit for bit; a width that covers the batch yields the batch itself."""
+        for sl, q in self.q.slabs(width):
+            yield sl, (self if q is self.q else self._view(self.S[sl], self.P[sl], self.v[sl], q))
 
     @property
     def size(self) -> int:
@@ -75,17 +116,18 @@ def make_samples(count: int, dim: int, seed: int, scale: float = 1.0) -> Algebra
     if dim not in (2, 3):
         raise ValueError("dim must be 2 or 3")
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((count, dim, dim))
+    S = rng.standard_normal((count, dim, dim))
     if dim == 3:
-        S = a + np.swapaxes(a, 1, 2)
-    else:
-        S = a.copy()
-    tr = np.trace(S, axis1=1, axis2=2) / dim
-    S -= tr[:, None, None] * np.eye(dim)
-    b = rng.standard_normal((count, dim, dim))
-    P = b + np.swapaxes(b, 1, 2)
+        _symmetrize(S)
+    tr = _trace(S) / dim
+    for i in range(dim):
+        S[:, i, i] -= tr
+    P = _symmetrize(rng.standard_normal((count, dim, dim)))
     v = rng.standard_normal((count, dim))
-    return AlgebraicSample(S=S * scale, P=P * scale, v=v * scale)
+    if scale != 1.0:  # x * 1.0 is x
+        for x in (S, P, v):
+            x *= scale
+    return AlgebraicSample(S=S, P=P, v=v)
 
 
 def _relative(err: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -213,6 +255,17 @@ def check_inequalities(s: AlgebraicSample) -> dict[str, dict[str, np.ndarray]]:
     return out
 
 
+def _residuals(s: AlgebraicSample) -> dict[str, np.ndarray]:
+    """Every identity residual of `s`, by check name."""
+    residuals = {
+        "vorticity_pythagoras": check_vorticity_pythagoras(s),
+        "strain_pythagoras": check_strain_pythagoras(s),
+        "three_term": check_three_term(s),
+    }
+    residuals.update(check_orthogonal_decompositions(s))
+    return residuals
+
+
 @dataclass
 class IdentitySuiteReport:
     dim: int
@@ -243,7 +296,14 @@ def run_identity_suite(
     inequality_tolerance: float = INEQUALITY_TOL,
     samples: AlgebraicSample | None = None,
 ) -> IdentitySuiteReport:
-    """Run every identity and inequality check over one seeded random batch."""
+    """Run every identity and inequality check over one seeded random batch.
+
+    The batch is read in slabs of SLAB samples (`AlgebraicSample.slabs`),
+    one slab's quantities and residuals at a time. The slabs' skip counts,
+    residual maxima, min slacks and max ratios are combined exactly, so the
+    report equals, bit for bit, that of the checks run on the whole batch:
+    the worst sample too, the first with the largest residual, found by its
+    index in the batch."""
     t0 = time.perf_counter()
     s = samples if samples is not None else make_samples(count, dim, seed, scale)
     report = IdentitySuiteReport(
@@ -255,33 +315,37 @@ def run_identity_suite(
         inequality_tolerance=inequality_tolerance,
     )
 
+    # per name, one entry for each slab with a sample that is not skipped:
+    # (max residual, batch index of its first sample) and (min slack, max ratio)
+    maxima, extremes = {}, {}
     # a residual that overflows or underflows reads inf and fails its check
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        residuals = {
-            "vorticity_pythagoras": check_vorticity_pythagoras(s),
-            "strain_pythagoras": check_strain_pythagoras(s),
-            "three_term": check_three_term(s),
-        }
-        residuals.update(check_orthogonal_decompositions(s))
-        inequalities = check_inequalities(s)
+        for sl, part in s.slabs(SLAB):
+            for name, res in _residuals(part).items():
+                n_skip = int(np.count_nonzero(np.isnan(res)))
+                report.skipped[name] = report.skipped.get(name, 0) + n_skip
+                entries = maxima.setdefault(name, [])
+                if n_skip < res.size:
+                    entries.append((float(np.nanmax(res)), sl.start + int(np.nanargmax(res))))
+            for name, data in check_inequalities(part).items():
+                entries = extremes.setdefault(name, [])
+                ok = ~np.isnan(data["slack"])
+                if np.any(ok):
+                    entries.append((float(np.min(data["slack"][ok])), float(np.nanmax(data["ratio"]))))
 
+    # min and max keep the first of equal entries, as nanargmax does
     worst_val, worst_idx, worst_name = -1.0, 0, ""
-    for name, res in residuals.items():
-        n_skip = int(np.count_nonzero(np.isnan(res)))
-        report.skipped[name] = n_skip
-        if n_skip == res.size:
+    for name, entries in maxima.items():
+        if not entries:
             report.residual_max[name] = 0.0
             continue
-        mx = float(np.nanmax(res))
+        mx, idx = max(entries, key=lambda entry: entry[0])
         report.residual_max[name] = mx
         if mx > worst_val:
-            worst_val, worst_idx, worst_name = mx, int(np.nanargmax(res)), name
-
-    for name, data in inequalities.items():
-        slack = data["slack"]
-        ok = ~np.isnan(slack)
-        report.inequality_min_slack[name] = float(np.min(slack[ok])) if np.any(ok) else 0.0
-        report.inequality_max_ratio[name] = float(np.nanmax(data["ratio"])) if np.any(ok) else 0.0
+            worst_val, worst_idx, worst_name = mx, idx, name
+    for name, entries in extremes.items():
+        report.inequality_min_slack[name] = min((lo for lo, _ in entries), default=0.0)
+        report.inequality_max_ratio[name] = max((hi for _, hi in entries), default=0.0)
 
     report.passed = all(v <= tolerance for v in report.residual_max.values()) and all(
         v >= -inequality_tolerance for v in report.inequality_min_slack.values()

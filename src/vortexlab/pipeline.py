@@ -103,6 +103,8 @@ class RunConfig:
             raise ConfigError("t_end must be an integer multiple of dt")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
+        if not np.isfinite(self.amplitude):
+            raise ConfigError("amplitude must be finite")
         if self.sample_every < 1:
             raise ConfigError("sample_every must be at least 1")
         if self.snapshot_every < 0:
@@ -368,7 +370,7 @@ def integrate(config: RunConfig, log: SampleLog, out_dir: Path | None = None):
             config.initial, grid, seed=config.seed, amplitude=config.amplitude, band=config.band
         )
     except ValueError as exc:
-        # a start that does not fit the system, a non-finite amplitude
+        # a start that does not fit the system
         raise ConfigError(str(exc)) from exc
     stepper = solver.StepperConfig(dt=config.dt, cfl_guard=config.cfl_guard)
     masks = _region_masks(grid, config.all_regions())

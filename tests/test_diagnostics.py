@@ -15,10 +15,13 @@ from vortexlab.fields import (
 from vortexlab.identities import AlgebraicSample
 from vortexlab.solver import initial_condition
 from vortexlab.tracers import diagnostics_series
+from vortexlab import diagnostics, identities
 from vortexlab.diagnostics import (
     DirectionQuantities,
+    _norm,
     diag_field,
     direction_quantities,
+    kernel_inputs,
     negative_part,
     positive_part,
     strain_rotation_split,
@@ -104,6 +107,60 @@ class TestVorticityFromRotation:
             axis=-1,
         )
         assert omega.shape == expected.shape and omega.tobytes() == expected.tobytes()
+
+
+class TestNorm:
+    """`_norm` must give np.linalg.norm(x, axis=-1) bit for bit, in value,
+    shape and type, on every layout the direction kernel reads."""
+
+    @staticmethod
+    def assert_same(x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = _norm(x), np.linalg.norm(x, axis=-1)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @staticmethod
+    def edge_values(rng, shape):
+        # magnitudes whose squares overflow and underflow, signed zeros, inf, NaN
+        x = rng.standard_normal(shape) * rng.choice([1.0, 1e160, 1e-170, 1e-310], size=shape)
+        flat = x.reshape(-1)
+        flat[::7], flat[1::11], flat[2::13], flat[3::17] = 0.0, -0.0, -np.inf, np.nan
+        return x
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_c_ordered_batches(self, dim):
+        rng = np.random.default_rng(dim)
+        self.assert_same(rng.standard_normal((1000, dim)))
+        self.assert_same(self.edge_values(rng, (1000, dim)))
+        self.assert_same(rng.standard_normal((4, 5, dim)))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_component_first_views_of_kernel_inputs(self, dim):
+        rng = np.random.default_rng(10 + dim)
+        shape = (5, 6, 7)[:dim]
+        grad_u = rng.standard_normal((dim, dim) + shape)
+        hess_p = rng.standard_normal((dim, dim) + shape)
+        hess_p = hess_p + np.swapaxes(hess_p, 0, 1)
+        carrier = rng.standard_normal((dim,) + shape) if dim == 2 else None
+        vec, mat, hess = kernel_inputs(grad_u, hess_p, carrier)
+        if dim == 2:
+            assert not vec.flags.c_contiguous  # the moveaxis view itself
+        self.assert_same(vec)
+        for i in range(dim):
+            for arr in (mat, hess):
+                self.assert_same(arr[..., i, :])
+                self.assert_same(arr[..., :, i])
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_single_vectors(self, dim):
+        rng = np.random.default_rng(20 + dim)
+        for x in self.edge_values(rng, (40, dim)):
+            self.assert_same(x)
+
+    def test_identities_uses_the_kernel_norm(self):
+        assert identities._norm is diagnostics._norm
 
 
 class TestEulerDirections:

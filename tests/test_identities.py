@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from vortexlab.identities import (
+    IDENTITY_TOL,
+    SLAB,
     AlgebraicSample,
     check_inequalities,
     check_orthogonal_decompositions,
@@ -180,3 +182,85 @@ class TestSuite:
         rep = run_identity_suite(100, 3, seed=20, tolerance=0.0)
         assert not rep.passed
         assert "S" in rep.worst and "v" in rep.worst
+
+
+def whole_batch_report(s, seed, scale, tolerance):
+    """The report fields of the five checks run on the whole sample `s`,
+    aggregated as `run_identity_suite` did before it read slabs."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        residuals = {
+            "vorticity_pythagoras": check_vorticity_pythagoras(s),
+            "strain_pythagoras": check_strain_pythagoras(s),
+            "three_term": check_three_term(s),
+        }
+        residuals.update(check_orthogonal_decompositions(s))
+        inequalities = check_inequalities(s)
+    out = dict(dim=s.dim, count=s.size, seed=seed, scale=scale, tolerance=tolerance,
+               inequality_tolerance=1e-12, residual_max={}, inequality_min_slack={},
+               inequality_max_ratio={}, skipped={}, passed=False, worst={})
+    worst_val, worst_idx, worst_name = -1.0, 0, ""
+    for name, res in residuals.items():
+        n_skip = int(np.count_nonzero(np.isnan(res)))
+        out["skipped"][name] = n_skip
+        if n_skip == res.size:
+            out["residual_max"][name] = 0.0
+            continue
+        mx = float(np.nanmax(res))
+        out["residual_max"][name] = mx
+        if mx > worst_val:
+            worst_val, worst_idx, worst_name = mx, int(np.nanargmax(res)), name
+    for name, data in inequalities.items():
+        slack = data["slack"]
+        ok = ~np.isnan(slack)
+        out["inequality_min_slack"][name] = float(np.min(slack[ok])) if np.any(ok) else 0.0
+        out["inequality_max_ratio"][name] = float(np.nanmax(data["ratio"])) if np.any(ok) else 0.0
+    out["passed"] = all(v <= tolerance for v in out["residual_max"].values()) and all(
+        v >= -1e-12 for v in out["inequality_min_slack"].values()
+    )
+    if not out["passed"]:
+        out["worst"] = {
+            "check": worst_name,
+            "residual": worst_val,
+            "S": s.S[worst_idx].tolist(),
+            "P": s.P[worst_idx].tolist(),
+            "v": s.v[worst_idx].tolist(),
+        }
+    return out
+
+
+def suite_fields(rep):
+    """Every report field but elapsed_seconds, `worst` included."""
+    out = rep.to_dict()
+    del out["elapsed_seconds"]
+    out["worst"] = rep.worst
+    return out
+
+
+class TestSlabs:
+    """The suite reads its batch in slabs of SLAB samples; its report must
+    be that of the checks run on the whole batch, bit for bit (repr tells
+    -0.0 from 0.0 and keeps the key order)."""
+
+    @pytest.mark.parametrize("tolerance", [IDENTITY_TOL, 0.0])
+    @pytest.mark.parametrize("scale", [1.0, 1e80, 1e-120])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("count", [2 * SLAB + 7, 1])
+    def test_report_equals_the_whole_batch(self, count, dim, scale, tolerance):
+        rep = run_identity_suite(count, dim, seed=0, scale=scale, tolerance=tolerance)
+        ref = whole_batch_report(make_samples(count, dim, 0, scale), 0, scale, tolerance)
+        assert repr(suite_fields(rep)) == repr(ref)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_skips_and_worst_sample_in_later_slabs(self, dim):
+        # zero carriers (skipped) in the second and third slab, and one sample
+        # whose squares overflow (residual inf, the worst) in the third
+        base = make_samples(2 * SLAB + 7, dim, 0)
+        S, P, v = base.S.copy(), base.P.copy(), base.v.copy()
+        v[[SLAB + 1, 2 * SLAB + 5]] = 0.0
+        k = 2 * SLAB + 3
+        S[k], P[k], v[k] = S[k] * 1e80, P[k] * 1e80, v[k] * 1e80
+        rep = run_identity_suite(0, dim, seed=0, samples=AlgebraicSample(S, P, v))
+        ref = whole_batch_report(AlgebraicSample(S, P, v), 0, 1.0, IDENTITY_TOL)
+        assert repr(suite_fields(rep)) == repr(ref)
+        assert rep.skipped["vorticity_pythagoras"] == 2
+        assert rep.worst["v"] == v[k].tolist()

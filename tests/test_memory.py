@@ -1,4 +1,4 @@
-"""Working-set guard for a run on the grid.
+"""Working-set guards for a run on the grid and for the identity suite.
 
 The transient memory of each phase of a sample and of an RK4 step, measured
 with tracemalloc above the memory in use when the phase starts, must stay
@@ -9,7 +9,9 @@ wrapper holds on to the velocity gradient that the run hands over to it.
 
 import tracemalloc
 
-from vortexlab import fields, pipeline, solver
+import pytest
+
+from vortexlab import fields, identities, pipeline, solver
 from vortexlab.pipeline import Region, RunConfig
 
 N = 32
@@ -69,3 +71,27 @@ def test_phase_working_sets_are_bounded(monkeypatch):
     in_fields = {name: round(peak / VECTOR_BYTES, 2) for name, peak in peaks.items()}
     for name, limit in LIMITS.items():
         assert in_fields[name] < limit, (name, in_fields)
+
+
+SUITE_COUNT = 100_000
+# In the bytes of the suite's sample arrays S, P and v. The suite reads 1.48
+# in 3D and 1.78 in 2D. Evaluating the kernel and the checks on the whole
+# batch, with make_samples' full-batch temporaries, read 3.85 and 5.55.
+SUITE_LIMIT = 2.5
+
+
+@pytest.mark.parametrize("dim", [3, 2])
+def test_identity_suite_working_set_is_bounded(dim):
+    sample_bytes = SUITE_COUNT * (2 * dim * dim + dim) * 8
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        entry = tracemalloc.get_traced_memory()[0]
+        identities.run_identity_suite(SUITE_COUNT, dim, 0)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert round(peak / sample_bytes, 2) < SUITE_LIMIT, (dim, peak / sample_bytes)

@@ -96,6 +96,8 @@ class TestConfigParsing:
             (dict(regions=[Region("r", center=(1.0, 2.0), radius=-1.0)]), "radius"),
             (dict(regions=[Region("r", center=(1.0, 2.0), radius=float("nan"))]), "radius"),
             (dict(regions=[Region("r", center=(1.0, float("nan")), radius=1.0)]), "center must be finite"),
+            (dict(amplitude=float("inf")), "amplitude must be finite"),
+            (dict(amplitude=float("nan")), "amplitude must be finite"),
         ],
     )
     def test_invalid_configs(self, kwargs, message):
@@ -474,6 +476,35 @@ class TestCli:
         assert outputs["unit"] == outputs["default"]
         assert outputs["late"] != outputs["default"]
         assert json.loads(outputs["late"])["dominated"] == 20
+
+    def _long_batch(self, tmp_path, t_end):
+        spec = tmp_path / "gw.ini"
+        spec.write_text(
+            f"[gronwall]\nvariant = double\nt_start = 0\nt_end = {t_end}\n\n[batch]\ncount = 20\nseed = 4\n"
+        )
+        code = main(["gronwall", str(spec), "--json", str(tmp_path / "gw.json")])
+        return code, json.loads((tmp_path / "gw.json").read_text())
+
+    def test_gronwall_batch_overflow_is_counted(self, tmp_path, capsys):
+        # over [0, 40] exp of the double integral of beta overflows, so each
+        # bound is inf at its late samples and each excess NaN; this once read
+        # dominated=0/20 with max_excess=0.000e+00, and numpy warned on stderr
+        code, data = self._long_batch(tmp_path, 40)
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert "dominated=0/20 overflowed=20 max_excess=non-finite" in out
+        assert err == ""
+        assert data["overflowed"] == 20
+        assert data["dominated"] == 0
+        assert data["max_relative_excess"] is None
+
+    def test_gronwall_batch_that_does_not_overflow(self, tmp_path, capsys):
+        code, data = self._long_batch(tmp_path, 20)
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert "dominated=20/20 overflowed=0 max_excess=0.000e+00" in out
+        assert err == ""
+        assert (data["dominated"], data["overflowed"], data["max_relative_excess"]) == (20, 0, 0.0)
 
     @pytest.mark.parametrize(
         "spec",
