@@ -12,7 +12,7 @@ The same direction-field construction serves both settings:
 the pointwise algebra. The grid diagnostics (`diag_field`), the tracer
 series and the randomized identity suite all read from it, and
 `kernel_inputs` is the one assembly of its inputs from derivative values,
-at the tracers (`pipeline.run`) and, in two parts so that the 3D velocity
+at the tracers (`pipeline.analyse`) and, in two parts so that the 3D velocity
 gradient can be freed before the Hessian is built, on the grid
 (`diag_field`). With A = mat and P = hess it gives xi = vec/|vec|,
 zeta = A xi/|A xi|, alpha = xi.A xi, rho = xi.P xi, the alignment zeta.P xi,
@@ -130,29 +130,20 @@ class DirectionQuantities:
     vec has shape (..., d); mat and hess have shape (..., d, d). Each
     quantity is an array over the batch shape (vectors keep a trailing
     component axis), computed on first access and cached, so a caller pays
-    only for what it reads. eps may be reset until the first quantity that
-    depends on it is read, so a caller can set it from this batch's own
-    vec_mag.
+    only for what it reads. eps is fixed at construction and read-only.
     """
 
     def __init__(self, vec: np.ndarray, mat: np.ndarray, hess: np.ndarray, eps: float):
+        if eps < 0:
+            raise ValueError("eps must be nonnegative")
         self.vec = np.asarray(vec, dtype=float)
         self.mat = np.asarray(mat, dtype=float)
         self.hess = np.asarray(hess, dtype=float)
-        self.eps = eps
+        self._eps = eps
 
     @property
     def eps(self) -> float:
         return self._eps
-
-    @eps.setter
-    def eps(self, value: float) -> None:
-        if value < 0:
-            raise ValueError("eps must be nonnegative")
-        # every eps-dependent quantity reads `active` first
-        if "active" in self.__dict__:
-            raise ValueError("eps is fixed once a quantity that depends on it has been read")
-        self._eps = value
 
     def slabs(self, width: int):
         """The batch in consecutive slabs of `width` entries along its first
@@ -309,7 +300,8 @@ def diag_field(
 
     3D input gives the vorticity/strain diagnostics; 2D input requires the
     temperature field and gives the perpendicular-gradient/Jacobian ones.
-    Quantities have the grid shape. eps defaults to 1e-12 max |vec|.
+    Quantities have the grid shape. eps defaults to the rule of a run's
+    first sample, 1e-12 max(max |vec|, 1), read from this carrier.
     grad_u, the grid values of `gradient(u)` (as `fields.solve_pressure`
     takes them), is computed here when not given; in 3D it is read before
     the Hessian is built, so a caller that hands over its only reference
@@ -335,10 +327,9 @@ def diag_field(
         hess_p, carrier = hessian_values(p, theta, coeffs=hess_coeffs)
         vec, mat = _carrier_and_matrix(grad_u, carrier)
     hess = np.moveaxis(hess_p, (0, 1), (-2, -1))
-    q = direction_quantities(vec, mat, hess, 0.0 if eps is None else eps)
     if eps is None:
-        q.eps = 1e-12 * float(np.max(q.vec_mag))
-    return q
+        eps = 1e-12 * max(float(np.max(_norm(vec))), 1.0)
+    return direction_quantities(vec, mat, hess, eps)
 
 
 __all__ = [

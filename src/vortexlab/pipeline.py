@@ -111,6 +111,15 @@ class RunConfig:
             raise ConfigError("snapshot_every must be nonnegative")
         if self.tracer_count < 0:
             raise ConfigError("tracer count must be nonnegative")
+        if self.tracer_points is not None:
+            try:
+                points = self.tracer_points = np.asarray(self.tracer_points, dtype=float)
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"tracer points must be rows of numbers: {exc}") from exc
+            if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] != self.dim:
+                raise ConfigError(f"tracer points must have shape (k >= 1, {self.dim}), got {points.shape}")
+            if not np.all(np.isfinite(points)):
+                raise ConfigError("tracer points must be finite")
         if round(steps) % self.sample_every != 0:
             raise ConfigError("sample_every must divide the number of steps")
         if self.candidate_time is None:
@@ -129,6 +138,11 @@ class RunConfig:
             raise ConfigError(
                 f"unknown initial condition {self.initial!r}; choose from {solver.INITIAL_CONDITIONS}"
             )
+        labels = [region.label for region in self.regions]
+        if "global" in labels:
+            raise ConfigError("region label 'global' is reserved for the whole box")
+        if len(set(labels)) < len(labels):
+            raise ConfigError(f"region labels must differ, got {labels}")
         for region in self.regions:
             if not region.is_global:
                 if len(region.center) != self.dim:
@@ -158,19 +172,9 @@ class RunConfig:
         return echo
 
 
-def _parse_points(text: str, dim: int) -> np.ndarray:
-    points = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        values = [float(v) for v in chunk.split(",")]
-        if len(values) != dim:
-            raise ConfigError(f"point {chunk!r} must have {dim} components")
-        points.append(values)
-    if not points:
-        raise ConfigError("empty point list")
-    return np.asarray(points)
+def _parse_points(text: str) -> list:
+    """The rows "x, y[, z] ; ..." of `text`; `RunConfig` checks their shape."""
+    return [[float(v) for v in chunk.split(",")] for chunk in text.split(";") if chunk.strip()]
 
 
 def read_config(path: str | Path, build):
@@ -234,9 +238,8 @@ def _config_from(parser: configparser.ConfigParser) -> RunConfig:
     if parser.has_section("tracers"):
         sec = parser["tracers"]
         if "points" in sec:
-            dim = 3 if values["system"] == "euler3d" else 2
-            values["tracer_points"] = _parse_points(sec["points"], dim)
-            values["tracer_count"] = values["tracer_points"].shape[0]
+            values["tracer_points"] = _parse_points(sec["points"])
+            values["tracer_count"] = len(values["tracer_points"])
         else:
             values["tracer_count"] = int(sec.get("count", 0))
 
@@ -283,7 +286,7 @@ def _region_masks(grid: GridSpec, regions: list) -> dict:
 
 def _tracer_seeds(config: RunConfig, grid: GridSpec) -> np.ndarray:
     if config.tracer_points is not None:
-        return np.mod(np.asarray(config.tracer_points, dtype=float), grid.length)
+        return np.mod(config.tracer_points, grid.length)
     if config.tracer_count <= 0:
         return np.zeros((0, grid.dim))
     rng = np.random.default_rng(config.seed + 1)
@@ -380,13 +383,30 @@ def integrate(config: RunConfig, log: SampleLog, out_dir: Path | None = None):
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    def pressure_and_diagnostics(current, theta_now, with_diag: bool = True, pos=None):
-        """The pressure of `current` and, if asked, its grid diagnostics, both
-        from one velocity gradient. Given the tracer positions `pos`, records
-        the rows of grad u and of `hessian_coeffs` sampled there; the grid
-        diagnostics then transform that same Hessian stack."""
+    def observe(step: int, current, pos: np.ndarray, sampled: bool, base: Path | None) -> None:
+        """Log the sample of `current` at `step` if `sampled`, and write its
+        snapshot next to `base` if not None. One velocity gradient feeds the
+        pressure, the tracer rows and the grid diagnostics, which are built
+        only for a sample or a diagnostic snapshot. A sample reads its sup
+        norms slab by slab, unless the snapshot writes the whole grid's."""
+        t = step * config.dt
+        theta_now = getattr(current, "theta", None)
+        track = sampled and n_tracers > 0
+        if sampled:
+            log.times.append(t)
+            log.energy.append(solver.kinetic_energy(current.u))
+            spectra = [current.u.spectral]
+            if theta_now is not None:
+                spectra.append(theta_now.spectral)
+                log.theta_l2.append(solver.scalar_l2_norm(theta_now))
+                low, high = log.theta_range
+                log.theta_range = [
+                    min(low, float(np.min(theta_now.values))), max(high, float(np.max(theta_now.values)))
+                ]
+            log.tail_ratio.append(solver.spectral_tail_ratio(grid, *spectra))
         grad = gradient(current.u)
-        if pos is not None:
+        if track:
+            log.positions.append(pos.copy())
             sampler = tracers.SpectralSampler(grid, pos)
             # row by row (d_i u), which bounds the sampler's temporaries
             log.tracer_grad.append(np.stack([sampler.sample(row) for row in grad.spectral]))
@@ -396,78 +416,42 @@ def integrate(config: RunConfig, log: SampleLog, out_dir: Path | None = None):
         del grad  # keep no spectrum of grad u past this point
         p = solve_pressure(current.u, theta_now, grad_u=grad_u[0])
         hess_coeffs = None
-        if pos is not None:
+        if track:
             hess_coeffs = hessian_coeffs(p, theta_now)
             log.tracer_rows.append(sampler.sample(hess_coeffs))
-        if not with_diag:
-            return p, None
-        # eps 0.0 until the step-0 sample sets it from its own carrier, see `sample`
-        return p, diag_field(
-            current.u, p, theta_now, eps=0.0 if log.eps is None else log.eps, grad_u=grad_u.pop(),
-            hess_coeffs=hess_coeffs,
-        )
-
-    def take_snapshot(step: int, current, sampled) -> None:
-        """Write the state at `step`; `sampled` is that step's (pressure,
-        diagnostics) when it was sampled, else None."""
-        if out_dir is None:
+        write_diag = base is not None and config.snapshot_diagnostics
+        if sampled or write_diag:
+            # eps None: the first sample fixes it from its own carrier
+            diag = diag_field(current.u, p, theta_now, eps=log.eps, grad_u=grad_u.pop(), hess_coeffs=hess_coeffs)
+            del hess_coeffs  # destroyed by diag_field; free it before the sup norms
+        if sampled:
+            log.eps = diag.eps
+            width = grid.n if write_diag else -(-grid.n // SUP_SLABS)
+            for name, per_region in _sup_norms(diag, current.u.values, masks, width).items():
+                for label, value in per_region.items():
+                    log.sup_norms.setdefault(name, {}).setdefault(label, []).append(value)
+        if base is None:
             return
-        base = out_dir / "snapshots" / f"snap_{step:06d}"
-        t = step * config.dt
+        if not write_diag:
+            diag = None  # free the grid diagnostics before the writes
         paths = list(save_field(Path(str(base) + "_velocity"), current.u, "velocity", t))
-        theta_now = current.theta if config.dim == 2 else None
         if theta_now is not None:
             paths.extend(save_field(Path(str(base) + "_temperature"), theta_now, "temperature", t))
-        if sampled is None:
-            sampled = pressure_and_diagnostics(current, theta_now, config.snapshot_diagnostics)
-        p_now, diag = sampled
-        paths.extend(save_field(Path(str(base) + "_pressure"), p_now, "pressure", t))
-        if config.snapshot_diagnostics:
+        paths.extend(save_field(Path(str(base) + "_pressure"), p, "pressure", t))
+        if write_diag:
             paths.extend(save_diagnostics(base, grid, diag, t))
         snapshots.extend(paths)
 
-    def sample(step: int, current, pos: np.ndarray, keep_diag: bool):
-        """Record the diagnostics of `current`; returns its (pressure,
-        diagnostics). The sup norms are read slab by slab, unless keep_diag
-        asks for the whole grid's quantities, which a snapshot then writes;
-        otherwise the grid diagnostics are dropped here."""
-        log.times.append(step * config.dt)
-        log.energy.append(solver.kinetic_energy(current.u))
-        theta_now = current.theta if config.dim == 2 else None
-        spectra = [current.u.spectral]
-        if theta_now is not None:
-            spectra.append(theta_now.spectral)
-            log.theta_l2.append(solver.scalar_l2_norm(theta_now))
-            low, high = log.theta_range
-            log.theta_range = [
-                min(low, float(np.min(theta_now.values))), max(high, float(np.max(theta_now.values)))
-            ]
-        log.tail_ratio.append(solver.spectral_tail_ratio(grid, *spectra))
-        if n_tracers:
-            log.positions.append(pos.copy())
-        p, diag = pressure_and_diagnostics(current, theta_now, pos=pos if n_tracers else None)
-        width = grid.n if keep_diag else -(-grid.n // SUP_SLABS)
-        if log.eps is None:
-            # vec_mag does not depend on eps, and nothing that does is read yet
-            vec_max = np.max([np.max(part.vec_mag) for _, part in diag.slabs(width)])
-            log.eps = diag.eps = 1e-12 * max(float(vec_max), 1.0)
-        for name, per_region in _sup_norms(diag, current.u.values, masks, width).items():
-            for label, value in per_region.items():
-                log.sup_norms.setdefault(name, {}).setdefault(label, []).append(value)
-        return p, (diag if keep_diag else None)
-
     for step_index in range(config.n_steps + 1):
         try:
-            want_snapshot = step_index in (0, config.n_steps) or (
+            sampled = step_index % config.sample_every == 0
+            snap = out_dir is not None and (step_index in (0, config.n_steps) or (
                 config.snapshot_every > 0 and step_index % config.snapshot_every == 0
-            )
-            sampled = None
-            if step_index % config.sample_every == 0:
-                keep_diag = want_snapshot and config.snapshot_diagnostics and out_dir is not None
-                sampled = sample(step_index, state, positions, keep_diag)
-            if want_snapshot:
-                take_snapshot(step_index, state, sampled)
-            del sampled  # free the sample's grid arrays before the RK4 step
+            ))
+            base = out_dir / "snapshots" / f"snap_{step_index:06d}" if snap else None
+            if sampled or base is not None:
+                # the sample's grid arrays are freed when it returns, before the RK4 step
+                observe(step_index, state, positions, sampled, base)
             if step_index == config.n_steps:
                 break
             if config.dim == 3:

@@ -4,8 +4,10 @@ verification of transport identities and growth bounds along trajectories.
 Positions are advanced with the same RK4 stages as the field solve, and all
 point values are taken from the trigonometric interpolant, which is exact
 for band-limited fields. Material derivatives along a trajectory are
-estimated with second-order finite differences of the sampled series, so
-identity residuals must shrink at order >= 2 under step refinement.
+estimated with finite differences of the sampled series: fourth-order
+central stencils in the interior by default (`dynamical_residuals`) and
+second-order one-sided ones at the ends, so identity residuals must shrink
+at order >= 2 under step refinement.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criteria import cumulative_trapezoid, uniform_step
+from .criteria import _lemma_integral, cumulative_trapezoid, uniform_step
 from .diagnostics import direction_quantities, negative_part, positive_part
 from .grid import GridSpec
 
@@ -266,10 +268,6 @@ class BoundCheck:
         return int(np.count_nonzero(~ok))
 
 
-def _double_cumtrapz(times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    return cumulative_trapezoid(times, cumulative_trapezoid(times, values))
-
-
 def growth_bound_check(record: TracerRecord, variant: str, tolerance: float) -> BoundCheck:
     """Quadrature the growth bound's right side and compare with the measured
     carrier magnitude along the trajectory.
@@ -298,11 +296,11 @@ def growth_bound_check(record: TracerRecord, variant: str, tolerance: float) -> 
             negative_part(s["align"]),
             np.where(s["active"], s["p_xi_mag"], 0.0),
         )
-        exponent = _double_cumtrapz(t, bracket)
+        exponent = _lemma_integral(t, bracket, "double")
         bound = (m0 + s0 * t) * np.exp(exponent)
     elif variant == "double-exp":
         alpha0 = float(s["alpha"][0])
-        exponent = alpha0 * t + _double_cumtrapz(t, positive_part(s["stretch_balance"]))
+        exponent = alpha0 * t + _lemma_integral(t, positive_part(s["stretch_balance"]), "double")
         bound = m0 * np.exp(exponent)
     elif variant == "damped":
         if record.kind != "euler":

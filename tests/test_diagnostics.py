@@ -13,6 +13,7 @@ from vortexlab.fields import (
     solve_pressure,
 )
 from vortexlab.identities import AlgebraicSample
+from vortexlab.pipeline import RunConfig, SampleLog, integrate
 from vortexlab.solver import initial_condition
 from vortexlab.tracers import diagnostics_series
 from vortexlab import diagnostics, identities
@@ -197,14 +198,13 @@ class TestEulerDirections:
         with pytest.raises(ValueError):
             direction_quantities(np.ones(3), np.zeros((3, 3)), np.zeros((3, 3)), eps=-1.0)
 
-    def test_eps_reset_until_first_dependent_read(self):
+    def test_eps_fixed_at_construction(self):
         S = np.diag([1.0, 0.0, -1.0])
-        d = direction_quantities(np.array([1e-3, 0.0, 0.0]), S, np.zeros((3, 3)), eps=0.0)
-        assert d.vec_mag == pytest.approx(1e-3)  # does not depend on eps
-        d.eps = 1e-2
-        assert np.all(d.xi == 0.0)
-        with pytest.raises(ValueError, match="fixed"):
+        d = direction_quantities(np.array([1e-3, 0.0, 0.0]), S, np.zeros((3, 3)), eps=1e-2)
+        with pytest.raises(AttributeError):
             d.eps = 0.0
+        assert d.eps == 1e-2
+        assert np.all(d.xi == 0.0)
 
 
 class TestBoussinesqDirections:
@@ -269,6 +269,21 @@ class TestDirectionInvariants:
 
 
 class TestDiagField:
+    @pytest.mark.parametrize("amplitude, above_one", [(0.25, False), (4.0, True)])
+    def test_default_eps_is_the_run_rule(self, amplitude, above_one):
+        """diag_field's own eps is the one a run fixes at its first sample,
+        1e-12 max(max |vec|, 1), for a carrier below 1 and for one above."""
+        config = RunConfig(
+            system="euler3d", n=16, dt=0.01, t_end=0.01, initial="taylor-green-3d", amplitude=amplitude
+        )
+        log = SampleLog()
+        integrate(config, log)
+        state = initial_condition(config.initial, config.grid(), amplitude=amplitude)
+        q = diag_field(state.u, solve_pressure(state.u))
+        vec_max = float(np.max(q.vec_mag))
+        assert (vec_max > 1.0) == above_one
+        assert q.eps == log.eps == 1e-12 * max(vec_max, 1.0)
+
     def test_zero_velocity_3d(self):
         g = GridSpec(3, 16)
         u = VectorField(g, np.zeros((3,) + g.shape))

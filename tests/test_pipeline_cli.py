@@ -98,6 +98,21 @@ class TestConfigParsing:
             (dict(regions=[Region("r", center=(1.0, float("nan")), radius=1.0)]), "center must be finite"),
             (dict(amplitude=float("inf")), "amplitude must be finite"),
             (dict(amplitude=float("nan")), "amplitude must be finite"),
+            (
+                dict(system="euler3d", initial="taylor-green-3d", tracer_points=np.zeros((2, 2))),
+                r"shape \(k >= 1, 3\)",
+            ),
+            (dict(tracer_points=np.zeros((0, 2))), "shape"),
+            (dict(tracer_points=np.zeros(2)), "shape"),
+            (dict(tracer_points=[[1.0, 2.0], [3.0]]), "rows of numbers"),
+            (dict(tracer_points=np.array([[1.0, np.nan], [2.0, 2.0]])), "points must be finite"),
+            (dict(tracer_points=np.array([[1.0, np.inf]])), "points must be finite"),
+            (dict(regions=[Region("global", center=(1.0, 2.0), radius=1.0)]), "'global'"),
+            (dict(regions=[Region("global")]), "'global'"),
+            (
+                dict(regions=[Region("r", center=(1.0, 2.0), radius=1.0), Region("r", center=(2.0, 1.0), radius=0.5)]),
+                "labels must differ",
+            ),
         ],
     )
     def test_invalid_configs(self, kwargs, message):
@@ -200,22 +215,42 @@ class TestPipelineRun:
                 system="boussinesq2d", n=32, dt=0.01, t_end=0.04, initial="boussinesq-bubble",
                 seed=1, tracer_count=3, sample_every=2, snapshot_every=2, snapshot_diagnostics=True,
             ),
+            # steps 1 and 5 do nothing, step 3 is a diagnostic snapshot only
+            RunConfig(
+                system="boussinesq2d", n=32, dt=0.01, t_end=0.06, initial="boussinesq-bubble",
+                seed=1, tracer_count=3, sample_every=2, snapshot_every=3, snapshot_diagnostics=True,
+            ),
+            # as above, with snapshots that write no diagnostics
+            RunConfig(
+                system="euler3d", n=16, dt=0.01, t_end=0.06, initial="taylor-green-3d",
+                seed=1, tracer_count=3, sample_every=2, snapshot_every=3,
+            ),
         ],
-        ids=["3d", "2d"],
+        ids=["3d", "2d", "2d-snapshot-only-steps", "3d-snapshot-only-steps"],
     )
     def test_one_pressure_solve_and_one_velocity_gradient_per_sample(
         self, config, tmp_path, monkeypatch
     ):
+        """Each sampled or snapshot step makes one gradient(u) and one
+        solve_pressure, and each sampled step or diagnostic snapshot one
+        diag_field; other steps make none of these calls."""
         import sys
 
-        from vortexlab import fields
+        from vortexlab import diagnostics, fields, solver
 
-        calls = {"solve_pressure": 0, "gradient(u)": 0}
+        calls = [[]]  # the calls of each step, in order
 
         def counting(name, fn, count_if=lambda *a: True):
             def wrapper(*args, **kwargs):
                 if count_if(*args):
-                    calls[name] += 1
+                    calls[-1].append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        def stepping(fn):
+            def wrapper(*args, **kwargs):
+                calls.append([])
                 return fn(*args, **kwargs)
 
             return wrapper
@@ -225,6 +260,9 @@ class TestPipelineRun:
             fields.gradient: counting(
                 "gradient(u)", fields.gradient, lambda f, *a: isinstance(f, fields.VectorField)
             ),
+            diagnostics.diag_field: counting("diag_field", diagnostics.diag_field),
+            solver.rk4_stages_euler: stepping(solver.rk4_stages_euler),
+            solver.rk4_stages_boussinesq: stepping(solver.rk4_stages_boussinesq),
         }
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "vortexlab":
@@ -233,9 +271,16 @@ class TestPipelineRun:
                         monkeypatch.setattr(module, key, wrapped[value])
 
         result = pipeline.run(config, output_dir=tmp_path / "out")
-        samples = len(result.times)
-        assert samples == config.n_steps // config.sample_every + 1
-        assert calls == {"solve_pressure": samples, "gradient(u)": samples}
+        expected = []
+        for step in range(config.n_steps + 1):
+            sampled = step % config.sample_every == 0
+            snapshot = step in (0, config.n_steps) or step % config.snapshot_every == 0
+            expected.append(
+                ["gradient(u)", "solve_pressure"] * (sampled or snapshot)
+                + ["diag_field"] * (sampled or (snapshot and config.snapshot_diagnostics))
+            )
+        assert calls == expected
+        assert len(result.times) == config.n_steps // config.sample_every + 1
 
     def test_bound_checks_do_not_depend_on_tracer_order(self):
         # just off the vorticity peak of Taylor-Green |S xi| is tiny, so the
@@ -388,6 +433,13 @@ class TestCli:
             ("3.14159, 3.14159 ; 1.0", "0.01, 0.01 ; 0.0001"),
             ("3.14159, 3.14159 ; 1.0", "3.14159, 3.14159 ; nan"),
             ("3.14159, 3.14159 ; 1.0", "nan, 3.14159 ; 1.0"),
+            ("count = 4", "points = 1.0, nan ; 2.0, 2.0"),
+            ("count = 4", "points = 1.0, inf ; 2.0, 2.0"),
+            ("count = 4", "points = 1.0, 2.0, 3.0"),
+            ("count = 4", "points = 1.0, 2.0 ; 3.0"),
+            ("count = 4", "points = ;"),
+            ("ball1 = ", "global = "),
+            ("ball1 = ", "Global = "),
         ],
     )
     def test_values_that_parse_but_cannot_run_exit_2(self, tmp_path, capsys, old, new):

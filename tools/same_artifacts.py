@@ -1,0 +1,88 @@
+"""Compare the run artifacts of this tree and another, byte for byte.
+
+    python3 tools/same_artifacts.py OTHER_TREE
+
+For each tree, in its own Python process with that tree's `src` first on the
+path, runs `pipeline.load_config` and `pipeline.run` on the same configuration
+files: the run workloads of `benchmarks/workloads.py` (`config_text(seed)`)
+at seeds 0 and 11, and the every-key configurations beside this script. Then
+compares every file written by sha256, names each file that differs or that
+only one tree wrote, and exits 1 on any difference, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEEDS = (0, 11)
+EVERY_KEY = sorted(Path(__file__).resolve().parent.glob("every_key_*.ini"))
+
+# argv: the tree's src, the output directory and the config files; each
+# config's artifacts go to the directory named after its stem
+RUN = """
+import sys
+from pathlib import Path
+import vortexlab
+from vortexlab import pipeline
+assert Path(vortexlab.__file__).resolve().is_relative_to(sys.argv[1]), vortexlab.__file__
+for path in map(Path, sys.argv[3:]):
+    pipeline.run(pipeline.load_config(path), Path(sys.argv[2]) / path.stem)
+"""
+
+
+def workload_configs(directory: Path) -> list[Path]:
+    """The config files of the run workloads at SEEDS, written to `directory`."""
+    sys.path.insert(0, str(ROOT / "benchmarks"))
+    from workloads import WORKLOADS
+
+    paths = []
+    for workload in WORKLOADS.values():
+        for seed in SEEDS if workload.kind == "run" else ():
+            path = directory / f"{workload.name}-seed{seed}.ini"
+            path.write_text(workload.config_text(seed))
+            paths.append(path)
+    return paths
+
+
+def artifacts(tree: Path, configs: list[Path], out: Path) -> dict:
+    """{path relative to `out`: sha256} of the runs of `configs` in `tree`."""
+    src = str(Path(tree).resolve() / "src")
+    command = [sys.executable, "-c", RUN, src, str(out), *map(str, configs)]
+    subprocess.run(command, env=dict(os.environ, PYTHONPATH=src), check=True)
+    return {
+        str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*"))
+        if path.is_file()
+    }
+
+
+def compare(tree: Path, other: Path, configs: list[Path], scratch: Path) -> tuple[int, list[str]]:
+    """(files compared, the sorted names of those that differ)."""
+    mine = artifacts(tree, configs, scratch / "tree")
+    theirs = artifacts(other, configs, scratch / "other")
+    names = mine.keys() | theirs.keys()
+    return len(names), sorted(name for name in names if mine.get(name) != theirs.get(name))
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("other", type=Path, help="root of the tree to compare with this one")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        configs = workload_configs(Path(tmp)) + EVERY_KEY
+        count, differ = compare(ROOT, args.other, configs, Path(tmp))
+    for name in differ:
+        print(f"differs: {name}")
+    print(f"{count} files compared, {len(differ)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
