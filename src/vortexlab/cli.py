@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Subcommands: run (simulate + monitor), check-identities (randomized
-algebraic suite), gronwall (comparison-lemma verification), report
-(re-render a run report as tables/CSV). Exit codes: 0 success,
+Subcommands: run (simulate + monitor, then print the report's tables as
+report does), check-identities (randomized algebraic suite), gronwall
+(comparison-lemma verification), report (re-render a run report as
+tables/CSV). Exit codes: 0 success,
 1 verification failure, 2 configuration error. Every input error of run,
 check-identities and gronwall, in a file or in an option, exits 2 with
 "configuration error: ...".
@@ -94,34 +95,22 @@ def _cmd_run(args) -> int:
     config = pipeline.load_config(args.config)
     output = Path(args.output) if args.output else Path("run-out")
     result = pipeline.run(config, output_dir=output)
-    report = result.report
     print(f"run complete: {config.system}, n={config.n}, t_end={config.t_end:g}")
     print(f"output: {result.output_dir}")
-    print(f"under-resolved: {report['under_resolved']}")
-    for entry in report["criteria"]:
-        print(
-            f"criterion {entry['name']:26s} region={entry['region']:8s} "
-            f"value={storage.format_float(entry['value'])}"
-        )
-    for entry in report["type_one"]:
-        print(
-            f"type-I    {entry['name']:26s} region={entry['region']:8s} "
-            f"window_max={storage.format_float(entry['window_max'])} "
-            f"threshold={entry['threshold']:g} -> {entry['verdict']}"
-        )
-    for variant, agg in report["bound_checks"].items():
-        print(
-            f"bound     {variant:26s} min_margin={storage.format_float(agg['min_margin'])} "
-            f"violations={agg['violations']}"
-        )
+    # as report.json holds it: a non-finite value is None
+    _print_report(storage.finite_or_null(result.report))
     return EXIT_OK
 
 
 def _cmd_check_identities(args) -> int:
     if args.count < 1:
         raise pipeline.ConfigError("count must be >= 1")
+    if args.seed < 0:
+        raise pipeline.ConfigError("seed must be nonnegative")
     if args.scale == 0 or not np.isfinite(args.scale):
         raise pipeline.ConfigError("scale must be finite and nonzero")
+    if not 0 <= args.tolerance < np.inf:
+        raise pipeline.ConfigError("tolerance must be finite and nonnegative")
     report = identities.run_identity_suite(
         count=args.count,
         dim=args.dim,
@@ -181,6 +170,8 @@ def _gronwall_spec(parser) -> dict:
         spec["seed"] = int(parser["batch"].get("seed", 0))
         if spec["count"] < 1:
             raise pipeline.ConfigError("batch count must be >= 1")
+        if spec["seed"] < 0:
+            raise pipeline.ConfigError("batch seed must be nonnegative")
         return spec
     times = spec["times"]
     spec["alpha"] = _parse_profile(sec.get("alpha", "1.0"), times)
@@ -251,13 +242,8 @@ def _report_number(value, spec: str = ".17g") -> str:
     return "non-finite" if value is None else format(float(value), spec)
 
 
-def _cmd_report(args) -> int:
-    path = Path(args.rundir)
-    report_path = path if path.suffix == ".json" else path / "report.json"
-    if not report_path.exists():
-        raise pipeline.ConfigError(f"no report found at {report_path}")
-    report = storage.read_json(report_path)
-
+def _print_report(report: dict) -> None:
+    """The tables of a run report as report.json holds it."""
     print(f"system: {report['system']}   grid n={report['grid']['n']}   dt={report['time']['dt']:g}")
     print(f"candidate time: {report['candidate_time']:g}   under-resolved: {report['under_resolved']}")
     print()
@@ -290,12 +276,20 @@ def _cmd_report(args) -> int:
     if report.get("bound_checks"):
         print()
         print("growth-bound margins along tracers:")
-        for variant, agg in report["bound_checks"].items():
+        for variant, agg in sorted(report["bound_checks"].items()):  # report.json's order
             print(
                 f"  {variant:26s} min_margin={_report_number(agg['min_margin'], '.6e')} "
                 f"violations={agg['violations']} tol={agg['tolerance']:.3e}"
             )
 
+
+def _cmd_report(args) -> int:
+    path = Path(args.rundir)
+    report_path = path if path.suffix == ".json" else path / "report.json"
+    if not report_path.exists():
+        raise pipeline.ConfigError(f"no report found at {report_path}")
+    report = storage.read_json(report_path)
+    _print_report(report)
     if args.csv_dir:
         csv_dir = Path(args.csv_dir)
         times = np.asarray(report["series"]["times"], dtype=float)

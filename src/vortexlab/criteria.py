@@ -124,10 +124,6 @@ class TypeIMonitor:
     verdict: str
     region: str
 
-    @property
-    def satisfied(self) -> bool:
-        return self.verdict == VERDICT_SATISFIED
-
     def to_dict(self) -> dict:
         return fields_to_json(self)
 
@@ -294,15 +290,13 @@ class GronwallReport:
         return fields_to_json(self)
 
 
-def verify_gronwall(
-    problem: GronwallProblem, rtol: float = 1e-6, oracle_refine: int = 8
-) -> GronwallReport:
+def verify_gronwall(problem: GronwallProblem, rtol: float = 1e-6) -> GronwallReport:
     """Bound the supplied y (or the equality-case oracle) and check domination."""
     bound = gronwall_bound(problem)
     y = problem.y
     notes = []
     if y is None:
-        y = gronwall_oracle(problem, refine=oracle_refine)
+        y = gronwall_oracle(problem, refine=8)
         notes.append("y not supplied; using the equality-case oracle")
         hypothesis_ok = True
     else:

@@ -82,7 +82,7 @@ class RunConfig:
     snapshot_diagnostics: bool = _setting("time", default=False)
     sample_every: int = _setting("time", default=1)
     cfl_guard: float | None = _setting("time", default=None)
-    # `points` sets the count; every key of [regions] is a region's label
+    # with `points`, a count of 0 reads as their number; [regions] keys are labels
     tracer_count: int = _setting("tracers", "count", default=0)
     tracer_points: np.ndarray | None = _setting("tracers", "points", default=None)
     regions: list = _setting("regions", default_factory=list)
@@ -120,6 +120,9 @@ class RunConfig:
                 raise ConfigError(f"tracer points must have shape (k >= 1, {self.dim}), got {points.shape}")
             if not np.all(np.isfinite(points)):
                 raise ConfigError("tracer points must be finite")
+            if self.tracer_count not in (0, len(points)):
+                raise ConfigError(f"tracer count {self.tracer_count} differs from the {len(points)} points")
+            self.tracer_count = len(points)
         if round(steps) % self.sample_every != 0:
             raise ConfigError("sample_every must divide the number of steps")
         if self.candidate_time is None:
@@ -136,8 +139,10 @@ class RunConfig:
             raise ConfigError(f"invalid grid: {exc}") from exc
         if self.initial not in solver.INITIAL_CONDITIONS:
             raise ConfigError(
-                f"unknown initial condition {self.initial!r}; choose from {solver.INITIAL_CONDITIONS}"
+                f"unknown initial condition {self.initial!r}; choose from {tuple(solver.INITIAL_CONDITIONS)}"
             )
+        if self.dim not in solver.INITIAL_CONDITIONS[self.initial]:
+            raise ConfigError(f"initial condition {self.initial!r} does not fit {self.system}")
         labels = [region.label for region in self.regions]
         if "global" in labels:
             raise ConfigError("region label 'global' is reserved for the whole box")
@@ -202,9 +207,9 @@ def load_config(path: str | Path) -> RunConfig:
 
     The sections are [run], [grid], [time], [initial], [tracers], [regions]
     and [criteria]. The declaration of RunConfig is the list of keys: each
-    field names its section and key. [tracers] takes `count` or `points`
-    ("x, y[, z] ; ..."), and each key of [regions] is a label, set to
-    "c1, c2[, c3] ; radius". Any defect raises ConfigError.
+    field names its section and key. [tracers] takes `count`, `points`
+    ("x, y[, z] ; ...") or both if they agree, and each key of [regions] is a
+    label, set to "c1, c2[, c3] ; radius". Any defect raises ConfigError.
     """
     return read_config(path, _config_from)
 
@@ -216,6 +221,7 @@ _PARSE = {
     "float": float,
     "float | None": float,
     "bool": lambda text: text.lower() in ("1", "true", "yes"),
+    "np.ndarray | None": _parse_points,
 }
 
 
@@ -223,7 +229,7 @@ def _config_from(parser: configparser.ConfigParser) -> RunConfig:
     values = {}
     for f in fields(RunConfig):
         section, key = f.metadata["section"], f.metadata["key"] or f.name
-        if section in ("tracers", "regions"):
+        if section == "regions":
             continue  # read below
         text = parser.get(section, key, fallback=None)
         if text is None:
@@ -234,14 +240,6 @@ def _config_from(parser: configparser.ConfigParser) -> RunConfig:
             values[f.name] = _PARSE[f.type](text)
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key} must be {f.type}, got {text!r}") from exc
-
-    if parser.has_section("tracers"):
-        sec = parser["tracers"]
-        if "points" in sec:
-            values["tracer_points"] = _parse_points(sec["points"])
-            values["tracer_count"] = len(values["tracer_points"])
-        else:
-            values["tracer_count"] = int(sec.get("count", 0))
 
     regions = values["regions"] = []
     if parser.has_section("regions"):
@@ -373,7 +371,7 @@ def integrate(config: RunConfig, log: SampleLog, out_dir: Path | None = None):
             config.initial, grid, seed=config.seed, amplitude=config.amplitude, band=config.band
         )
     except ValueError as exc:
-        # a start that does not fit the system
+        # a start that cannot be built, as when its amplitude overflows
         raise ConfigError(str(exc)) from exc
     stepper = solver.StepperConfig(dt=config.dt, cfl_guard=config.cfl_guard)
     masks = _region_masks(grid, config.all_regions())

@@ -23,13 +23,17 @@ import numpy as np
 from .fields import ScalarField, VectorField, project_spectral
 from .grid import GridSpec
 
-INITIAL_CONDITIONS = (
-    "taylor-green-3d",
-    "taylor-green-2d",
-    "taylor-green-2d-embedded",
-    "boussinesq-bubble",
-    "random-band-limited",
-)
+# Each named start and the grid dimensions it is defined on: 3 for the Euler
+# system, 2 for the Boussinesq one. `initial_condition` and `RunConfig` check
+# a start against this table, so a new start is one entry here and one branch
+# in `initial_condition`.
+INITIAL_CONDITIONS = {
+    "taylor-green-3d": (3,),
+    "taylor-green-2d": (2,),
+    "taylor-green-2d-embedded": (3,),
+    "boussinesq-bubble": (2,),
+    "random-band-limited": (2, 3),
+}
 
 
 class SolverError(RuntimeError):
@@ -271,6 +275,17 @@ def step_boussinesq(state: BoussinesqState, config: StepperConfig) -> Boussinesq
     return new_state
 
 
+def _rescale(values: np.ndarray, amplitude: float, peak: float) -> None:
+    """values *= amplitude / peak in place, unless peak is 0; a factor that
+    overflows raises ValueError."""
+    if peak > 0:
+        with np.errstate(over="ignore"):
+            factor = amplitude / peak
+        if not np.isfinite(factor):
+            raise ValueError(f"amplitude {amplitude!r} overflows the start's samples")
+        values *= factor
+
+
 def initial_condition(
     name: str,
     grid: GridSpec,
@@ -278,12 +293,15 @@ def initial_condition(
     amplitude: float = 1.0,
     band: int = 3,
 ):
-    """Named divergence-free, band-limited initial states."""
+    """Named divergence-free, band-limited initial states: an EulerState on a
+    3D grid, a BoussinesqState on a 2D one."""
+    if name not in INITIAL_CONDITIONS:
+        raise ValueError(f"unknown initial condition {name!r}; choose from {tuple(INITIAL_CONDITIONS)}")
+    if grid.dim not in INITIAL_CONDITIONS[name]:
+        raise ValueError(f"{name} is not defined on a {grid.dim}D grid")
     # the coordinates as in `grid.coords`, but not cached on the grid for the run
     x = np.meshgrid(*([grid.axis_coords] * grid.dim), indexing="ij")
     if name == "taylor-green-3d":
-        if grid.dim != 3:
-            raise ValueError("taylor-green-3d requires a 3D grid")
         u = amplitude * np.stack(
             [
                 np.sin(x[0]) * np.cos(x[1]) * np.cos(x[2]),
@@ -291,10 +309,7 @@ def initial_condition(
                 np.zeros(grid.shape),
             ]
         )
-        return EulerState(time=0.0, u=VectorField(grid, u))
-    if name == "taylor-green-2d-embedded":
-        if grid.dim != 3:
-            raise ValueError("taylor-green-2d-embedded requires a 3D grid")
+    elif name == "taylor-green-2d-embedded":
         u = amplitude * np.stack(
             [
                 np.cos(x[0]) * np.sin(x[1]),
@@ -302,20 +317,13 @@ def initial_condition(
                 np.zeros(grid.shape),
             ]
         )
-        return EulerState(time=0.0, u=VectorField(grid, u))
-    if name == "taylor-green-2d":
-        if grid.dim != 2:
-            raise ValueError("taylor-green-2d requires a 2D grid")
+    elif name == "taylor-green-2d":
         u = amplitude * np.stack([np.cos(x[0]) * np.sin(x[1]), -np.sin(x[0]) * np.cos(x[1])])
-        theta = ScalarField(grid, np.zeros(grid.shape))
-        return BoussinesqState(time=0.0, u=VectorField(grid, u), theta=theta)
-    if name == "boussinesq-bubble":
-        if grid.dim != 2:
-            raise ValueError("boussinesq-bubble requires a 2D grid")
-        u = VectorField(grid, np.zeros((2,) + grid.shape))
-        theta = ScalarField(grid, amplitude * np.sin(x[0]) * np.sin(x[1]))
-        return BoussinesqState(time=0.0, u=u, theta=theta)
-    if name == "random-band-limited":
+        theta = np.zeros(grid.shape)
+    elif name == "boussinesq-bubble":
+        u = np.zeros((2,) + grid.shape)
+        theta = amplitude * np.sin(x[0]) * np.sin(x[1])
+    else:  # random-band-limited
         if seed is None:
             raise ValueError("random-band-limited requires a seed")
         rng = np.random.default_rng(seed)
@@ -330,18 +338,14 @@ def initial_condition(
         uh *= mask
         project_spectral(grid, uh)
         u = grid.ifftn(uh)
-        umax = np.max(np.sqrt(np.sum(u**2, axis=0)))
-        if umax > 0:
-            u *= amplitude / umax
-        if grid.dim == 3:
-            return EulerState(time=0.0, u=VectorField(grid, u))
-        th = grid.fftn(rng.standard_normal(grid.shape)) * mask
-        theta = grid.ifftn(th)
-        tmax = np.max(np.abs(theta))
-        if tmax > 0:
-            theta *= amplitude / tmax
-        return BoussinesqState(time=0.0, u=VectorField(grid, u), theta=ScalarField(grid, theta))
-    raise ValueError(f"unknown initial condition {name!r}; choose from {INITIAL_CONDITIONS}")
+        _rescale(u, amplitude, np.max(np.sqrt(np.sum(u**2, axis=0))))
+        if grid.dim == 2:
+            th = grid.fftn(rng.standard_normal(grid.shape)) * mask
+            theta = grid.ifftn(th)
+            _rescale(theta, amplitude, np.max(np.abs(theta)))
+    if grid.dim == 3:
+        return EulerState(time=0.0, u=VectorField(grid, u))
+    return BoussinesqState(time=0.0, u=VectorField(grid, u), theta=ScalarField(grid, theta))
 
 
 def kinetic_energy(u: VectorField) -> float:

@@ -182,14 +182,14 @@ def _valid_window(active: np.ndarray, halfwidth: int = 2) -> np.ndarray:
     return ok
 
 
-def dynamical_residuals(record: TracerRecord, accuracy: int = 4) -> dict[str, np.ndarray]:
+def dynamical_residuals(record: TracerRecord) -> dict[str, np.ndarray]:
     """Residual series of the transport identities along one trajectory.
 
     Each residual is (finite-difference estimate of the left side) minus the
     sampled right side; entries are NaN where the carrier vector degenerates
-    within the stencil. Interior estimates use stencils of the requested
-    accuracy (4 by default, 2 when fewer than 7 samples exist), so residuals
-    vanish under step refinement well above the required second order. Keys:
+    within the stencil. Interior estimates use stencils of accuracy 4 (2 when
+    fewer than 7 samples exist), so residuals vanish under step refinement
+    well above the required second order. Keys:
 
     * vec_transport:    rate of the carrier vector minus its stretching
     * vec_mag_rate:     rate of |vec| minus alpha |vec|
@@ -199,8 +199,7 @@ def dynamical_residuals(record: TracerRecord, accuracy: int = 4) -> dict[str, np
     """
     s = record.series
     dt = record.dt
-    if record.times.size < 7:
-        accuracy = 2
+    accuracy = 4 if record.times.size >= 7 else 2
     halfwidth = accuracy // 2 + 1
     valid = _valid_window(s["active"], halfwidth)
     valid_stretch = _valid_window(s["active"] & s["stretch_active"], halfwidth)
@@ -235,12 +234,12 @@ def dynamical_residuals(record: TracerRecord, accuracy: int = 4) -> dict[str, np
     }
 
 
-def residual_summary(residuals: dict[str, np.ndarray], interior_only: bool = True) -> dict[str, float]:
+def residual_summary(residuals: dict[str, np.ndarray]) -> dict[str, float]:
     """Max |residual| per identity, skipping the lower-order end stencils."""
     out = {}
     for name, series in residuals.items():
         margin = 3 if series.shape[0] > 6 else 2
-        window = series[margin:-margin] if interior_only and series.shape[0] > 2 * margin else series
+        window = series[margin:-margin] if series.shape[0] > 2 * margin else series
         out[name] = float(np.nanmax(np.abs(window))) if np.any(np.isfinite(window)) else 0.0
     return out
 

@@ -147,7 +147,7 @@ BASE = {
     "run": {"system": "euler3d"},
     "grid": {"n": "16"},
     "time": {"dt": "0.01", "t_end": "0.04"},
-    "initial": {"name": "taylor-green-3d"},
+    "initial": {"name": "random-band-limited"},
 }
 
 # field name -> (text in the file, loaded value), none of them a default
@@ -156,7 +156,7 @@ NON_DEFAULT = {
     "n": ("24", 24),
     "dt": ("0.02", 0.02),
     "t_end": ("0.08", 0.08),
-    "initial": ("boussinesq-bubble", "boussinesq-bubble"),
+    "initial": ("taylor-green-3d", "taylor-green-3d"),
     "seed": ("7", 7),
     "dealias": ("0.6", 0.6),
     "length": ("3.0", 3.0),

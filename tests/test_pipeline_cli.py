@@ -107,6 +107,9 @@ class TestConfigParsing:
             (dict(tracer_points=[[1.0, 2.0], [3.0]]), "rows of numbers"),
             (dict(tracer_points=np.array([[1.0, np.nan], [2.0, 2.0]])), "points must be finite"),
             (dict(tracer_points=np.array([[1.0, np.inf]])), "points must be finite"),
+            (dict(tracer_count=5, tracer_points=np.zeros((2, 2))), "tracer count 5 differs"),
+            (dict(system="euler3d", initial="boussinesq-bubble"), "does not fit euler3d"),
+            (dict(initial="taylor-green-3d"), "does not fit boussinesq2d"),
             (dict(regions=[Region("global", center=(1.0, 2.0), radius=1.0)]), "'global'"),
             (dict(regions=[Region("global")]), "'global'"),
             (
@@ -122,6 +125,14 @@ class TestConfigParsing:
         base.update(kwargs)
         with pytest.raises(ConfigError, match=message):
             RunConfig(**base)
+
+    def test_points_set_the_default_count(self):
+        cfg = RunConfig(
+            system="boussinesq2d", n=32, dt=0.01, t_end=0.1, initial="boussinesq-bubble",
+            tracer_points=[[1.0, 2.0], [3.0, 4.0]],
+        )
+        assert cfg.tracer_count == 2
+        assert cfg.to_echo()["tracer_count"] == 2
 
 
 class TestPipelineRun:
@@ -322,6 +333,29 @@ class TestCli:
         assert "criterion" in captured
         assert (tmp_path / "csv" / "criterion_alignment_negative_global.csv").exists()
 
+    def test_run_prints_what_report_prints(self, bubble_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", str(bubble_config), "-o", str(out)]) == 0
+        run_lines = capsys.readouterr().out.splitlines()
+        assert main(["report", str(out)]) == 0
+        assert run_lines[0].startswith("run complete: boussinesq2d")
+        assert run_lines[1] == f"output: {out}"
+        assert run_lines[2:] == capsys.readouterr().out.splitlines()
+
+    def test_run_prints_a_non_finite_value_as_report_does(self, bubble_config, tmp_path, capsys, monkeypatch):
+        analyse = pipeline.analyse
+
+        def overflowed(config, log):
+            report, records = analyse(config, log)
+            report["criteria"][0]["value"] = np.inf
+            return report, records
+
+        monkeypatch.setattr(pipeline, "analyse", overflowed)
+        assert main(["run", str(bubble_config), "-o", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out
+        assert out.count("non-finite") == 1
+        assert "inf" not in out.replace("non-finite", "")
+
     def test_report_renders_null_values(self, bubble_config, tmp_path, capsys):
         # write_json stores a non-finite value as null; the report reads it back
         out = tmp_path / "out"
@@ -440,6 +474,9 @@ class TestCli:
             ("count = 4", "points = ;"),
             ("ball1 = ", "global = "),
             ("ball1 = ", "Global = "),
+            ("count = 4", "count = 3\npoints = 1.0, 2.0 ; 3.0, 4.0"),
+            # amplitude / max|u| overflows: once a RuntimeWarning, then non-finite samples
+            ("name = boussinesq-bubble", "name = random-band-limited\namplitude = 1e308\nband = 1"),
         ],
     )
     def test_values_that_parse_but_cannot_run_exit_2(self, tmp_path, capsys, old, new):
@@ -496,6 +533,15 @@ class TestCli:
     def test_check_identities_bad_scale_exits_2(self, capsys, scale):
         # every sample would be skipped or NaN, and all checks would read PASS
         assert main(["check-identities", "--count", "100", f"--scale={scale}"]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "option", ["--seed=-1", "--tolerance=nan", "--tolerance=-1", "--tolerance=inf"]
+    )
+    def test_check_identities_bad_seed_or_tolerance_exits_2(self, capsys, option):
+        # a negative seed once ended in a traceback; a tolerance below 0 or NaN
+        # marked every check FAIL
+        assert main(["check-identities", "--count", "10", option]) == 2
         assert "configuration error" in capsys.readouterr().err
 
     def test_check_identities_negative_scale_passes(self, capsys):
@@ -567,6 +613,7 @@ class TestCli:
             "[gronwall]\nsamples = 3.5\n",
             "[gronwall]\nvariant = double\n\n[batch]\ncount = 0\n",
             "[gronwall]\nt_end = nan\n",
+            "[gronwall]\nvariant = double\n\n[batch]\nseed = -1\n",
         ],
     )
     def test_gronwall_bad_spec_exits_2(self, tmp_path, capsys, spec):

@@ -1,6 +1,7 @@
 """Smoke tests of tools/same_artifacts.py, the byte-identity check of two trees."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -11,10 +12,24 @@ spec.loader.exec_module(same_artifacts)
 
 def test_the_tree_matches_itself_on_the_every_key_configs(tmp_path):
     assert [path.stem for path in same_artifacts.EVERY_KEY] == ["every_key_2d", "every_key_3d"]
-    count, differ = same_artifacts.compare(ROOT, ROOT, same_artifacts.EVERY_KEY, tmp_path)
+    count, differ = same_artifacts.compare(ROOT, ROOT, same_artifacts.EVERY_KEY, tmp_path, cli=False)
     assert differ == []
     # per config: report, manifest, tracer CSVs and five snapshots with diagnostics
     assert count > 2 * (2 + 3 + 5 * 18)
+
+
+def test_the_tree_matches_itself_on_the_cli_json(tmp_path):
+    assert [path.stem for path in same_artifacts.GRONWALL_SPECS] == ["gronwall_batch", "gronwall_single"]
+    count, differ = same_artifacts.compare(ROOT, ROOT, [], tmp_path)
+    assert differ == []
+    written = sorted(path.name for path in (tmp_path / "tree" / "cli").iterdir())
+    assert written == [
+        "check-identities-2d.json", "check-identities-3d.json", "gronwall_batch.json", "gronwall_single.json"
+    ]
+    assert count == len(written)
+    for dim in (2, 3):
+        report = json.loads((tmp_path / "tree" / "cli" / f"check-identities-{dim}d.json").read_text())
+        assert report["count"] == 20_000 and "elapsed_seconds" not in report
 
 
 def _stub_tree(root: Path, files: dict) -> Path:
@@ -37,5 +52,5 @@ def test_differing_and_one_sided_files_are_named(tmp_path):
     other = _stub_tree(tmp_path / "b", {"same": "x", "changed": "2", "theirs": "t"})
     config = tmp_path / "run.ini"
     config.write_text("")
-    count, differ = same_artifacts.compare(tree, other, [config], tmp_path / "out")
+    count, differ = same_artifacts.compare(tree, other, [config], tmp_path / "out", cli=False)
     assert (count, differ) == (4, ["run/changed", "run/mine", "run/theirs"])

@@ -4,8 +4,10 @@ import pytest
 from vortexlab.grid import GridSpec
 from vortexlab.fields import ScalarField, VectorField, max_divergence, project_spectral
 from vortexlab.solver import (
+    INITIAL_CONDITIONS,
     BoussinesqState,
     CflError,
+    EulerState,
     NonFiniteStateError,
     StepperConfig,
     initial_condition,
@@ -50,6 +52,20 @@ class TestInitialConditions:
             initial_condition("taylor-green-3d", GridSpec(2, 16))
         with pytest.raises(ValueError):
             initial_condition("boussinesq-bubble", GridSpec(3, 16))
+
+    @pytest.mark.parametrize("name", list(INITIAL_CONDITIONS))
+    def test_each_start_builds_on_exactly_its_dimensions(self, name):
+        for dim in (2, 3):
+            grid = GridSpec(dim, 16)
+            if dim not in INITIAL_CONDITIONS[name]:
+                with pytest.raises(ValueError, match="not defined on a"):
+                    initial_condition(name, grid, seed=3)
+                continue
+            st = initial_condition(name, grid, seed=3)
+            assert isinstance(st, EulerState if dim == 3 else BoussinesqState)
+            assert st.u.values.shape == (dim,) + grid.shape
+            worst, _ = max_divergence(st.u)
+            assert worst <= 1e-12
 
 
 class TestEulerStepping:

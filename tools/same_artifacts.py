@@ -1,13 +1,16 @@
-"""Compare the run artifacts of this tree and another, byte for byte.
+"""Compare the run artifacts and CLI JSON of this tree and another, byte for byte.
 
     python3 tools/same_artifacts.py OTHER_TREE
 
 For each tree, in its own Python process with that tree's `src` first on the
 path, runs `pipeline.load_config` and `pipeline.run` on the same configuration
 files: the run workloads of `benchmarks/workloads.py` (`config_text(seed)`)
-at seeds 0 and 11, and the every-key configurations beside this script. Then
-compares every file written by sha256, names each file that differs or that
-only one tree wrote, and exits 1 on any difference, 0 otherwise.
+at seeds 0 and 11, and the every-key configurations beside this script. In a
+second process it writes the JSON of `vortexlab gronwall --json` on the specs
+beside this script (gronwall_*.ini) and of `vortexlab check-identities --json`
+in 2D and 3D at 20,000 samples, without the wall-clock `elapsed_seconds`.
+Then compares every file written by sha256, names each file that differs or
+that only one tree wrote, and exits 1 on any difference, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (0, 11)
 EVERY_KEY = sorted(Path(__file__).resolve().parent.glob("every_key_*.ini"))
+GRONWALL_SPECS = sorted(Path(__file__).resolve().parent.glob("gronwall_*.ini"))
 
 # argv: the tree's src, the output directory and the config files; each
 # config's artifacts go to the directory named after its stem
@@ -34,6 +38,26 @@ from vortexlab import pipeline
 assert Path(vortexlab.__file__).resolve().is_relative_to(sys.argv[1]), vortexlab.__file__
 for path in map(Path, sys.argv[3:]):
     pipeline.run(pipeline.load_config(path), Path(sys.argv[2]) / path.stem)
+"""
+
+# argv: the tree's src, the output directory and the gronwall specs; the JSON
+# goes to cli/ in the output directory
+CLI = """
+import json
+import sys
+from pathlib import Path
+import vortexlab
+from vortexlab.cli import main
+assert Path(vortexlab.__file__).resolve().is_relative_to(sys.argv[1]), vortexlab.__file__
+out = Path(sys.argv[2]) / "cli"
+for path in map(Path, sys.argv[3:]):
+    main(["gronwall", str(path), "--json", str(out / f"{path.stem}.json")])
+for dim in (2, 3):
+    path = out / f"check-identities-{dim}d.json"
+    main(["check-identities", "--dim", str(dim), "--count", "20000", "--json", str(path)])
+    report = json.loads(path.read_text())
+    del report["elapsed_seconds"]
+    path.write_text(json.dumps(report, indent=2, sort_keys=True))
 """
 
 
@@ -51,11 +75,15 @@ def workload_configs(directory: Path) -> list[Path]:
     return paths
 
 
-def artifacts(tree: Path, configs: list[Path], out: Path) -> dict:
-    """{path relative to `out`: sha256} of the runs of `configs` in `tree`."""
+def artifacts(tree: Path, configs: list[Path], out: Path, cli: bool) -> dict:
+    """{path relative to `out`: sha256} of the runs of `configs` in `tree`,
+    and of its CLI JSON if `cli`."""
     src = str(Path(tree).resolve() / "src")
-    command = [sys.executable, "-c", RUN, src, str(out), *map(str, configs)]
-    subprocess.run(command, env=dict(os.environ, PYTHONPATH=src), check=True)
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", RUN, src, str(out), *map(str, configs)], env=env, check=True)
+    if cli:
+        command = [sys.executable, "-c", CLI, src, str(out), *map(str, GRONWALL_SPECS)]
+        subprocess.run(command, env=env, check=True, stdout=subprocess.DEVNULL)
     return {
         str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.rglob("*"))
@@ -63,10 +91,12 @@ def artifacts(tree: Path, configs: list[Path], out: Path) -> dict:
     }
 
 
-def compare(tree: Path, other: Path, configs: list[Path], scratch: Path) -> tuple[int, list[str]]:
+def compare(
+    tree: Path, other: Path, configs: list[Path], scratch: Path, cli: bool = True
+) -> tuple[int, list[str]]:
     """(files compared, the sorted names of those that differ)."""
-    mine = artifacts(tree, configs, scratch / "tree")
-    theirs = artifacts(other, configs, scratch / "other")
+    mine = artifacts(tree, configs, scratch / "tree", cli)
+    theirs = artifacts(other, configs, scratch / "other", cli)
     names = mine.keys() | theirs.keys()
     return len(names), sorted(name for name in names if mine.get(name) != theirs.get(name))
 
