@@ -5,8 +5,8 @@ report does), check-identities (randomized algebraic suite), gronwall
 (comparison-lemma verification), report (re-render a run report as
 tables/CSV). Exit codes: 0 success,
 1 verification failure, 2 configuration error. Every input error of run,
-check-identities and gronwall, in a file or in an option, exits 2 with
-"configuration error: ...".
+check-identities, gronwall and report, in a file or in an option, exits 2
+with "configuration error: ...".
 """
 
 from __future__ import annotations
@@ -283,34 +283,42 @@ def _print_report(report: dict) -> None:
             )
 
 
+def _write_report_csvs(report: dict, csv_dir: Path) -> None:
+    """Write the criterion and type-I series of a run report as CSV files in `csv_dir`."""
+    times = np.asarray(report["series"]["times"], dtype=float)
+    for entry in report["criteria"]:
+        columns = {
+            "time": times,
+            "norm": np.asarray(entry["norm_samples"], dtype=float),
+            "inner_integral": np.asarray(entry["inner_integral"], dtype=float),
+            "double_integral": np.asarray(entry["double_integral"], dtype=float),
+            "integrand": np.asarray(entry["integrand"], dtype=float),
+        }
+        storage.write_csv(csv_dir / f"criterion_{entry['name']}_{entry['region']}.csv", columns)
+    for entry in report["type_one"]:
+        storage.write_csv(
+            csv_dir / f"type_one_{entry['name']}_{entry['region']}.csv",
+            {
+                "time": np.asarray(entry["times"], dtype=float),
+                "scaled": np.asarray(entry["scaled"], dtype=float),
+            },
+        )
+    print(f"\nseries CSVs written to {csv_dir}")
+
+
 def _cmd_report(args) -> int:
     path = Path(args.rundir)
     report_path = path if path.suffix == ".json" else path / "report.json"
     if not report_path.exists():
         raise pipeline.ConfigError(f"no report found at {report_path}")
-    report = storage.read_json(report_path)
-    _print_report(report)
-    if args.csv_dir:
-        csv_dir = Path(args.csv_dir)
-        times = np.asarray(report["series"]["times"], dtype=float)
-        for entry in report["criteria"]:
-            columns = {
-                "time": times,
-                "norm": np.asarray(entry["norm_samples"], dtype=float),
-                "inner_integral": np.asarray(entry["inner_integral"], dtype=float),
-                "double_integral": np.asarray(entry["double_integral"], dtype=float),
-                "integrand": np.asarray(entry["integrand"], dtype=float),
-            }
-            storage.write_csv(csv_dir / f"criterion_{entry['name']}_{entry['region']}.csv", columns)
-        for entry in report["type_one"]:
-            storage.write_csv(
-                csv_dir / f"type_one_{entry['name']}_{entry['region']}.csv",
-                {
-                    "time": np.asarray(entry["times"], dtype=float),
-                    "scaled": np.asarray(entry["scaled"], dtype=float),
-                },
-            )
-        print(f"\nseries CSVs written to {csv_dir}")
+    try:
+        report = storage.read_json(report_path)
+        _print_report(report)
+        if args.csv_dir:
+            _write_report_csvs(report, Path(args.csv_dir))
+    except (ValueError, KeyError, TypeError) as exc:
+        # JSON that is truncated or not UTF-8, or that is not a run report
+        raise pipeline.ConfigError(f"cannot read run report {report_path}: {type(exc).__name__}: {exc}") from exc
     return EXIT_OK
 
 

@@ -35,11 +35,11 @@ def uniform_step(times: np.ndarray) -> float:
 
 
 def cumulative_trapezoid(times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Running trapezoidal integral, zero at the first sample."""
-    times = np.asarray(times, dtype=float)
+    """Running trapezoidal integral over the 1D `times` along the first axis, zero at the first sample."""
     values = np.asarray(values, dtype=float)
+    steps = np.diff(np.asarray(times, dtype=float)).reshape((-1,) + (1,) * (values.ndim - 1))
     out = np.zeros_like(values)
-    out[1:] = np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(times))
+    out[1:] = np.cumsum(0.5 * (values[1:] + values[:-1]) * steps, axis=0)
     return out
 
 

@@ -364,6 +364,8 @@ def integrate(config: RunConfig, log: SampleLog, out_dir: Path | None = None):
     """Advance `config` from its initial state, append each sample to `log`
     and write the snapshots under `out_dir` (if not None). Returns the final
     state and the snapshot files. Input errors raise before any write."""
+    if out_dir is not None and not next(p for p in (out_dir, *out_dir.parents) if p.exists()).is_dir():
+        raise ConfigError(f"output directory {out_dir} is, or lies under, a file")
     grid = config.grid()
     # built here, not by the caller: the loop holds the only state
     try:
@@ -467,39 +469,28 @@ def integrate(config: RunConfig, log: SampleLog, out_dir: Path | None = None):
 def _tracer_analysis(times: np.ndarray, vec, mat, hess, eps: float, positions: np.ndarray):
     """(records, residual_summaries, bound_checks) of the tracers at
     `positions` (samples, tracers, d) from their kernel inputs (vec, mat,
-    hess), of shape (samples, tracers, d[, d]), sampled at `times`."""
-    kind = "euler" if vec.shape[-1] == 3 else "boussinesq"
+    hess), of shape (samples, tracers, d[, d]), sampled at `times`. The
+    series, the residuals and each bound variant are one call on the whole
+    batch, and each record holds one tracer's columns of the results."""
     series = tracers.diagnostics_series(vec, mat, hess, eps)
-    carrier_max = max(float(np.max(series["vec_mag"])), 1e-300)
-    bound_tol = 1e-6 * carrier_max
-    variants = ("lemma", "double-exp", "damped") if kind == "euler" else ("lemma", "double-exp")
-    bound_checks = {
-        v: {"min_margin": np.inf, "violations": 0, "tolerance": bound_tol} for v in variants
-    }
-    residual_summaries = {}
-    records = []
-    for p in range(positions.shape[1]):
-        record = tracers.TracerRecord(
-            index=p,
-            seed_point=positions[0, p],
-            kind=kind,
-            times=times,
-            positions=positions[:, p],
-            series={k: v[:, p] for k, v in series.items()},
+    bound_tol = 1e-6 * max(float(np.max(series["vec_mag"])), 1e-300)
+    variants = tracers.BOUND_VARIANTS if vec.shape[-1] == 3 else ("lemma", "double-exp")
+    residuals = tracers.dynamical_residuals(times, series) if times.size >= 5 else {}
+    checks = {v: tracers.growth_bound_check(times, series, v, bound_tol) for v in variants}
+    columns = {**series, **{f"residual_{name}": r for name, r in residuals.items()}}
+    columns.update({f"margin_{v.replace('-', '_')}": c.margins for v, c in checks.items()})
+    records = [
+        tracers.TracerRecord(
+            index=p, seed_point=positions[0, p], times=times, positions=positions[:, p],
+            series={k: v[:, p] for k, v in columns.items()},
         )
-        if times.size >= 5:
-            record.series["residuals"] = tracers.dynamical_residuals(record)
-            for name, value in tracers.residual_summary(record.series["residuals"]).items():
-                residual_summaries[name] = max(residual_summaries.get(name, 0.0), value)
-        record.series["bounds"] = {}
-        for variant in variants:
-            check = tracers.growth_bound_check(record, variant, bound_tol)
-            record.series["bounds"][variant] = check
-            agg = bound_checks[variant]
-            agg["min_margin"] = float(min(agg["min_margin"], check.min_margin))
-            agg["violations"] += check.violations
-        records.append(record)
-    return records, residual_summaries, bound_checks
+        for p in range(positions.shape[1])
+    ]
+    bound_checks = {
+        v: {"min_margin": c.min_margin, "violations": c.violations, "tolerance": bound_tol}
+        for v, c in checks.items()
+    }
+    return records, tracers.residual_summary(residuals), bound_checks
 
 
 def analyse(config: RunConfig, log: SampleLog) -> tuple[dict, list]:
@@ -650,10 +641,7 @@ def _write_tracer_csv(path: Path, record: tracers.TracerRecord) -> None:
     columns["rho"] = s["rho"]
     columns["align"] = s["align"]
     columns["stretch_balance"] = s["stretch_balance"]
-    for name, series in s.get("residuals", {}).items():
-        columns[f"residual_{name}"] = series
-    for variant, check in s.get("bounds", {}).items():
-        columns[f"margin_{variant.replace('-', '_')}"] = check.margins
+    columns.update({k: v for k, v in s.items() if k.startswith(("residual_", "margin_"))})
     write_csv(path, columns)
 
 

@@ -3,8 +3,9 @@ verification of transport identities and growth bounds along trajectories.
 
 Positions are advanced with the same RK4 stages as the field solve, and all
 point values are taken from the trigonometric interpolant, which is exact
-for band-limited fields. Material derivatives along a trajectory are
-estimated with finite differences of the sampled series: fourth-order
+for band-limited fields. Residuals and bounds take the (samples, tracers)
+series of `diagnostics_series` and run once over the whole batch; material
+derivatives are finite differences along the sample axis: fourth-order
 central stencils in the interior by default (`dynamical_residuals`) and
 second-order one-sided ones at the ends, so identity residuals must shrink
 at order >= 2 under step refinement.
@@ -128,21 +129,15 @@ def time_derivative(values: np.ndarray, dt: float, order: int, accuracy: int = 2
 
 @dataclass
 class TracerRecord:
-    """Trajectory of one tracer and the diagnostics sampled along it.
-
-    Series keys: vec and the kernel quantities named in SERIES_KEYS.
-    """
+    """Output record of one tracer: its columns of the batch results. Series
+    keys: vec, the kernel quantities named in SERIES_KEYS, and the tracer
+    CSV's `residual_<identity>` and `margin_<variant>` columns."""
 
     index: int
     seed_point: np.ndarray
-    kind: str
     times: np.ndarray
     positions: np.ndarray
     series: dict = field(default_factory=dict)
-
-    @property
-    def dt(self) -> float:
-        return uniform_step(self.times)
 
 
 SERIES_KEYS = (
@@ -182,8 +177,9 @@ def _valid_window(active: np.ndarray, halfwidth: int = 2) -> np.ndarray:
     return ok
 
 
-def dynamical_residuals(record: TracerRecord) -> dict[str, np.ndarray]:
-    """Residual series of the transport identities along one trajectory.
+def dynamical_residuals(times: np.ndarray, series: dict) -> dict[str, np.ndarray]:
+    """Residual series (samples, tracers) of the transport identities along
+    the trajectories of a `diagnostics_series` batch at uniform `times`.
 
     Each residual is (finite-difference estimate of the left side) minus the
     sampled right side; entries are NaN where the carrier vector degenerates
@@ -197,9 +193,9 @@ def dynamical_residuals(record: TracerRecord) -> dict[str, np.ndarray]:
     * log_curvature:    second rate of log|vec| minus the stretch balance
     * second_accel:     second rate of the carrier vector plus the Hessian term
     """
-    s = record.series
-    dt = record.dt
-    accuracy = 4 if record.times.size >= 7 else 2
+    s = series
+    dt = uniform_step(times)
+    accuracy = 4 if len(times) >= 7 else 2
     halfwidth = accuracy // 2 + 1
     valid = _valid_window(s["active"], halfwidth)
     valid_stretch = _valid_window(s["active"] & s["stretch_active"], halfwidth)
@@ -235,7 +231,7 @@ def dynamical_residuals(record: TracerRecord) -> dict[str, np.ndarray]:
 
 
 def residual_summary(residuals: dict[str, np.ndarray]) -> dict[str, float]:
-    """Max |residual| per identity, skipping the lower-order end stencils."""
+    """Max |residual| per identity over the batch, skipping the lower-order end stencils."""
     out = {}
     for name, series in residuals.items():
         margin = 3 if series.shape[0] > 6 else 2
@@ -255,8 +251,8 @@ class BoundCheck:
 
     @property
     def min_margin(self) -> float:
-        """Smallest finite margin (inf if none is finite); `violations`
-        counts the non-finite ones."""
+        """Smallest finite margin over the batch (inf if none is finite);
+        `violations` counts the non-finite ones."""
         finite = self.margins[np.isfinite(self.margins)]
         return float(np.min(finite)) if finite.size else np.inf
 
@@ -267,9 +263,10 @@ class BoundCheck:
         return int(np.count_nonzero(~ok))
 
 
-def growth_bound_check(record: TracerRecord, variant: str, tolerance: float) -> BoundCheck:
+def growth_bound_check(times: np.ndarray, series: dict, variant: str, tolerance: float) -> BoundCheck:
     """Quadrature the growth bound's right side and compare with the measured
-    carrier magnitude along the trajectory.
+    carrier magnitude along the trajectories of the `diagnostics_series`
+    batch `series` sampled at `times`; the margins are (samples, tracers).
 
     Variants:
 
@@ -279,13 +276,14 @@ def growth_bound_check(record: TracerRecord, variant: str, tolerance: float) -> 
     * 'damped':      (m0 + sqrt(2) s0 t) exp( 2 J(t) ) with direction-rate
                      damping factors inside the iterated integral (3D only)
 
-    where m0 and s0 are the initial carrier and stretched magnitudes.
+    where m0 and s0 are the rows of initial carrier and stretched magnitudes.
     """
-    s = record.series
-    t = record.times - record.times[0]
-    m0 = float(s["vec_mag"][0])
-    s0 = float(s["stretch_vec_mag"][0])
+    s = series
     measured = s["vec_mag"]
+    t = np.asarray(times, dtype=float) - times[0]
+    tc = t.reshape((-1,) + (1,) * (measured.ndim - 1))  # beside the rows m0, s0, alpha0
+    m0 = measured[0]
+    s0 = s["stretch_vec_mag"][0]
 
     if variant == "lemma":
         # where the stretched vector degenerates the alignment direction is
@@ -296,26 +294,25 @@ def growth_bound_check(record: TracerRecord, variant: str, tolerance: float) -> 
             np.where(s["active"], s["p_xi_mag"], 0.0),
         )
         exponent = _lemma_integral(t, bracket, "double")
-        bound = (m0 + s0 * t) * np.exp(exponent)
+        bound = (m0 + s0 * tc) * np.exp(exponent)
     elif variant == "double-exp":
-        alpha0 = float(s["alpha"][0])
-        exponent = alpha0 * t + _lemma_integral(t, positive_part(s["stretch_balance"]), "double")
+        exponent = s["alpha"][0] * tc + _lemma_integral(t, positive_part(s["stretch_balance"]), "double")
         bound = m0 * np.exp(exponent)
     elif variant == "damped":
-        if record.kind != "euler":
+        if s["vec"].shape[-1] != 3:
             raise ValueError("the damped bound applies to the 3D diagnostics only")
         a_int = cumulative_trapezoid(t, s["rate_xi_mag"])
         c_int = cumulative_trapezoid(t, s["rate_zeta_mag"])
         inner = cumulative_trapezoid(t, s["p_xi_mag"] * np.exp(c_int))
         outer = cumulative_trapezoid(t, np.exp(a_int - c_int) * inner)
-        bound = (m0 + np.sqrt(2.0) * s0 * t) * np.exp(2.0 * np.exp(-a_int) * outer)
+        bound = (m0 + np.sqrt(2.0) * s0 * tc) * np.exp(2.0 * np.exp(-a_int) * outer)
     else:
         raise ValueError(f"unknown bound variant {variant!r}; choose from {BOUND_VARIANTS}")
 
     margins = bound - measured
     return BoundCheck(
         variant=variant,
-        times=record.times,
+        times=times,
         measured=measured,
         bound=bound,
         margins=margins,

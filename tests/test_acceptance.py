@@ -161,7 +161,7 @@ def _residual_maxima(system, name, n, dt, t_end, seeds, stride):
     result = pipeline.run(cfg)
     maxima = {}
     for record in result.records:
-        residuals = dynamical_residuals(record)
+        residuals = dynamical_residuals(record.times, record.series)
         for key, series in residuals.items():
             window = series[::stride][3:-3]
             window = window[np.isfinite(window)]

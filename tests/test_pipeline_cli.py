@@ -293,6 +293,41 @@ class TestPipelineRun:
         assert calls == expected
         assert len(result.times) == config.n_steps // config.sample_every + 1
 
+    @pytest.mark.parametrize(
+        "system, initial, count",
+        [("euler3d", "taylor-green-3d", 1), ("euler3d", "taylor-green-3d", 6), ("boussinesq2d", "boussinesq-bubble", 6)],
+    )
+    def test_one_tracer_analysis_call_per_run(self, system, initial, count, monkeypatch):
+        """The tracer series, their residuals and each bound variant are one
+        call on the whole batch, whatever the number of tracers."""
+        import sys
+
+        from vortexlab import tracers
+
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name if name != "growth_bound_check" else f"{name}:{args[2]}")
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        wrapped = {
+            fn: counting(fn.__name__, fn)
+            for fn in (tracers.diagnostics_series, tracers.dynamical_residuals, tracers.growth_bound_check)
+        }
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "vortexlab":
+                for key, value in list(vars(module).items()):
+                    if callable(value) and value in wrapped:
+                        monkeypatch.setattr(module, key, wrapped[value])
+
+        cfg = RunConfig(system=system, n=16, dt=0.01, t_end=0.06, initial=initial, seed=2, tracer_count=count)
+        pipeline.run(cfg)
+        variants = ("lemma", "double-exp", "damped") if system == "euler3d" else ("lemma", "double-exp")
+        assert calls == ["diagnostics_series", "dynamical_residuals"] + [f"growth_bound_check:{v}" for v in variants]
+
     def test_bound_checks_do_not_depend_on_tracer_order(self):
         # just off the vorticity peak of Taylor-Green |S xi| is tiny, so the
         # tracer's direction rate is large and its damped bound turns NaN
@@ -307,7 +342,7 @@ class TestPipelineRun:
                 results.append(pipeline.run(cfg))
         assert results[0].bound_checks == results[1].bound_checks
         damped = results[0].bound_checks["damped"]
-        margins = np.concatenate([r.series["bounds"]["damped"].margins for r in results[0].records])
+        margins = np.concatenate([r.series["margin_damped"] for r in results[0].records])
         assert not np.all(np.isfinite(margins))
         assert damped["violations"] == np.count_nonzero(~np.isfinite(margins))
         assert damped["min_margin"] == np.min(margins[np.isfinite(margins)])
@@ -487,6 +522,15 @@ class TestCli:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("output", ["out", "out/run"])
+    def test_output_that_is_or_lies_under_a_file_exits_2(self, bubble_config, tmp_path, capsys, output):
+        blocker = tmp_path / "out"
+        blocker.write_text("not a directory\n")
+        assert main(["run", str(bubble_config), "-o", str(tmp_path / output)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and str(tmp_path / output) in err
+        assert blocker.read_text() == "not a directory\n"
+
     def test_check_identities_pass(self, capsys):
         assert main(["check-identities", "--count", "5000", "--dim", "2", "--seed", "1"]) == 0
         out = capsys.readouterr().out
@@ -635,3 +679,22 @@ class TestCli:
 
     def test_report_missing_input(self, tmp_path):
         assert main(["report", str(tmp_path / "nothing")]) == 2
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"system": "boussinesq2d", "grid"',
+            b'{"system": "\xff\xfe"}',
+            b"{}",
+            # the tables print, but --csv finds no series
+            b'{"system": "euler3d", "grid": {"n": 8}, "time": {"dt": 0.1}, "candidate_time": 1, '
+            b'"under_resolved": false, "criteria": [], "type_one": [], "bkm": []}',
+        ],
+        ids=["truncated", "not-utf8", "empty-object", "no-series"],
+    )
+    def test_report_on_a_bad_report_file_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "report.json"
+        path.write_bytes(content)
+        assert main(["report", str(tmp_path), "--csv", str(tmp_path / "csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and str(path) in err

@@ -6,6 +6,7 @@ from vortexlab.grid import GridSpec
 from vortexlab.fields import VectorField
 from vortexlab.solver import StepperConfig, initial_condition, rk4_stages_euler
 from vortexlab.tracers import (
+    BOUND_VARIANTS,
     BoundCheck,
     SpectralSampler,
     TracerRecord,
@@ -188,17 +189,6 @@ class TestTimeDerivative:
         with pytest.raises(ValueError, match="at least 7"):
             time_derivative(np.zeros(6), 0.1, 1, accuracy=4)
 
-    def test_record_dt_feeds_derivative(self):
-        times = np.linspace(0.0, 1.0, 11)
-        record = TracerRecord(0, np.zeros(2), "boussinesq", times, np.zeros((11, 2)))
-        assert np.allclose(time_derivative(times**2, record.dt, 1), 2 * times, atol=1e-12)
-
-    def test_record_dt_needs_uniform_times(self):
-        times = np.array([0.0, 0.1, 0.2, 0.35])
-        record = TracerRecord(0, np.zeros(2), "boussinesq", times, np.zeros((4, 2)))
-        with pytest.raises(SeriesError, match="uniform"):
-            record.dt
-
 
 def constant_field_record(kind, n_samples=11, vec=None):
     dim = 3 if kind == "euler" else 2
@@ -211,7 +201,6 @@ def constant_field_record(kind, n_samples=11, vec=None):
     return TracerRecord(
         index=0,
         seed_point=np.zeros(dim),
-        kind=kind,
         times=times,
         positions=np.zeros((n_samples, dim)),
         series={k: v[:, 0] for k, v in series.items()},
@@ -236,7 +225,7 @@ class TestDiagnosticsSeries:
 class TestDynamicalResiduals:
     def test_frozen_flow_residuals_vanish(self):
         record = constant_field_record("euler", vec=[0.7, -0.2, 0.1])
-        res = dynamical_residuals(record)
+        res = dynamical_residuals(record.times, record.series)
         for name, series in res.items():
             finite = series[np.isfinite(series)]
             if name == "stretch_mag_rate":
@@ -247,12 +236,18 @@ class TestDynamicalResiduals:
 
     def test_degenerate_carrier_masked(self):
         record = constant_field_record("euler", vec=[0.0, 0.0, 0.0])
-        res = dynamical_residuals(record)
+        res = dynamical_residuals(record.times, record.series)
         assert np.all(np.isnan(res["log_curvature"]))
+
+    def test_residuals_need_uniform_times(self):
+        record = constant_field_record("boussinesq", n_samples=7, vec=[1.0, 0.0])
+        times = np.array([0.0, 0.1, 0.2, 0.35, 0.4, 0.5, 0.6])
+        with pytest.raises(SeriesError, match="uniform"):
+            dynamical_residuals(times, record.series)
 
     def test_summary_skips_end_stencils(self):
         record = constant_field_record("boussinesq", vec=[1.0, 0.0])
-        res = dynamical_residuals(record)
+        res = dynamical_residuals(record.times, record.series)
         summary = residual_summary(res)
         assert set(summary) == set(res)
         assert all(v <= 1e-12 for v in summary.values())
@@ -262,7 +257,7 @@ class TestGrowthBounds:
     def test_frozen_flow_saturates_with_equality(self):
         record = constant_field_record("euler", vec=[0.5, 0.5, 0.0])
         for variant in ("lemma", "double-exp", "damped"):
-            check = growth_bound_check(record, variant, tolerance=1e-12)
+            check = growth_bound_check(record.times, record.series, variant, tolerance=1e-12)
             assert check.violations == 0
             assert np.max(np.abs(check.margins)) <= 1e-12, variant
 
@@ -271,7 +266,7 @@ class TestGrowthBounds:
         record.series["p_xi_mag"] = np.ones(record.times.size)
         record.series["rate_zeta_mag"] = np.full(record.times.size, 1e5)
         with np.errstate(over="ignore", invalid="ignore"):
-            check = growth_bound_check(record, "damped", tolerance=1e-6)
+            check = growth_bound_check(record.times, record.series, "damped", tolerance=1e-6)
         assert not np.all(np.isfinite(check.margins))
         assert check.violations > 0
 
@@ -287,12 +282,12 @@ class TestGrowthBounds:
     def test_damped_variant_is_3d_only(self):
         record = constant_field_record("boussinesq", vec=[1.0, 0.0])
         with pytest.raises(ValueError, match="3D"):
-            growth_bound_check(record, "damped", tolerance=1e-6)
+            growth_bound_check(record.times, record.series, "damped", tolerance=1e-6)
 
     def test_unknown_variant(self):
         record = constant_field_record("euler", vec=[1.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="unknown bound variant"):
-            growth_bound_check(record, "best", tolerance=1e-6)
+            growth_bound_check(record.times, record.series, "best", tolerance=1e-6)
 
     def test_steady_vortex_margins_nonnegative(self):
         from vortexlab import pipeline as P
@@ -310,3 +305,59 @@ class TestGrowthBounds:
         for agg in result.bound_checks.values():
             assert agg["violations"] == 0
             assert agg["min_margin"] >= -agg["tolerance"]
+
+
+class TestBatch:
+    def test_batch_matches_per_tracer_calls_bit_for_bit(self):
+        """`_tracer_analysis` makes one call on the whole batch where the
+        tracers used to make one each; every record column, residual
+        summary and bound aggregate keeps the bits of per-tracer calls on
+        that tracer's columns, folded as one tracer at a time."""
+        from vortexlab.pipeline import _tracer_analysis
+
+        rng = np.random.default_rng(9)
+        k = 9
+        times = np.linspace(0.0, 0.4, k)
+        t = times[:, None]
+        sym = lambda a: a + np.swapaxes(a, -1, -2)
+        # tracer 0: smooth generic series
+        vec0 = rng.uniform(0.5, 1.0, 3) + rng.uniform(-1.0, 1.0, 3) * t + 0.3 * np.sin(t)
+        mat0 = sym(rng.standard_normal((3, 3))) + sym(rng.standard_normal((3, 3))) * t[..., None]
+        hess0 = sym(rng.standard_normal((3, 3))) * np.cos(t)[..., None]
+        # tracer 1: a zero carrier, so every residual window is NaN
+        vec1 = np.zeros((k, 3))
+        # tracer 2: |S xi| = 1e-6 with P xi across zeta, so the direction
+        # rate of zeta is 1e6 and the damped bound overflows
+        vec2 = np.tile([1.0, 0.0, 0.0], (k, 1))
+        mat2 = np.tile(np.diag([1e-6, 1.0, -1.0]), (k, 1, 1))
+        hess2 = np.tile([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], (k, 1, 1))
+        vec = np.stack([vec0, vec1, vec2], axis=1)
+        mat = np.stack([mat0, mat0, mat2], axis=1)
+        hess = np.stack([hess0, hess0, hess2], axis=1)
+        positions = rng.uniform(0.0, 2 * np.pi, (k, 3, 3))
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            records, summaries, bound_checks = _tracer_analysis(times, vec, mat, hess, 1e-12, positions)
+            series = diagnostics_series(vec, mat, hess, 1e-12)
+            tol = 1e-6 * max(float(np.max(series["vec_mag"])), 1e-300)
+            expected_summaries = {}
+            expected_checks = {v: {"min_margin": np.inf, "violations": 0, "tolerance": tol} for v in BOUND_VARIANTS}
+            for p, record in enumerate(records):
+                columns = {key: values[:, p] for key, values in series.items()}
+                residuals = dynamical_residuals(times, columns)
+                for name, values in residuals.items():
+                    assert np.array_equal(record.series[f"residual_{name}"], values, equal_nan=True), (p, name)
+                for name, value in residual_summary(residuals).items():
+                    expected_summaries[name] = max(expected_summaries.get(name, 0.0), value)
+                for variant in BOUND_VARIANTS:
+                    check = growth_bound_check(times, columns, variant, tol)
+                    margins = record.series[f"margin_{variant.replace('-', '_')}"]
+                    assert np.array_equal(margins, check.margins, equal_nan=True), (p, variant)
+                    agg = expected_checks[variant]
+                    agg["min_margin"] = float(min(agg["min_margin"], check.min_margin))
+                    agg["violations"] += check.violations
+        assert np.all(np.isnan(records[1].series["residual_log_curvature"]))
+        assert not np.all(np.isfinite(records[2].series["margin_damped"]))
+        assert bound_checks["damped"]["violations"] > 0
+        assert summaries == expected_summaries
+        assert bound_checks == expected_checks
