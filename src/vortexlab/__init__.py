@@ -12,7 +12,6 @@ from .fields import (
     ScalarField,
     VectorField,
     solve_pressure,
-    region_sup_norm,
 )
 from .diagnostics import direction_quantities, diag_field
 from .identities import AlgebraicSample, make_samples, run_identity_suite

@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: run (simulate + monitor, then print the report's tables as
-report does), check-identities (randomized algebraic suite), gronwall
-(comparison-lemma verification), report (re-render a run report as
-tables/CSV). Exit codes: 0 success,
+report does, from the same `_report_lines`), check-identities (randomized
+algebraic suite), gronwall (comparison-lemma verification), report
+(re-render a run report as tables/CSV). Exit codes: 0 success,
 1 verification failure, 2 configuration error. Every input error of run,
 check-identities, gronwall and report, in a file or in an option, exits 2
 with "configuration error: ...".
@@ -98,7 +98,7 @@ def _cmd_run(args) -> int:
     print(f"run complete: {config.system}, n={config.n}, t_end={config.t_end:g}")
     print(f"output: {result.output_dir}")
     # as report.json holds it: a non-finite value is None
-    _print_report(storage.finite_or_null(result.report))
+    print("\n".join(_report_lines(storage.finite_or_null(result.report))))
     return EXIT_OK
 
 
@@ -242,68 +242,64 @@ def _report_number(value, spec: str = ".17g") -> str:
     return "non-finite" if value is None else format(float(value), spec)
 
 
-def _print_report(report: dict) -> None:
-    """The tables of a run report as report.json holds it."""
-    print(f"system: {report['system']}   grid n={report['grid']['n']}   dt={report['time']['dt']:g}")
-    print(f"candidate time: {report['candidate_time']:g}   under-resolved: {report['under_resolved']}")
-    print()
-    print(f"{'criterion':28s} {'region':10s} {'weight':8s} {'value':>24s}")
+def _report_lines(report: dict) -> list[str]:
+    """The tables of a run report as report.json holds it, one line each."""
+    lines = [
+        f"system: {report['system']}   grid n={report['grid']['n']}   dt={report['time']['dt']:g}",
+        f"candidate time: {report['candidate_time']:g}   under-resolved: {report['under_resolved']}",
+        "",
+        f"{'criterion':28s} {'region':10s} {'weight':8s} {'value':>24s}",
+    ]
     for entry in report["criteria"]:
         note = f"  [{entry['note']}]" if "note" in entry else ""
-        print(
+        lines.append(
             f"{entry['name']:28s} {entry['region']:10s} {entry['weight']:8s} "
             f"{_report_number(entry['value']):>24s}{note}"
         )
-    print()
-    print(f"{'type-I monitor':28s} {'region':10s} {'window max':>24s} {'thr':>5s}  verdict")
+    lines += ["", f"{'type-I monitor':28s} {'region':10s} {'window max':>24s} {'thr':>5s}  verdict"]
     for entry in report["type_one"]:
-        print(
+        lines.append(
             f"{entry['name']:28s} {entry['region']:10s} "
             f"{_report_number(entry['window_max']):>24s} {entry['threshold']:>5g}  {entry['verdict']}"
         )
-    print()
-    print(f"{'integral':28s} {'region':10s} {'weight':8s} {'value':>24s}")
+    lines += ["", f"{'integral':28s} {'region':10s} {'weight':8s} {'value':>24s}"]
     for entry in report["bkm"]:
-        print(
+        lines.append(
             f"{entry['name']:28s} {entry['region']:10s} {entry['weight']:8s} "
             f"{_report_number(entry['value']):>24s}"
         )
     if report.get("residual_summaries"):
-        print()
-        print("transport-identity residual maxima along tracers:")
+        lines += ["", "transport-identity residual maxima along tracers:"]
         for name, value in sorted(report["residual_summaries"].items()):
-            print(f"  {name:26s} {_report_number(value, '.6e')}")
+            lines.append(f"  {name:26s} {_report_number(value, '.6e')}")
     if report.get("bound_checks"):
-        print()
-        print("growth-bound margins along tracers:")
+        lines += ["", "growth-bound margins along tracers:"]
         for variant, agg in sorted(report["bound_checks"].items()):  # report.json's order
-            print(
+            lines.append(
                 f"  {variant:26s} min_margin={_report_number(agg['min_margin'], '.6e')} "
                 f"violations={agg['violations']} tol={agg['tolerance']:.3e}"
             )
+    return lines
 
 
-def _write_report_csvs(report: dict, csv_dir: Path) -> None:
-    """Write the criterion and type-I series of a run report as CSV files in `csv_dir`."""
+def _report_csvs(report: dict) -> dict:
+    """{file name: columns} of the criterion and type-I series of a run report."""
     times = np.asarray(report["series"]["times"], dtype=float)
+    csvs = {}
     for entry in report["criteria"]:
-        columns = {
+        csvs[f"criterion_{entry['name']}_{entry['region']}.csv"] = {
             "time": times,
             "norm": np.asarray(entry["norm_samples"], dtype=float),
             "inner_integral": np.asarray(entry["inner_integral"], dtype=float),
             "double_integral": np.asarray(entry["double_integral"], dtype=float),
             "integrand": np.asarray(entry["integrand"], dtype=float),
         }
-        storage.write_csv(csv_dir / f"criterion_{entry['name']}_{entry['region']}.csv", columns)
     for entry in report["type_one"]:
-        storage.write_csv(
-            csv_dir / f"type_one_{entry['name']}_{entry['region']}.csv",
-            {
-                "time": np.asarray(entry["times"], dtype=float),
-                "scaled": np.asarray(entry["scaled"], dtype=float),
-            },
-        )
-    print(f"\nseries CSVs written to {csv_dir}")
+        csvs[f"type_one_{entry['name']}_{entry['region']}.csv"] = {
+            "time": np.asarray(entry["times"], dtype=float),
+            "scaled": np.asarray(entry["scaled"], dtype=float),
+        }
+    return csvs
 
 
 def _cmd_report(args) -> int:
@@ -311,14 +307,22 @@ def _cmd_report(args) -> int:
     report_path = path if path.suffix == ".json" else path / "report.json"
     if not report_path.exists():
         raise pipeline.ConfigError(f"no report found at {report_path}")
+    csv_dir = Path(args.csv_dir) if args.csv_dir else None
+    if csv_dir is not None:
+        pipeline.check_output_dir(csv_dir)
     try:
         report = storage.read_json(report_path)
-        _print_report(report)
-        if args.csv_dir:
-            _write_report_csvs(report, Path(args.csv_dir))
+        lines = _report_lines(report)
+        csvs = _report_csvs(report) if csv_dir else {}
     except (ValueError, KeyError, TypeError) as exc:
         # JSON that is truncated or not UTF-8, or that is not a run report
         raise pipeline.ConfigError(f"cannot read run report {report_path}: {type(exc).__name__}: {exc}") from exc
+    # printed only once every line and column is built, so a bad report prints nothing
+    print("\n".join(lines))
+    if csv_dir is not None:
+        for name, columns in csvs.items():
+            storage.write_csv(csv_dir / name, columns)
+        print(f"\nseries CSVs written to {csv_dir}")
     return EXIT_OK
 
 

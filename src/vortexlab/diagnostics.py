@@ -42,11 +42,6 @@ def negative_part(f):
     return np.maximum(-f, 0.0)
 
 
-def _check_finite_gradient(grad_u: np.ndarray) -> None:
-    if not np.all(np.isfinite(grad_u)):
-        raise ValueError("velocity gradient has non-finite entries")
-
-
 def _strain(grad_u: np.ndarray) -> np.ndarray:
     """The symmetric part 0.5 (G + G^T) of a batch of (..., d, d) matrices,
     in one new array with the memory order of grad_u."""
@@ -55,20 +50,12 @@ def _strain(grad_u: np.ndarray) -> np.ndarray:
     return sym
 
 
-def strain_rotation_split(grad_u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a velocity-gradient matrix into symmetric and skew parts."""
-    grad_u = np.asarray(grad_u, dtype=float)
-    _check_finite_gradient(grad_u)
-    sym = _strain(grad_u)
-    return sym, np.subtract(grad_u, sym)
-
-
-def _vorticity(entry, batch_shape: tuple, skew_tol: float) -> np.ndarray:
-    """The vorticity of the 3x3 skew matrices whose (i, j) entries
-    `entry(i, j)` returns as new arrays over the batch, built one pair of
-    entries at a time into a C-ordered (..., 3) array. Raises ValueError
-    when max |W + W^T| exceeds skew_tol * max(max |W|, 1)."""
-    vec = np.empty(batch_shape + (3,))
+def _vorticity(g: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """The vorticity of the skew parts W = g - mat of a batch of (..., 3, 3)
+    velocity gradients g with strains mat, built one pair of entries of W
+    at a time into a C-ordered (..., 3) array. Raises ValueError when
+    max |W + W^T| exceeds 1e-12 max(max |W|, 1)."""
+    vec = np.empty(g.shape[:-2] + (3,))
     entry_max = []
     defect = []
 
@@ -76,30 +63,22 @@ def _vorticity(entry, batch_shape: tuple, skew_tol: float) -> np.ndarray:
         return np.max([np.max(w), -np.min(w)])
 
     for i in range(3):
-        w_ii = entry(i, i)
+        w_ii = np.subtract(g[..., i, i], mat[..., i, i])
         entry_max.append(sup(w_ii))
         defect.append(sup(np.add(w_ii, w_ii, out=w_ii)))
         del w_ii
     for c, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
-        w_ij = entry(i, j)
-        w_ji = entry(j, i)
+        w_ij = np.subtract(g[..., i, j], mat[..., i, j])
+        w_ji = np.subtract(g[..., j, i], mat[..., j, i])
         entry_max.extend((sup(w_ij), sup(w_ji)))
         np.subtract(w_ij, w_ji, out=vec[..., c])
         defect.append(sup(np.add(w_ij, w_ji, out=w_ij)))
         del w_ij, w_ji
     scale = max(float(np.max(entry_max)), 1.0)
     asym = np.max(defect)
-    if asym > skew_tol * scale:
+    if asym > 1e-12 * scale:
         raise ValueError(f"matrix is not skew-symmetric (defect {asym:.3e})")
     return vec
-
-
-def vorticity_from_rotation(omega_mat: np.ndarray, skew_tol: float = 1e-12) -> np.ndarray:
-    """Recover the vorticity vector from the skew part of the velocity gradient."""
-    omega_mat = np.asarray(omega_mat, dtype=float)
-    if omega_mat.shape[-2:] != (3, 3):
-        raise ValueError("rotation matrix must be 3x3")
-    return _vorticity(lambda i, j: np.array(omega_mat[..., i, j]), omega_mat.shape[:-2], skew_tol)
 
 
 def _norm(x: np.ndarray) -> np.ndarray:
@@ -272,10 +251,10 @@ def _carrier_and_matrix(grad_u: np.ndarray, carrier: np.ndarray | None = None):
     built with no full skew part; in 2D the carrier and the Jacobian."""
     if grad_u.shape[0] == 3:
         g = np.moveaxis(grad_u, (0, 1), (-2, -1))
-        _check_finite_gradient(g)
+        if not np.all(np.isfinite(g)):
+            raise ValueError("velocity gradient has non-finite entries")
         mat = _strain(g)
-        vec = _vorticity(lambda i, j: np.subtract(g[..., i, j], mat[..., i, j]), g.shape[:-2], 1e-12)
-        return vec, mat
+        return _vorticity(g, mat), mat
     # Jacobian orientation: J[i, j] = d_j u_i, i.e. the transpose of grad_u
     return np.moveaxis(carrier, 0, -1), np.moveaxis(grad_u, (0, 1), (-1, -2))
 
@@ -335,8 +314,6 @@ def diag_field(
 __all__ = [
     "positive_part",
     "negative_part",
-    "strain_rotation_split",
-    "vorticity_from_rotation",
     "DirectionQuantities",
     "direction_quantities",
     "kernel_inputs",

@@ -113,13 +113,6 @@ class _Field:
             self._spectral = spectral
         return self._spectral
 
-    def magnitude(self) -> np.ndarray:
-        """Pointwise magnitude: |f| for scalars, Euclidean/Frobenius norm otherwise."""
-        if self.rank == 0:
-            return np.abs(self.values)
-        comp_axes = tuple(range(self.rank))
-        return np.sqrt(np.sum(self.values**2, axis=comp_axes))
-
     def __eq__(self, other) -> bool:
         return (
             type(self) is type(other)
@@ -370,17 +363,6 @@ def ball_mask(grid: GridSpec, center, radius: float) -> np.ndarray | None:
     return mask
 
 
-def masked_max(values: np.ndarray, mask: np.ndarray | None) -> float:
-    """Max of grid values over a `ball_mask` (None: over the whole grid)."""
-    return float(np.max(values if mask is None else values[mask]))
-
-
-def region_sup_norm(field: _Field, center, radius: float) -> float:
-    """Max pointwise magnitude over the periodic ball B(center, radius)."""
-    mask = ball_mask(field.grid, center, radius)
-    return masked_max(field.magnitude(), mask)
-
-
 __all__ = [
     "ScalarField",
     "VectorField",
@@ -399,6 +381,4 @@ __all__ = [
     "solve_pressure",
     "project_spectral",
     "ball_mask",
-    "masked_max",
-    "region_sup_norm",
 ]

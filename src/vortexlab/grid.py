@@ -11,7 +11,9 @@ scipy is installed.
 from __future__ import annotations
 
 import itertools
+import math
 import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -95,7 +97,10 @@ class GridSpec:
     n : int
         Points per axis (even, >= 8; powers of two recommended).
     length : float
-        Domain period (same along every axis).
+        Domain period (same along every axis). It must be finite, and the
+        cell volume dx**dim and the largest |k|^2 (dim k_max^2) must be
+        positive normal floats, so that energies and wavenumbers neither
+        overflow nor underflow.
     dealias : float
         Retained fraction of the spectrum when truncating nonlinear
         products (2/3 rule by default). Must lie in (0, 1].
@@ -113,8 +118,16 @@ class GridSpec:
             raise ValueError(f"n must be >= 8, got {self.n}")
         if self.n % 2 != 0:
             raise ValueError(f"n must be even, got {self.n}")
-        if not self.length > 0:
-            raise ValueError("length must be positive")
+        if not 0 < self.length < math.inf:
+            raise ValueError("length must be positive and finite")
+        try:  # the cell volume as `kinetic_energy` takes it, and dim k_max^2
+            scales = self.dx**self.dim, self.dim * (math.pi * self.n / self.length) ** 2
+        except OverflowError:
+            scales = (math.inf,)
+        if not all(sys.float_info.min <= s < math.inf for s in scales):
+            raise ValueError(
+                f"length {self.length!r} makes the cell volume or the largest |k|^2 overflow or underflow"
+            )
         if not 0.0 < self.dealias <= 1.0:
             raise ValueError("dealias fraction must lie in (0, 1]")
 
@@ -276,10 +289,6 @@ class GridSpec:
     def truncate(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Zero all modes outside the dealias cutoff (in place with out=coeffs)."""
         return np.multiply(coeffs, self.dealias_mask, out=out)
-
-    def dealias_values(self, values: np.ndarray) -> np.ndarray:
-        """Round-trip a physical-space array through the dealias mask."""
-        return self.ifftn(self.truncate(self.fftn(values)))
 
     def periodic_distance(self, center: np.ndarray) -> np.ndarray:
         """Distance from each grid point to `center` with periodic wrap-around."""

@@ -143,6 +143,8 @@ class RunConfig:
             )
         if self.dim not in solver.INITIAL_CONDITIONS[self.initial]:
             raise ConfigError(f"initial condition {self.initial!r} does not fit {self.system}")
+        if self.initial == "random-band-limited" and self.band < 1:
+            raise ConfigError("band must be at least 1 for random-band-limited")
         labels = [region.label for region in self.regions]
         if "global" in labels:
             raise ConfigError("region label 'global' is reserved for the whole box")
@@ -324,7 +326,6 @@ def _sup_norms(diag, velocity: np.ndarray, masks: dict, width: int) -> dict:
             "stretch_excess": part.stretch_excess,
             "carrier_sup": part.vec_mag,
             "hessian_direction_sup": part.p_xi_mag,
-            # as `VectorField.magnitude`, slab by slab
             "velocity_sup": np.sqrt(np.sum(velocity[:, s] ** 2, axis=0)),
         }
         for label, mask in masks.items():
@@ -360,12 +361,19 @@ class SampleLog:
     eps: float | None = None
 
 
+def check_output_dir(out_dir: Path) -> None:
+    """Raise ConfigError if the directory `out_dir` cannot be made because
+    it is, or lies under, a file."""
+    if not next(p for p in (out_dir, *out_dir.parents) if p.exists()).is_dir():
+        raise ConfigError(f"output directory {out_dir} is, or lies under, a file")
+
+
 def integrate(config: RunConfig, log: SampleLog, out_dir: Path | None = None):
     """Advance `config` from its initial state, append each sample to `log`
     and write the snapshots under `out_dir` (if not None). Returns the final
     state and the snapshot files. Input errors raise before any write."""
-    if out_dir is not None and not next(p for p in (out_dir, *out_dir.parents) if p.exists()).is_dir():
-        raise ConfigError(f"output directory {out_dir} is, or lies under, a file")
+    if out_dir is not None:
+        check_output_dir(out_dir)
     grid = config.grid()
     # built here, not by the caller: the loop holds the only state
     try:

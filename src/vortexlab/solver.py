@@ -263,18 +263,6 @@ def rk4_stages_boussinesq(state: BoussinesqState, config: StepperConfig, keep_st
     return new_state, _stage_list(state.time, config.dt, uh, stages)
 
 
-def step_euler(state: EulerState, config: StepperConfig) -> EulerState:
-    """Advance a 3D state by one RK4 step."""
-    new_state, _ = rk4_stages_euler(state, config, keep_stages=False)
-    return new_state
-
-
-def step_boussinesq(state: BoussinesqState, config: StepperConfig) -> BoussinesqState:
-    """Advance a 2D buoyant state by one RK4 step."""
-    new_state, _ = rk4_stages_boussinesq(state, config, keep_stages=False)
-    return new_state
-
-
 def _rescale(values: np.ndarray, amplitude: float, peak: float) -> None:
     """values *= amplitude / peak in place, unless peak is 0; a factor that
     overflows raises ValueError."""
@@ -388,8 +376,6 @@ __all__ = [
     "StepperConfig",
     "EulerState",
     "BoussinesqState",
-    "step_euler",
-    "step_boussinesq",
     "rk4_stages_euler",
     "rk4_stages_boussinesq",
     "initial_condition",

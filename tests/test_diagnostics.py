@@ -25,8 +25,6 @@ from vortexlab.diagnostics import (
     kernel_inputs,
     negative_part,
     positive_part,
-    strain_rotation_split,
-    vorticity_from_rotation,
 )
 
 
@@ -43,71 +41,95 @@ class TestSharpBracket:
         assert np.allclose(positive_part(f) - negative_part(f), f)
 
 
-class TestStrainRotationSplit:
+def vorticity_of(W):
+    """(W12 - W21, W20 - W02, W01 - W10) of a batch of (..., 3, 3) matrices W."""
+    return np.stack([W[..., 1, 2] - W[..., 2, 1], W[..., 2, 0] - W[..., 0, 2], W[..., 0, 1] - W[..., 1, 0]], axis=-1)
+
+
+def strain_and_vorticity(G):
+    """The strain 0.5 (G + G^T) and the vorticity of the skew part G -
+    strain of a batch of (..., 3, 3) matrices G[i, j] = d_i u_j, written
+    out entry by entry."""
+    sym = (G + np.swapaxes(G, -1, -2)) * 0.5
+    return sym, vorticity_of(G - sym)
+
+
+def _vec_and_mat(G):
+    """(vec, mat) of `kernel_inputs` for batch-first matrices G; a single
+    matrix goes in as a batch of one."""
+    G = np.asarray(G, dtype=float)
+    batch = G if G.ndim > 2 else G[None]
+    vec, mat, _ = kernel_inputs(np.moveaxis(batch, (-2, -1), (0, 1)), np.zeros(batch.shape))
+    return (vec, mat) if G.ndim > 2 else (vec[0], mat[0])
+
+
+class TestStrainAndVorticity:
+    """The 3D (vec, mat) of `kernel_inputs`: the vorticity and the strain."""
+
     def test_symmetric_input(self):
-        A = np.array([[1.0, 2.0], [2.0, -1.0]])
-        sym, skew = strain_rotation_split(A)
-        assert np.allclose(sym, A)
-        assert np.max(np.abs(skew)) == 0.0
+        A = np.array([[1.0, 2.0, 0.5], [2.0, -1.0, 3.0], [0.5, 3.0, 0.0]])
+        vec, mat = _vec_and_mat(A)
+        assert np.array_equal(mat, A)
+        assert np.max(np.abs(vec)) == 0.0
 
     def test_skew_input(self):
         A = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 2.0], [0.0, -2.0, 0.0]])
-        sym, skew = strain_rotation_split(A)
-        assert np.max(np.abs(sym)) == 0.0
-        assert np.allclose(skew, A)
-
-    def test_random_recomposition(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            A = rng.standard_normal((3, 3))
-            sym, skew = strain_rotation_split(A)
-            assert np.allclose(sym, sym.T)
-            assert np.allclose(skew, -skew.T)
-            assert np.array_equal(sym + skew, A) or np.allclose(sym + skew, A, rtol=0, atol=1e-15)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            strain_rotation_split(np.full((3, 3), np.inf))
-
-
-class TestVorticityFromRotation:
-    def test_zero(self):
-        assert np.allclose(vorticity_from_rotation(np.zeros((3, 3))), 0.0)
+        vec, mat = _vec_and_mat(A)
+        assert np.max(np.abs(mat)) == 0.0
+        assert np.array_equal(vec, [4.0, 0.0, 2.0])
 
     def test_rigid_rotation(self):
         grad_u = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        _, skew = strain_rotation_split(grad_u)
-        omega = vorticity_from_rotation(skew)
-        assert np.allclose(omega, [0.0, 0.0, 2.0])
+        vec, _ = _vec_and_mat(grad_u)
+        assert np.allclose(vec, [0.0, 0.0, 2.0])
 
     def test_round_trip(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             omega = rng.standard_normal(3)
-            mat = 0.5 * np.cross(omega, np.eye(3))  # skew part of grad u for this omega
-            assert np.allclose(vorticity_from_rotation(mat), omega, rtol=0, atol=1e-15)
+            strain = rng.standard_normal((3, 3))
+            strain = strain + strain.T
+            G = strain + 0.5 * np.cross(omega, np.eye(3))  # skew part of grad u for this omega
+            vec, mat = _vec_and_mat(G)
+            assert np.allclose(vec, omega, rtol=0, atol=1e-14)
+            assert np.allclose(mat, strain, rtol=0, atol=1e-15)
 
-    def test_non_skew_rejected(self):
-        with pytest.raises(ValueError, match="skew"):
-            vorticity_from_rotation(np.eye(3))
+    def test_matches_the_written_out_reference_bit_for_bit(self):
+        G = np.random.default_rng(3).standard_normal((4, 5, 3, 3))
+        sym, omega = strain_and_vorticity(G)
+        vec, mat = _vec_and_mat(G)
+        assert vec.tobytes() == omega.tobytes() and mat.tobytes() == sym.tobytes()
 
-    def test_batch_check_reads_the_whole_matrices(self):
-        # defect max |W + W^T| and scale max(max |W|, 1) over every entry of the batch
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            _vec_and_mat(np.full((3, 3), np.inf))
+
+    @pytest.mark.parametrize("entry", [(2, 3, 1, 0), (1, 1, 2, 2)])
+    @pytest.mark.parametrize("factor, raises", [(0.999, False), (1.001, True)])
+    def test_skew_check_reads_the_whole_batch(self, monkeypatch, entry, factor, raises):
+        # a strain off by `offset` at one entry of one matrix leaves W = G -
+        # strain that far from skew; the check allows 1e-12 max(max |W|, 1)
+        # over every entry of the batch
         rng = np.random.default_rng(5)
         w = 10.0 * rng.standard_normal((4, 5, 3, 3))
-        mat = w - np.swapaxes(w, -1, -2)
-        mat[2, 3, 1, 0] += 1e-9
-        mat[1, 1, 2, 2] = 3e-10
-        defect = np.max(np.abs(mat + np.swapaxes(mat, -1, -2)))
-        scale = max(float(np.max(np.abs(mat))), 1.0)
-        with pytest.raises(ValueError, match=f"defect {defect:.3e}"):
-            vorticity_from_rotation(mat, skew_tol=0.999 * defect / scale)
-        omega = vorticity_from_rotation(mat, skew_tol=1.001 * defect / scale)
-        expected = np.stack(
-            [mat[..., 1, 2] - mat[..., 2, 1], mat[..., 2, 0] - mat[..., 0, 2], mat[..., 0, 1] - mat[..., 1, 0]],
-            axis=-1,
-        )
-        assert omega.shape == expected.shape and omega.tobytes() == expected.tobytes()
+        G = w - np.swapaxes(w, -1, -2)
+        scale = float(np.max(np.abs(G)))
+        offset = factor * 1e-12 * scale / (2.0 if entry[2] == entry[3] else 1.0)
+        strain = diagnostics._strain
+
+        def planted(g):
+            mat = strain(g)
+            mat[entry] -= offset
+            return mat
+
+        monkeypatch.setattr(diagnostics, "_strain", planted)
+        if raises:
+            with pytest.raises(ValueError, match="not skew-symmetric"):
+                _vec_and_mat(G)
+        else:
+            vec, mat = _vec_and_mat(G)
+            expected = vorticity_of(G - mat)
+            assert vec.shape == expected.shape and vec.tobytes() == expected.tobytes()
 
 
 class TestNorm:
@@ -359,8 +381,7 @@ class TestDiagField:
         for _ in range(5):
             idx = tuple(rng.integers(0, g.n, size=3))
             G = grad_u[(slice(None), slice(None)) + idx]
-            sym, skew = strain_rotation_split(G)
-            omega = vorticity_from_rotation(skew)
+            sym, omega = strain_and_vorticity(G)
             point = direction_quantities(omega, sym, hess_p[(slice(None), slice(None)) + idx], eps=d.eps)
             assert d.alpha[idx] == pytest.approx(point.alpha, abs=1e-13)
             assert d.rho[idx] == pytest.approx(point.rho, abs=1e-13)

@@ -478,7 +478,10 @@ class TestCli:
     @pytest.mark.parametrize(
         "grid",
         ["n = 9", "n = 6", "n = 32\ndealias = 2.0", "n = 32\ndealias = 0", "n = 32\nlength = 0",
-         "n = 32\nlength = -1"],
+         "n = 32\nlength = -1",
+         # the cell volume overflows (an OverflowError in kinetic_energy) or underflows (every
+         # criterion non-finite), or the length is not finite
+         "n = 32\nlength = 1e300", "n = 32\nlength = 1e-160", "n = 32\nlength = inf"],
     )
     def test_bad_grid_exits_2(self, tmp_path, capsys, grid):
         bad = tmp_path / "bad.ini"
@@ -512,6 +515,8 @@ class TestCli:
             ("count = 4", "count = 3\npoints = 1.0, 2.0 ; 3.0, 4.0"),
             # amplitude / max|u| overflows: once a RuntimeWarning, then non-finite samples
             ("name = boussinesq-bubble", "name = random-band-limited\namplitude = 1e308\nband = 1"),
+            # no mode is kept: a zero flow
+            ("name = boussinesq-bubble", "name = random-band-limited\nband = 0"),
         ],
     )
     def test_values_that_parse_but_cannot_run_exit_2(self, tmp_path, capsys, old, new):
@@ -530,6 +535,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert "configuration error" in err and str(tmp_path / output) in err
         assert blocker.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("csv", ["blocker", "blocker/csv"])
+    def test_report_csv_dir_that_is_or_lies_under_a_file_exits_2(self, bubble_config, tmp_path, capsys, csv):
+        # the tables used to print before the CSV write ended in a traceback
+        assert main(["run", str(bubble_config), "-o", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        (tmp_path / "blocker").write_text("not a directory\n")
+        assert main(["report", str(tmp_path / "out"), "--csv", str(tmp_path / csv)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "configuration error" in err and str(tmp_path / csv) in err
 
     def test_check_identities_pass(self, capsys):
         assert main(["check-identities", "--count", "5000", "--dim", "2", "--seed", "1"]) == 0
@@ -686,15 +701,24 @@ class TestCli:
             b'{"system": "boussinesq2d", "grid"',
             b'{"system": "\xff\xfe"}',
             b"{}",
-            # the tables print, but --csv finds no series
+            # the tables could be built, but --csv finds no series
             b'{"system": "euler3d", "grid": {"n": 8}, "time": {"dt": 0.1}, "candidate_time": 1, '
             b'"under_resolved": false, "criteria": [], "type_one": [], "bkm": []}',
+            None,  # a bubble run's report.json without "bkm": the tables before it could be built
         ],
-        ids=["truncated", "not-utf8", "empty-object", "no-series"],
+        ids=["truncated", "not-utf8", "empty-object", "no-series", "no-bkm"],
     )
-    def test_report_on_a_bad_report_file_exits_2(self, tmp_path, capsys, content):
+    def test_report_on_a_bad_report_file_exits_2(self, bubble_config, tmp_path, capsys, content):
         path = tmp_path / "report.json"
+        if content is None:
+            assert main(["run", str(bubble_config), "-o", str(tmp_path / "run")]) == 0
+            report = json.loads((tmp_path / "run" / "report.json").read_text())
+            del report["bkm"]
+            content = json.dumps(report).encode()
+            capsys.readouterr()
         path.write_bytes(content)
         assert main(["report", str(tmp_path), "--csv", str(tmp_path / "csv")]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("configuration error: ") and str(path) in err
+        assert out == ""
+        assert not (tmp_path / "csv").exists()

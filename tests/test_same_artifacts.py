@@ -14,8 +14,11 @@ def test_the_tree_matches_itself_on_the_every_key_configs(tmp_path):
     assert [path.stem for path in same_artifacts.EVERY_KEY] == ["every_key_2d", "every_key_3d"]
     count, differ = same_artifacts.compare(ROOT, ROOT, same_artifacts.EVERY_KEY, tmp_path, cli=False)
     assert differ == []
-    # per config: report, manifest, tracer CSVs and five snapshots with diagnostics
-    assert count > 2 * (2 + 3 + 5 * 18)
+    # per config: report, manifest, tracer CSVs, five snapshots with diagnostics and the report text
+    assert count > 2 * (2 + 3 + 5 * 18 + 1)
+    for stem in ("every_key_2d", "every_key_3d"):
+        text = (tmp_path / "tree" / "report" / f"{stem}.txt").read_text()
+        assert text.startswith("system: ") and "growth-bound margins along tracers:" in text
 
 
 def test_the_tree_matches_itself_on_the_cli_json(tmp_path):
@@ -32,11 +35,13 @@ def test_the_tree_matches_itself_on_the_cli_json(tmp_path):
         assert report["count"] == 20_000 and "elapsed_seconds" not in report
 
 
-def _stub_tree(root: Path, files: dict) -> Path:
-    """A tree whose `pipeline.run` writes `files` {name: text}."""
+def _stub_tree(root: Path, files: dict, report: str = "tables") -> Path:
+    """A tree whose `pipeline.run` writes `files` {name: text} and whose
+    `vortexlab report` prints `report`."""
     package = root / "src" / "vortexlab"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(f"def main(argv):\n    print({report!r})\n    return 0\n")
     (package / "pipeline.py").write_text(
         "def load_config(path):\n    return path\n\n"
         "def run(config, out):\n"
@@ -53,4 +58,13 @@ def test_differing_and_one_sided_files_are_named(tmp_path):
     config = tmp_path / "run.ini"
     config.write_text("")
     count, differ = same_artifacts.compare(tree, other, [config], tmp_path / "out", cli=False)
-    assert (count, differ) == (4, ["run/changed", "run/mine", "run/theirs"])
+    assert (count, differ) == (5, ["run/changed", "run/mine", "run/theirs"])
+
+
+def test_differing_report_text_is_named(tmp_path):
+    tree = _stub_tree(tmp_path / "a", {"same": "x"}, report="old tables")
+    other = _stub_tree(tmp_path / "b", {"same": "x"}, report="new tables")
+    config = tmp_path / "run.ini"
+    config.write_text("")
+    count, differ = same_artifacts.compare(tree, other, [config], tmp_path / "out", cli=False)
+    assert (count, differ) == (2, ["report/run.txt"])

@@ -16,8 +16,6 @@ from vortexlab.solver import (
     rk4_stages_euler,
     scalar_l2_norm,
     spectral_tail_ratio,
-    step_boussinesq,
-    step_euler,
 )
 
 
@@ -72,14 +70,14 @@ class TestEulerStepping:
     def test_rest_state_unchanged(self):
         g = GridSpec(3, 16)
         st = initial_condition("random-band-limited", g, seed=1, amplitude=0.0)
-        new = step_euler(st, StepperConfig(dt=0.01))
+        new = rk4_stages_euler(st, StepperConfig(dt=0.01), keep_stages=False)[0]
         assert np.array_equal(new.u.values, st.u.values)
 
     def test_embedded_2d_flow_stays_planar(self):
         st = initial_condition("taylor-green-2d-embedded", GridSpec(3, 16))
         cfg = StepperConfig(dt=0.01)
         for _ in range(10):
-            st = step_euler(st, cfg)
+            st = rk4_stages_euler(st, cfg, keep_stages=False)[0]
         z_variation = np.max(np.abs(st.u.values - st.u.values[:, :, :, :1]))
         assert z_variation <= 1e-13
         assert np.max(np.abs(st.u.values[2])) <= 1e-13
@@ -88,7 +86,7 @@ class TestEulerStepping:
         st = initial_condition("taylor-green-3d", GridSpec(3, 16))
         cfg = StepperConfig(dt=0.01)
         for _ in range(5):
-            st = step_euler(st, cfg)
+            st = rk4_stages_euler(st, cfg, keep_stages=False)[0]
         worst, _ = max_divergence(st.u)
         assert worst <= 1e-10
 
@@ -97,20 +95,20 @@ class TestEulerStepping:
         e0 = kinetic_energy(st.u)
         cfg = StepperConfig(dt=0.01)
         for _ in range(20):
-            st = step_euler(st, cfg)
+            st = rk4_stages_euler(st, cfg, keep_stages=False)[0]
         assert abs(kinetic_energy(st.u) - e0) / e0 <= 1e-8
 
     def test_cfl_guard_trips(self):
         st = initial_condition("taylor-green-3d", GridSpec(3, 16), amplitude=5.0)
         with pytest.raises(CflError, match="exceeds"):
-            step_euler(st, StepperConfig(dt=0.5, cfl_guard=0.5))
+            rk4_stages_euler(st, StepperConfig(dt=0.5, cfl_guard=0.5), keep_stages=False)
 
     def test_blowup_detected(self):
         st = initial_condition("taylor-green-3d", GridSpec(3, 16))
         cfg = StepperConfig(dt=1e3)
         with np.errstate(all="ignore"), pytest.raises(NonFiniteStateError):
             for _ in range(5):
-                st = step_euler(st, cfg)
+                st = rk4_stages_euler(st, cfg, keep_stages=False)[0]
 
     def test_temporal_self_convergence(self):
         g = GridSpec(3, 16)
@@ -119,7 +117,7 @@ class TestEulerStepping:
             st = initial_condition("taylor-green-3d", g)
             cfg = StepperConfig(dt=dt)
             for _ in range(round(t_end / dt)):
-                st = step_euler(st, cfg)
+                st = rk4_stages_euler(st, cfg, keep_stages=False)[0]
             return st.u.values
 
         ref = advance(0.0025)
@@ -134,7 +132,7 @@ class TestBoussinesqStepping:
         u0 = st.u.values.copy()
         cfg = StepperConfig(dt=0.01)
         for _ in range(50):
-            st = step_boussinesq(st, cfg)
+            st = rk4_stages_boussinesq(st, cfg, keep_stages=False)[0]
         assert np.max(np.abs(st.u.values - u0)) <= 1e-12
 
     def test_uniform_buoyancy_cannot_accelerate(self):
@@ -146,7 +144,7 @@ class TestBoussinesqStepping:
         )
         cfg = StepperConfig(dt=0.01)
         for _ in range(5):
-            st = step_boussinesq(st, cfg)
+            st = rk4_stages_boussinesq(st, cfg, keep_stages=False)[0]
         assert np.max(np.abs(st.u.values)) == 0.0
         assert np.max(np.abs(st.theta.values - 0.7)) == 0.0
 
@@ -161,7 +159,7 @@ class TestBoussinesqStepping:
         )
         cfg = StepperConfig(dt=0.01)
         for _ in range(10):
-            st = step_boussinesq(st, cfg)
+            st = rk4_stages_boussinesq(st, cfg, keep_stages=False)[0]
         assert np.max(np.abs(st.u.values)) <= 1e-14
 
     def test_bubble_theta_norms_conserved(self):
@@ -170,7 +168,7 @@ class TestBoussinesqStepping:
         lo, hi = st.theta.values.min(), st.theta.values.max()
         cfg = StepperConfig(dt=0.005)
         for _ in range(60):
-            st = step_boussinesq(st, cfg)
+            st = rk4_stages_boussinesq(st, cfg, keep_stages=False)[0]
         assert abs(scalar_l2_norm(st.theta) - l2_0) / l2_0 <= 1e-9
         assert st.theta.values.max() <= hi + 1e-6
         assert st.theta.values.min() >= lo - 1e-6
@@ -179,7 +177,7 @@ class TestBoussinesqStepping:
         st = initial_condition("boussinesq-bubble", GridSpec(2, 32))
         cfg = StepperConfig(dt=0.01)
         for _ in range(20):
-            st = step_boussinesq(st, cfg)
+            st = rk4_stages_boussinesq(st, cfg, keep_stages=False)[0]
         assert kinetic_energy(st.u) > 1e-4
 
 

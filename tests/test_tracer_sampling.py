@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from vortexlab import pipeline, tracers
-from vortexlab.diagnostics import strain_rotation_split, vorticity_from_rotation
 from vortexlab.pipeline import RunConfig
 from vortexlab.tracers import diagnostics_series
 
@@ -52,8 +51,9 @@ def reference_tracer_fields(grid, u, theta, p, positions):
             hess[:, j, i] = sampled[idx]
             idx += 1
     if d == 3:
-        mat, skew = strain_rotation_split(grad_u)
-        vec = vorticity_from_rotation(skew)
+        mat = (grad_u + np.swapaxes(grad_u, 1, 2)) * 0.5  # strain
+        W = grad_u - mat  # rotation
+        vec = np.stack([W[:, 1, 2] - W[:, 2, 1], W[:, 2, 0] - W[:, 0, 2], W[:, 0, 1] - W[:, 1, 0]], axis=-1)
     else:
         vec = np.stack([sampled[carrier_index], sampled[carrier_index + 1]], axis=-1)
         mat = np.swapaxes(grad_u, 1, 2)  # Jacobian orientation

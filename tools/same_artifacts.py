@@ -1,14 +1,16 @@
-"""Compare the run artifacts and CLI JSON of this tree and another, byte for byte.
+"""Compare the run artifacts, report text and CLI JSON of this tree and another, byte for byte.
 
     python3 tools/same_artifacts.py OTHER_TREE
 
 For each tree, in its own Python process with that tree's `src` first on the
 path, runs `pipeline.load_config` and `pipeline.run` on the same configuration
 files: the run workloads of `benchmarks/workloads.py` (`config_text(seed)`)
-at seeds 0 and 11, and the every-key configurations beside this script. In a
-second process it writes the JSON of `vortexlab gronwall --json` on the specs
-beside this script (gronwall_*.ini) and of `vortexlab check-identities --json`
-in 2D and 3D at 20,000 samples, without the wall-clock `elapsed_seconds`.
+at seeds 0 and 11, and the every-key configurations beside this script. The
+same process writes the stdout of `vortexlab report` on each run's output
+directory to report/<config stem>.txt. In a second process it writes the
+JSON of `vortexlab gronwall --json` on the specs beside this script
+(gronwall_*.ini) and of `vortexlab check-identities --json` in 2D and 3D at
+20,000 samples, without the wall-clock `elapsed_seconds`.
 Then compares every file written by sha256, names each file that differs or
 that only one tree wrote, and exits 1 on any difference, 0 otherwise.
 """
@@ -29,15 +31,25 @@ EVERY_KEY = sorted(Path(__file__).resolve().parent.glob("every_key_*.ini"))
 GRONWALL_SPECS = sorted(Path(__file__).resolve().parent.glob("gronwall_*.ini"))
 
 # argv: the tree's src, the output directory and the config files; each
-# config's artifacts go to the directory named after its stem
+# config's artifacts go to the directory named after its stem, and the text
+# that `vortexlab report` prints on them to report/<stem>.txt
 RUN = """
+import contextlib
+import io
 import sys
 from pathlib import Path
 import vortexlab
 from vortexlab import pipeline
+from vortexlab.cli import main
 assert Path(vortexlab.__file__).resolve().is_relative_to(sys.argv[1]), vortexlab.__file__
+out = Path(sys.argv[2])
+(out / "report").mkdir(parents=True)
 for path in map(Path, sys.argv[3:]):
-    pipeline.run(pipeline.load_config(path), Path(sys.argv[2]) / path.stem)
+    pipeline.run(pipeline.load_config(path), out / path.stem)
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert main(["report", str(out / path.stem)]) == 0, path
+    (out / "report" / f"{path.stem}.txt").write_text(text.getvalue())
 """
 
 # argv: the tree's src, the output directory and the gronwall specs; the JSON
