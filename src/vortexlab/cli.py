@@ -283,7 +283,9 @@ def _report_lines(report: dict) -> list[str]:
 
 
 def _report_csvs(report: dict) -> dict:
-    """{file name: columns} of the criterion and type-I series of a run report."""
+    """{file name: columns} of the criterion and type-I series of a run
+    report. Raises ValueError unless each column is 1-D and as long as its
+    time column."""
     times = np.asarray(report["series"]["times"], dtype=float)
     csvs = {}
     for entry in report["criteria"]:
@@ -299,6 +301,10 @@ def _report_csvs(report: dict) -> dict:
             "time": np.asarray(entry["times"], dtype=float),
             "scaled": np.asarray(entry["scaled"], dtype=float),
         }
+    for name, columns in csvs.items():
+        shape = columns["time"].shape
+        if len(shape) != 1 or any(column.shape != shape for column in columns.values()):
+            raise ValueError(f"{name}: every column must be 1-D and as long as its times")
     return csvs
 
 

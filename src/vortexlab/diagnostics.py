@@ -54,9 +54,9 @@ def _vorticity(g: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """The vorticity of the skew parts W = g - mat of a batch of (..., 3, 3)
     velocity gradients g with strains mat, built one pair of entries of W
     at a time into a C-ordered (..., 3) array. Raises ValueError when
-    max |W + W^T| exceeds 1e-12 max(max |W|, 1)."""
+    max |W + W^T| exceeds 1e-12 max(max |g|, 1): the strain rounds
+    g_ij + g_ji, so W is skew up to a roundoff of the size of g, not of W."""
     vec = np.empty(g.shape[:-2] + (3,))
-    entry_max = []
     defect = []
 
     def sup(w):  # max |w| with no temporary; NaN if w holds one
@@ -64,17 +64,15 @@ def _vorticity(g: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
     for i in range(3):
         w_ii = np.subtract(g[..., i, i], mat[..., i, i])
-        entry_max.append(sup(w_ii))
         defect.append(sup(np.add(w_ii, w_ii, out=w_ii)))
         del w_ii
     for c, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
         w_ij = np.subtract(g[..., i, j], mat[..., i, j])
         w_ji = np.subtract(g[..., j, i], mat[..., j, i])
-        entry_max.extend((sup(w_ij), sup(w_ji)))
         np.subtract(w_ij, w_ji, out=vec[..., c])
         defect.append(sup(np.add(w_ij, w_ji, out=w_ij)))
         del w_ij, w_ji
-    scale = max(float(np.max(entry_max)), 1.0)
+    scale = max(float(sup(g)), 1.0)
     asym = np.max(defect)
     if asym > 1e-12 * scale:
         raise ValueError(f"matrix is not skew-symmetric (defect {asym:.3e})")

@@ -87,6 +87,15 @@ class TestStrainAndVorticity:
         rng = np.random.default_rng(2)
         for _ in range(50):
             omega = rng.standard_normal(3)
+            G = 0.5 * np.cross(omega, np.eye(3))  # skew part of grad u for this omega
+            vec, mat = _vec_and_mat(G)
+            assert np.max(np.abs(mat)) == 0.0
+            assert np.allclose(vec, omega, rtol=0, atol=1e-15)
+
+    def test_round_trip_with_strain(self):
+        rng = np.random.default_rng(2)
+        for _ in range(50):
+            omega = rng.standard_normal(3)
             strain = rng.standard_normal((3, 3))
             strain = strain + strain.T
             G = strain + 0.5 * np.cross(omega, np.eye(3))  # skew part of grad u for this omega
@@ -104,11 +113,23 @@ class TestStrainAndVorticity:
         with pytest.raises(ValueError, match="non-finite"):
             _vec_and_mat(np.full((3, 3), np.inf))
 
+    @pytest.mark.parametrize("a", [1e4, 1e6])
+    def test_strain_dominated_gradients_pass(self, a):
+        # the strain rounds g_ij + g_ji at the size of g, so W = g - strain
+        # is skew only up to that roundoff, however small W is
+        rng = np.random.default_rng(7)
+        S = rng.standard_normal((100, 3, 3))
+        R = rng.standard_normal((100, 3, 3))
+        G = a * (S + np.swapaxes(S, -1, -2)) + R
+        sym, omega = strain_and_vorticity(G)
+        vec, mat = _vec_and_mat(G)
+        assert vec.tobytes() == omega.tobytes() and mat.tobytes() == sym.tobytes()
+
     @pytest.mark.parametrize("entry", [(2, 3, 1, 0), (1, 1, 2, 2)])
     @pytest.mark.parametrize("factor, raises", [(0.999, False), (1.001, True)])
     def test_skew_check_reads_the_whole_batch(self, monkeypatch, entry, factor, raises):
         # a strain off by `offset` at one entry of one matrix leaves W = G -
-        # strain that far from skew; the check allows 1e-12 max(max |W|, 1)
+        # strain that far from skew; the check allows 1e-12 max(max |G|, 1)
         # over every entry of the batch
         rng = np.random.default_rng(5)
         w = 10.0 * rng.standard_normal((4, 5, 3, 3))
@@ -124,7 +145,9 @@ class TestStrainAndVorticity:
 
         monkeypatch.setattr(diagnostics, "_strain", planted)
         if raises:
-            with pytest.raises(ValueError, match="not skew-symmetric"):
+            W = G - planted(G)
+            defect = np.max(np.abs(W + np.swapaxes(W, -1, -2)))
+            with pytest.raises(ValueError, match=f"not skew-symmetric \\(defect {defect:.3e}\\)"):
                 _vec_and_mat(G)
         else:
             vec, mat = _vec_and_mat(G)

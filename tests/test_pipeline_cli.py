@@ -704,16 +704,18 @@ class TestCli:
             # the tables could be built, but --csv finds no series
             b'{"system": "euler3d", "grid": {"n": 8}, "time": {"dt": 0.1}, "candidate_time": 1, '
             b'"under_resolved": false, "criteria": [], "type_one": [], "bkm": []}',
-            None,  # a bubble run's report.json without "bkm": the tables before it could be built
+            # edits of a bubble run's report.json
+            lambda report: report.pop("bkm"),  # the tables before it could be built
+            lambda report: report["criteria"][0]["norm_samples"].pop(),  # the tables could be built
         ],
-        ids=["truncated", "not-utf8", "empty-object", "no-series", "no-bkm"],
+        ids=["truncated", "not-utf8", "empty-object", "no-series", "no-bkm", "ragged-series"],
     )
     def test_report_on_a_bad_report_file_exits_2(self, bubble_config, tmp_path, capsys, content):
         path = tmp_path / "report.json"
-        if content is None:
+        if callable(content):
             assert main(["run", str(bubble_config), "-o", str(tmp_path / "run")]) == 0
             report = json.loads((tmp_path / "run" / "report.json").read_text())
-            del report["bkm"]
+            content(report)
             content = json.dumps(report).encode()
             capsys.readouterr()
         path.write_bytes(content)
