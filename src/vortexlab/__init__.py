@@ -14,13 +14,13 @@ from .fields import (
     solve_pressure,
 )
 from .diagnostics import direction_quantities, diag_field
-from .identities import AlgebraicSample, make_samples, run_identity_suite
+from .identities import make_samples, run_identity_suite
 from .solver import (
     StepperConfig,
     initial_condition,
     kinetic_energy,
 )
-from .tracers import SpectralSampler, TracerRecord, dynamical_residuals, growth_bound_check
+from .tracers import SpectralSampler, dynamical_residuals, growth_bound_check
 from .criteria import (
     criterion_functional,
     type_one_monitor,

@@ -174,14 +174,19 @@ def _gronwall_spec(parser) -> dict:
             raise pipeline.ConfigError("batch seed must be nonnegative")
         return spec
     times = spec["times"]
-    spec["alpha"] = _parse_profile(sec.get("alpha", "1.0"), times)
-    spec["beta"] = _parse_profile(sec.get("beta", "0.0"), times)
+    # a profile that overflows reads inf and is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        spec["alpha"] = _parse_profile(sec.get("alpha", "1.0"), times)
+        spec["beta"] = _parse_profile(sec.get("beta", "0.0"), times)
     y_spec = sec.get("y", "equality").strip()
     spec["y"] = None
     if y_spec.startswith("const:"):
         spec["y"] = np.full_like(times, float(y_spec[len("const:") :]))
     elif y_spec not in ("equality", "none", ""):
         raise pipeline.ConfigError(f"unknown y spec {y_spec!r}")
+    for key in ("alpha", "beta", "y"):
+        if spec[key] is not None and not np.all(np.isfinite(spec[key])):
+            raise pipeline.ConfigError(f"{key} must be finite at every sample time")
     return spec
 
 

@@ -56,19 +56,22 @@ def _vorticity(g: np.ndarray, mat: np.ndarray) -> np.ndarray:
     at a time into a C-ordered (..., 3) array. Raises ValueError when
     max |W + W^T| exceeds 1e-12 max(max |g|, 1): the strain rounds
     g_ij + g_ji, so W is skew up to a roundoff of the size of g, not of W."""
-    vec = np.empty(g.shape[:-2] + (3,))
+    batch = g.shape[:-2]
+    vec = np.empty(batch + (3,))
     defect = []
 
     def sup(w):  # max |w| with no temporary; NaN if w holds one
         return np.max([np.max(w), -np.min(w)])
 
+    # each entry of W into an array of the batch shape, 0-d for one point,
+    # so that the in-place sums below have an array to write to
     for i in range(3):
-        w_ii = np.subtract(g[..., i, i], mat[..., i, i])
+        w_ii = np.subtract(g[..., i, i], mat[..., i, i], out=np.empty(batch))
         defect.append(sup(np.add(w_ii, w_ii, out=w_ii)))
         del w_ii
     for c, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
-        w_ij = np.subtract(g[..., i, j], mat[..., i, j])
-        w_ji = np.subtract(g[..., j, i], mat[..., j, i])
+        w_ij = np.subtract(g[..., i, j], mat[..., i, j], out=np.empty(batch))
+        w_ji = np.subtract(g[..., j, i], mat[..., j, i], out=np.empty(batch))
         np.subtract(w_ij, w_ji, out=vec[..., c])
         defect.append(sup(np.add(w_ij, w_ji, out=w_ij)))
         del w_ij, w_ji

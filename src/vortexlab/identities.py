@@ -1,10 +1,11 @@
 """Randomized algebraic verification of the direction-field identities.
 
 Every check here is pure matrix/vector algebra on a sample (S, P, v): no PDE
-solve is involved. Every quantity a check reads comes from the production
-kernel `diagnostics.direction_quantities` at eps = 0, the same code that
-feeds the grid diagnostics and the tracer series, so the suite certifies
-what writes `report.json`. The material-derivative proxies are
+solve is involved. A check takes the production kernel
+`diagnostics.direction_quantities` at eps = 0 of a batch, with v as vec, S
+as mat and P as hess. That is the code that feeds the grid diagnostics and
+the tracer series, so the suite certifies what writes `report.json`. The
+material-derivative proxies are
 
     rate of |v|        := alpha |v|
     rate of direction  := S xi - alpha xi
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import _norm, direction_quantities
+from .diagnostics import DirectionQuantities, _norm, direction_quantities
 from .storage import fields_to_json
 
 RESIDUAL_FLOOR = 1e-14
@@ -58,59 +59,10 @@ def _symmetrize(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class AlgebraicSample:
-    """Batch of (matrix, Hessian, carrier vector) samples.
-
-    S has shape (m, d, d) and zero trace, P is symmetric (m, d, d), v is
-    (m, d). `q` holds the derived quantities, arrays of shape (m,) or (m, d),
-    from the direction kernel at eps = 0.
-    """
-
-    def __init__(self, S: np.ndarray, P: np.ndarray, v: np.ndarray):
-        S = np.atleast_3d(np.asarray(S, dtype=float))
-        P = np.atleast_3d(np.asarray(P, dtype=float))
-        v = np.atleast_2d(np.asarray(v, dtype=float))
-        m, d = v.shape
-        if S.shape != (m, d, d) or P.shape != (m, d, d):
-            raise ValueError("shape mismatch between S, P, v")
-        # max |S_ij| entry by entry over the batch; a NaN reads as in np.max
-        scale = np.abs(S[:, 0, 0])
-        for i, j in np.ndindex(d, d):
-            np.maximum(scale, np.abs(S[:, i, j]), out=scale)
-        if np.any(np.abs(_trace(S)) > 1e-12 * np.maximum(scale, 1.0, out=scale)):
-            raise ValueError("S must be trace-free")
-        defect = [np.max(np.abs(P[:, i, j] - P[:, j, i])) for i, j in zip(*np.triu_indices(d, 1))]
-        if np.max(defect, initial=0.0) > 1e-12 * max(np.max([P.max(), -P.min()]), 1.0):
-            raise ValueError("P must be symmetric")
-        self.S, self.P, self.v = S, P, v
-        self.q = direction_quantities(v, S, P, 0.0)
-
-    @classmethod
-    def _view(cls, S: np.ndarray, P: np.ndarray, v: np.ndarray, q) -> AlgebraicSample:
-        """A sample of arrays already checked, with their quantities q."""
-        view = cls.__new__(cls)
-        view.S, view.P, view.v, view.q = S, P, v, q
-        return view
-
-    def slabs(self, width: int):
-        """The batch in consecutive slabs of `width` samples: (slice,
-        AlgebraicSample) pairs, read one at a time. Each slab's quantities
-        come from `DirectionQuantities.slabs`, so they equal this batch's
-        bit for bit; a width that covers the batch yields the batch itself."""
-        for sl, q in self.q.slabs(width):
-            yield sl, (self if q is self.q else self._view(self.S[sl], self.P[sl], self.v[sl], q))
-
-    @property
-    def size(self) -> int:
-        return self.v.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.v.shape[1]
-
-
-def make_samples(count: int, dim: int, seed: int, scale: float = 1.0) -> AlgebraicSample:
-    """Seeded random batch: symmetric trace-free S in 3D, full trace-free matrix in 2D."""
+def make_samples(count: int, dim: int, seed: int, scale: float = 1.0) -> DirectionQuantities:
+    """The direction kernel at eps = 0 of a seeded random batch: v of shape
+    (count, dim) as vec, a trace-free S as mat (symmetric in 3D, a full
+    matrix in 2D) and a symmetric P as hess."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if dim not in (2, 3):
@@ -127,7 +79,7 @@ def make_samples(count: int, dim: int, seed: int, scale: float = 1.0) -> Algebra
     if scale != 1.0:  # x * 1.0 is x
         for x in (S, P, v):
             x *= scale
-    return AlgebraicSample(S=S, P=P, v=v)
+    return direction_quantities(v, S, P, 0.0)
 
 
 def _relative(err: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -157,24 +109,21 @@ def _pythagoras(lhs: np.ndarray, mag: np.ndarray, valid: np.ndarray) -> np.ndarr
     return _masked(res, valid, failed=(ref < np.finfo(float).tiny) & (mag > 0))
 
 
-def check_vorticity_pythagoras(s: AlgebraicSample) -> np.ndarray:
+def check_vorticity_pythagoras(q: DirectionQuantities) -> np.ndarray:
     """Residual of (rate |v|)^2 + |rate xi|^2 |v|^2 = |S v|^2; nan where
     skipped, inf where it overflows or underflows."""
-    q = s.q
     lhs = q.rate_vec_mag**2 + (q.rate_xi_mag * q.vec_mag) ** 2
     return _pythagoras(lhs, q.stretch_vec_mag, q.stretch_active)
 
 
-def check_strain_pythagoras(s: AlgebraicSample) -> np.ndarray:
+def check_strain_pythagoras(q: DirectionQuantities) -> np.ndarray:
     """Residual of (rate |S v|)^2 + |rate zeta|^2 |S v|^2 = |P v|^2."""
-    q = s.q
     lhs = q.rate_stretch_mag**2 + (q.rate_zeta_mag * q.stretch_vec_mag) ** 2
     return _pythagoras(lhs, q.hess_vec_mag, q.stretch_active)
 
 
-def check_three_term(s: AlgebraicSample) -> np.ndarray:
+def check_three_term(q: DirectionQuantities) -> np.ndarray:
     """Residual of the three-term splitting of |P v|^2."""
-    q = s.q
     lhs = (
         q.rate_stretch_mag**2
         + (q.rate_zeta_mag * q.rate_vec_mag) ** 2
@@ -186,7 +135,7 @@ def check_three_term(s: AlgebraicSample) -> np.ndarray:
 CONDITIONING_GUARD = 1e-4
 
 
-def check_orthogonal_decompositions(s: AlgebraicSample) -> dict[str, np.ndarray]:
+def check_orthogonal_decompositions(q: DirectionQuantities) -> dict[str, np.ndarray]:
     """Residuals of the orthogonal splitting of P xi and the orthogonality of
     the direction rates; nan where the relevant denominator degenerates,
     inf where a valid sample's residual is not finite.
@@ -195,7 +144,6 @@ def check_orthogonal_decompositions(s: AlgebraicSample) -> dict[str, np.ndarray]
     is tiny against the cancellation scale of its own computation; otherwise
     pure roundoff would masquerade as an identity violation.
     """
-    q = s.q
     recomposed = q.align[:, None] * q.zeta - q.unit_stretch_mag[:, None] * q.rate_zeta
     dec = _relative(_norm(q.p_xi - recomposed), q.p_xi_mag)
     dec = _masked(dec, q.stretch_active)
@@ -228,11 +176,10 @@ def check_orthogonal_decompositions(s: AlgebraicSample) -> dict[str, np.ndarray]
     }
 
 
-def check_inequalities(s: AlgebraicSample) -> dict[str, dict[str, np.ndarray]]:
+def check_inequalities(q: DirectionQuantities) -> dict[str, dict[str, np.ndarray]]:
     """Normalized slack and LHS/RHS ratio of the sqrt(2)/sqrt(3) inequalities;
     nan where skipped, and a failing -inf slack and inf ratio where a valid
     sample's value is not finite."""
-    q = s.q
     lhs1 = q.rate_vec_mag + q.rate_xi_mag * q.vec_mag
     rhs1 = np.sqrt(2.0) * q.stretch_vec_mag
     lhs2 = q.rate_stretch_mag + q.rate_zeta_mag * q.stretch_vec_mag
@@ -255,14 +202,14 @@ def check_inequalities(s: AlgebraicSample) -> dict[str, dict[str, np.ndarray]]:
     return out
 
 
-def _residuals(s: AlgebraicSample) -> dict[str, np.ndarray]:
-    """Every identity residual of `s`, by check name."""
+def _residuals(q: DirectionQuantities) -> dict[str, np.ndarray]:
+    """Every identity residual of `q`, by check name."""
     residuals = {
-        "vorticity_pythagoras": check_vorticity_pythagoras(s),
-        "strain_pythagoras": check_strain_pythagoras(s),
-        "three_term": check_three_term(s),
+        "vorticity_pythagoras": check_vorticity_pythagoras(q),
+        "strain_pythagoras": check_strain_pythagoras(q),
+        "three_term": check_three_term(q),
     }
-    residuals.update(check_orthogonal_decompositions(s))
+    residuals.update(check_orthogonal_decompositions(q))
     return residuals
 
 
@@ -294,21 +241,23 @@ def run_identity_suite(
     scale: float = 1.0,
     tolerance: float = IDENTITY_TOL,
     inequality_tolerance: float = INEQUALITY_TOL,
-    samples: AlgebraicSample | None = None,
+    samples: DirectionQuantities | None = None,
 ) -> IdentitySuiteReport:
     """Run every identity and inequality check over one seeded random batch.
 
-    The batch is read in slabs of SLAB samples (`AlgebraicSample.slabs`),
-    one slab's quantities and residuals at a time. The slabs' skip counts,
-    residual maxima, min slacks and max ratios are combined exactly, so the
-    report equals, bit for bit, that of the checks run on the whole batch:
-    the worst sample too, the first with the largest residual, found by its
-    index in the batch."""
+    The batch is `samples` if given, else `make_samples(count, dim, seed,
+    scale)`: the kernel at eps = 0 of samples (S, P, v) given as (mat, hess,
+    vec), S trace-free and P symmetric. It is read in slabs of SLAB samples
+    (`DirectionQuantities.slabs`), one slab's quantities and residuals at a
+    time. The slabs' skip counts, residual maxima, min slacks and max ratios
+    are combined exactly, so the report equals, bit for bit, that of the
+    checks run on the whole batch: the worst sample too, the first with the
+    largest residual, found by its index in the batch."""
     t0 = time.perf_counter()
-    s = samples if samples is not None else make_samples(count, dim, seed, scale)
+    q = samples if samples is not None else make_samples(count, dim, seed, scale)
     report = IdentitySuiteReport(
-        dim=s.dim,
-        count=s.size,
+        dim=q.vec.shape[-1],
+        count=len(q.vec),
         seed=seed,
         scale=scale,
         tolerance=tolerance,
@@ -320,7 +269,7 @@ def run_identity_suite(
     maxima, extremes = {}, {}
     # a residual that overflows or underflows reads inf and fails its check
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        for sl, part in s.slabs(SLAB):
+        for sl, part in q.slabs(SLAB):
             for name, res in _residuals(part).items():
                 n_skip = int(np.count_nonzero(np.isnan(res)))
                 report.skipped[name] = report.skipped.get(name, 0) + n_skip
@@ -354,16 +303,15 @@ def run_identity_suite(
         report.worst = {
             "check": worst_name,
             "residual": worst_val,
-            "S": s.S[worst_idx].tolist(),
-            "P": s.P[worst_idx].tolist(),
-            "v": s.v[worst_idx].tolist(),
+            "S": q.mat[worst_idx].tolist(),
+            "P": q.hess[worst_idx].tolist(),
+            "v": q.vec[worst_idx].tolist(),
         }
     report.elapsed_seconds = time.perf_counter() - t0
     return report
 
 
 __all__ = [
-    "AlgebraicSample",
     "IdentitySuiteReport",
     "IDENTITY_TOL",
     "INEQUALITY_TOL",

@@ -260,13 +260,12 @@ def _config_from(parser: configparser.ConfigParser) -> RunConfig:
 
 @dataclass
 class RunResult:
-    config: RunConfig
+    """The sample times, the report, the tracer CSV columns (`analyse`) and,
+    for a run with an output directory, the manifest and the directory."""
+
     times: np.ndarray
     report: dict
-    records: list
-    residual_summaries: dict
-    bound_checks: dict
-    final_state: object
+    tracer_columns: dict
     manifest: dict | None = None
     output_dir: Path | None = None
 
@@ -370,8 +369,8 @@ def check_output_dir(out_dir: Path) -> None:
 
 def integrate(config: RunConfig, log: SampleLog, out_dir: Path | None = None):
     """Advance `config` from its initial state, append each sample to `log`
-    and write the snapshots under `out_dir` (if not None). Returns the final
-    state and the snapshot files. Input errors raise before any write."""
+    and write the snapshots under `out_dir` (if not None). Returns the
+    snapshot files. Input errors raise before any write."""
     if out_dir is not None:
         check_output_dir(out_dir)
     grid = config.grid()
@@ -471,39 +470,39 @@ def integrate(config: RunConfig, log: SampleLog, out_dir: Path | None = None):
             del stages  # the stage arrays are not needed past the step
         except (solver.SolverError, tracers.TracerError, DivergenceError) as exc:
             raise type(exc)(f"aborted at step {step_index}: {exc}") from exc
-    return state, snapshots
+    return snapshots
 
 
 def _tracer_analysis(times: np.ndarray, vec, mat, hess, eps: float, positions: np.ndarray):
-    """(records, residual_summaries, bound_checks) of the tracers at
+    """(tracer_columns, residual_summaries, bound_checks) of the tracers at
     `positions` (samples, tracers, d) from their kernel inputs (vec, mat,
     hess), of shape (samples, tracers, d[, d]), sampled at `times`. The
     series, the residuals and each bound variant are one call on the whole
-    batch, and each record holds one tracer's columns of the results."""
+    batch. tracer_columns are the columns of the tracer CSVs in their order,
+    each of shape (samples, tracers): time, x1..xd, five series, then
+    `residual_<identity>` (with at least 5 samples) and `margin_<variant>`."""
     series = tracers.diagnostics_series(vec, mat, hess, eps)
     bound_tol = 1e-6 * max(float(np.max(series["vec_mag"])), 1e-300)
     variants = tracers.BOUND_VARIANTS if vec.shape[-1] == 3 else ("lemma", "double-exp")
     residuals = tracers.dynamical_residuals(times, series) if times.size >= 5 else {}
     checks = {v: tracers.growth_bound_check(times, series, v, bound_tol) for v in variants}
-    columns = {**series, **{f"residual_{name}": r for name, r in residuals.items()}}
+    columns = {"time": np.broadcast_to(times[:, None], positions.shape[:2])}
+    columns.update({f"x{axis + 1}": positions[..., axis] for axis in range(positions.shape[-1])})
+    columns["carrier_mag"] = series["vec_mag"]
+    columns.update({key: series[key] for key in ("alpha", "rho", "align", "stretch_balance")})
+    columns.update({f"residual_{name}": r for name, r in residuals.items()})
     columns.update({f"margin_{v.replace('-', '_')}": c.margins for v, c in checks.items()})
-    records = [
-        tracers.TracerRecord(
-            index=p, seed_point=positions[0, p], times=times, positions=positions[:, p],
-            series={k: v[:, p] for k, v in columns.items()},
-        )
-        for p in range(positions.shape[1])
-    ]
     bound_checks = {
         v: {"min_margin": c.min_margin, "violations": c.violations, "tolerance": bound_tol}
         for v, c in checks.items()
     }
-    return records, tracers.residual_summary(residuals), bound_checks
+    return columns, tracers.residual_summary(residuals), bound_checks
 
 
-def analyse(config: RunConfig, log: SampleLog) -> tuple[dict, list]:
-    """The report and the tracer records of the samples in `log`, which need
-    not come from `integrate`: only `config` and `log` are read."""
+def analyse(config: RunConfig, log: SampleLog) -> tuple[dict, dict]:
+    """The report and the tracer CSV columns (`_tracer_analysis`; none
+    without tracers) of the samples in `log`, which need not come from
+    `integrate`: only `config` and `log` are read."""
     kind = "euler" if config.dim == 3 else "boussinesq"
     weight = "none" if kind == "euler" else "linear"
     threshold = 1.0 if kind == "euler" else 2.0
@@ -511,7 +510,7 @@ def analyse(config: RunConfig, log: SampleLog) -> tuple[dict, list]:
     regions = config.all_regions()
     times = np.asarray(log.times)
 
-    records, residual_summaries, bound_checks = [], {}, {}
+    tracer_columns, residual_summaries, bound_checks = {}, {}, {}
     if log.positions:
         d = config.dim
         upper, carrier = np.split(np.stack(log.tracer_rows, axis=-2), [d * (d + 1) // 2])
@@ -520,7 +519,7 @@ def analyse(config: RunConfig, log: SampleLog) -> tuple[dict, list]:
             _series_first(symmetric_from_upper(upper, d)),
             _series_first(carrier) if d == 2 else None,
         )
-        records, residual_summaries, bound_checks = _tracer_analysis(
+        tracer_columns, residual_summaries, bound_checks = _tracer_analysis(
             times, vec, mat, hess, log.eps, np.stack(log.positions)
         )
 
@@ -595,7 +594,7 @@ def analyse(config: RunConfig, log: SampleLog) -> tuple[dict, list]:
     if log.theta_l2:
         report["series"]["theta_l2"] = list(log.theta_l2)
         report["theta_range"] = list(log.theta_range)
-    return report, records
+    return report, tracer_columns
 
 
 def run(config: RunConfig, output_dir: str | Path | None = None) -> RunResult:
@@ -603,14 +602,15 @@ def run(config: RunConfig, output_dir: str | Path | None = None) -> RunResult:
     manifest.json beside the snapshots in `output_dir` (if not None)."""
     out_dir = Path(output_dir) if output_dir is not None else None
     log = SampleLog()
-    state, files = integrate(config, log, out_dir)
-    report, records = analyse(config, log)
+    files = integrate(config, log, out_dir)
+    report, tracer_columns = analyse(config, log)
 
     manifest = None
     if out_dir is not None:
-        for record in records:
-            path = out_dir / "tracers" / f"tracer_{record.index:03d}.csv"
-            _write_tracer_csv(path, record)
+        seeds = log.positions[0] if log.positions else np.zeros((0, config.dim))
+        for p in range(len(seeds)):
+            path = out_dir / "tracers" / f"tracer_{p:03d}.csv"
+            write_csv(path, {name: column[:, p] for name, column in tracer_columns.items()})
             files.append(path)
         report_path = out_dir / "report.json"
         write_json(report_path, report)
@@ -622,35 +622,17 @@ def run(config: RunConfig, output_dir: str | Path | None = None) -> RunResult:
             {
                 "under_resolved": report["under_resolved"],
                 "n_steps": config.n_steps,
-                "tracer_seeds": [record.seed_point.tolist() for record in records],
+                "tracer_seeds": seeds.tolist(),
             },
         )
 
     return RunResult(
-        config=config,
         times=np.asarray(log.times),
         report=report,
-        records=records,
-        residual_summaries=report["residual_summaries"],
-        bound_checks=report["bound_checks"],
-        final_state=state,
+        tracer_columns=tracer_columns,
         manifest=manifest,
         output_dir=out_dir,
     )
-
-
-def _write_tracer_csv(path: Path, record: tracers.TracerRecord) -> None:
-    s = record.series
-    columns = {"time": record.times}
-    for axis in range(record.positions.shape[1]):
-        columns[f"x{axis + 1}"] = record.positions[:, axis]
-    columns["carrier_mag"] = s["vec_mag"]
-    columns["alpha"] = s["alpha"]
-    columns["rho"] = s["rho"]
-    columns["align"] = s["align"]
-    columns["stretch_balance"] = s["stretch_balance"]
-    columns.update({k: v for k, v in s.items() if k.startswith(("residual_", "margin_"))})
-    write_csv(path, columns)
 
 
 __all__ = [

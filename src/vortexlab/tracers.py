@@ -13,7 +13,7 @@ at order >= 2 under step refinement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,19 +127,6 @@ def time_derivative(values: np.ndarray, dt: float, order: int, accuracy: int = 2
     return out
 
 
-@dataclass
-class TracerRecord:
-    """Output record of one tracer: its columns of the batch results. Series
-    keys: vec, the kernel quantities named in SERIES_KEYS, and the tracer
-    CSV's `residual_<identity>` and `margin_<variant>` columns."""
-
-    index: int
-    seed_point: np.ndarray
-    times: np.ndarray
-    positions: np.ndarray
-    series: dict = field(default_factory=dict)
-
-
 SERIES_KEYS = (
     "vec_mag",
     "stretch_vec",
@@ -242,10 +229,9 @@ def residual_summary(residuals: dict[str, np.ndarray]) -> dict[str, float]:
 
 @dataclass(frozen=True)
 class BoundCheck:
-    variant: str
-    times: np.ndarray
-    measured: np.ndarray
-    bound: np.ndarray
+    """The margins (bound minus measured) of one bound variant over a batch,
+    and the tolerance a margin may fall below zero by."""
+
     margins: np.ndarray
     tolerance: float
 
@@ -309,15 +295,7 @@ def growth_bound_check(times: np.ndarray, series: dict, variant: str, tolerance:
     else:
         raise ValueError(f"unknown bound variant {variant!r}; choose from {BOUND_VARIANTS}")
 
-    margins = bound - measured
-    return BoundCheck(
-        variant=variant,
-        times=times,
-        measured=measured,
-        bound=bound,
-        margins=margins,
-        tolerance=tolerance,
-    )
+    return BoundCheck(margins=bound - measured, tolerance=tolerance)
 
 
 __all__ = [
@@ -325,7 +303,6 @@ __all__ = [
     "TracerError",
     "SpectralSampler",
     "advance_positions",
-    "TracerRecord",
     "time_derivative",
     "diagnostics_series",
     "dynamical_residuals",

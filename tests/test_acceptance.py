@@ -35,7 +35,6 @@ from vortexlab.solver import (
     rk4_stages_euler,
     scalar_l2_norm,
 )
-from vortexlab.tracers import dynamical_residuals
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -160,12 +159,12 @@ def _residual_maxima(system, name, n, dt, t_end, seeds, stride):
     cfg = RunConfig(system=system, n=n, dt=dt, t_end=t_end, initial=name, seed=3, tracer_points=seeds)
     result = pipeline.run(cfg)
     maxima = {}
-    for record in result.records:
-        residuals = dynamical_residuals(record.times, record.series)
-        for key, series in residuals.items():
-            window = series[::stride][3:-3]
-            window = window[np.isfinite(window)]
-            maxima[key] = max(maxima.get(key, 0.0), float(np.max(np.abs(window))))
+    for key in RESIDUAL_KEYS:
+        # the run's residual columns, (samples, tracers); tests/test_tracers.py
+        # shows they equal dynamical_residuals of each tracer's series bit for bit
+        window = result.tracer_columns[f"residual_{key}"][::stride][3:-3]
+        window = window[np.isfinite(window)]
+        maxima[key] = float(np.max(np.abs(window)))
     return maxima
 
 
@@ -209,8 +208,8 @@ def test_criterion_06_growth_bounds_along_tracers():
     violations = 0
     details = []
     for label, result, expected in (("3D", res3, 3), ("2D", res2, 2)):
-        assert len(result.bound_checks) == expected
-        for variant, agg in result.bound_checks.items():
+        assert len(result.report["bound_checks"]) == expected
+        for variant, agg in result.report["bound_checks"].items():
             violations += agg["violations"]
             details.append(f"{label}/{variant} margin {agg['min_margin']:.1e} tol {agg['tolerance']:.1e}")
     ok = violations == 0

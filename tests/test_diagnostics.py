@@ -12,7 +12,6 @@ from vortexlab.fields import (
     hessian_coeffs,
     solve_pressure,
 )
-from vortexlab.identities import AlgebraicSample
 from vortexlab.pipeline import RunConfig, SampleLog, integrate
 from vortexlab.solver import initial_condition
 from vortexlab.tracers import diagnostics_series
@@ -55,12 +54,24 @@ def strain_and_vorticity(G):
 
 
 def _vec_and_mat(G):
-    """(vec, mat) of `kernel_inputs` for batch-first matrices G; a single
-    matrix goes in as a batch of one."""
+    """(vec, mat) of `kernel_inputs` for batch-first matrices G, or one matrix."""
     G = np.asarray(G, dtype=float)
-    batch = G if G.ndim > 2 else G[None]
-    vec, mat, _ = kernel_inputs(np.moveaxis(batch, (-2, -1), (0, 1)), np.zeros(batch.shape))
-    return (vec, mat) if G.ndim > 2 else (vec[0], mat[0])
+    vec, mat, _ = kernel_inputs(np.moveaxis(G, (-2, -1), (0, 1)), np.zeros(G.shape))
+    return vec, mat
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_kernel_inputs_of_a_single_point_equal_a_batch_of_one(dim):
+    # one point has no batch axis: each input is component-first (d[, d])
+    rng = np.random.default_rng(30 + dim)
+    grad_u = rng.standard_normal((dim, dim))
+    hess_p = rng.standard_normal((dim, dim))
+    hess_p = hess_p + hess_p.T
+    carrier = rng.standard_normal(dim) if dim == 2 else None
+    single = kernel_inputs(grad_u, hess_p, carrier)
+    batch = kernel_inputs(grad_u[..., None], hess_p[..., None], None if carrier is None else carrier[:, None])
+    for one, rows in zip(single, batch):
+        assert one.shape == rows.shape[1:] and one.tobytes() == rows[0].tobytes()
 
 
 class TestStrainAndVorticity:
@@ -443,7 +454,7 @@ def test_grid_tracer_and_suite_paths_agree_exactly(initial, dim):
     mat = grid_q.mat.reshape(-1, dim, dim)
     hess = grid_q.hess.reshape(-1, dim, dim)
     series = diagnostics_series(vec[None], mat[None], hess[None], eps=0.0)
-    suite_q = AlgebraicSample(S=mat, P=hess, v=vec).q
+    suite_q = direction_quantities(vec, mat, hess, 0.0)  # as `identities.make_samples` builds it
     for key in SHARED_KEYS:
         on_grid = getattr(grid_q, key).reshape(vec.shape[0], -1)
         assert np.array_equal(on_grid, getattr(suite_q, key).reshape(vec.shape[0], -1)), key

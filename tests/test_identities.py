@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from vortexlab.diagnostics import direction_quantities
 from vortexlab.identities import (
     IDENTITY_TOL,
     SLAB,
-    AlgebraicSample,
     check_inequalities,
     check_orthogonal_decompositions,
     check_strain_pythagoras,
@@ -18,36 +18,23 @@ TOL = 1e-10
 
 
 def single(S, P, v):
-    return AlgebraicSample(S=np.asarray(S)[None], P=np.asarray(P)[None], v=np.asarray(v)[None])
-
-
-class TestSampleValidation:
-    def test_trace_enforced(self):
-        with pytest.raises(ValueError, match="trace"):
-            single(np.eye(3), np.zeros((3, 3)), [1.0, 0, 0])
-
-    def test_symmetry_enforced(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            single(np.diag([1.0, -1.0, 0.0]), [[0, 1, 0], [0, 0, 0], [0, 0, 0]], [1.0, 0, 0])
-
-    def test_shapes(self):
-        with pytest.raises(ValueError, match="shape"):
-            AlgebraicSample(S=np.zeros((2, 3, 3)), P=np.zeros((2, 3, 3)), v=np.zeros((3, 3)))
+    """The kernel at eps = 0 of one sample (S, P, v), with a batch axis."""
+    return direction_quantities(np.asarray(v)[None], np.asarray(S)[None], np.asarray(P)[None], 0.0)
 
 
 class TestVorticityPythagoras:
     def test_worked_example(self):
         # S = diag(2,-1,-1), v = (1,1,0): 0.5 + 4.5 = 5 = |S v|^2
         s = single(np.diag([2.0, -1.0, -1.0]), np.zeros((3, 3)), [1.0, 1.0, 0.0])
-        assert s.q.rate_vec_mag[0] ** 2 == pytest.approx(0.5)
-        assert (s.q.rate_xi_mag[0] * s.q.vec_mag[0]) ** 2 == pytest.approx(4.5)
-        assert s.q.stretch_vec_mag[0] ** 2 == pytest.approx(5.0)
+        assert s.rate_vec_mag[0] ** 2 == pytest.approx(0.5)
+        assert (s.rate_xi_mag[0] * s.vec_mag[0]) ** 2 == pytest.approx(4.5)
+        assert s.stretch_vec_mag[0] ** 2 == pytest.approx(5.0)
         assert check_vorticity_pythagoras(s)[0] <= 1e-14
 
     def test_eigenvector_case(self):
         s = single(np.diag([2.0, -1.0, -1.0]), np.zeros((3, 3)), [3.0, 0.0, 0.0])
-        assert s.q.rate_xi_mag[0] <= 1e-15
-        assert s.q.rate_vec_mag[0] ** 2 == pytest.approx(s.q.stretch_vec_mag[0] ** 2)
+        assert s.rate_xi_mag[0] <= 1e-15
+        assert s.rate_vec_mag[0] ** 2 == pytest.approx(s.stretch_vec_mag[0] ** 2)
         assert check_vorticity_pythagoras(s)[0] <= 1e-14
 
     def test_random_batch(self):
@@ -59,15 +46,15 @@ class TestVorticityPythagoras:
 class TestStrainPythagoras:
     def test_zero_hessian(self):
         s = single(np.diag([2.0, -1.0, -1.0]), np.zeros((3, 3)), [1.0, 1.0, 0.0])
-        assert s.q.rate_stretch_mag[0] == 0.0
-        assert s.q.rate_zeta_mag[0] == 0.0
+        assert s.rate_stretch_mag[0] == 0.0
+        assert s.rate_zeta_mag[0] == 0.0
         assert check_strain_pythagoras(s)[0] <= 1e-14
 
     def test_identity_hessian_decomposition(self):
         s = single(np.diag([2.0, -1.0, -1.0]), np.eye(3) + 0.0, [1.0, 1.0, 0.0])
         # P xi = xi splits along zeta and the zeta rate
-        recomposed = s.q.align[0] * s.q.zeta[0] - s.q.unit_stretch_mag[0] * s.q.rate_zeta[0]
-        assert np.allclose(recomposed, s.q.xi[0], atol=1e-14)
+        recomposed = s.align[0] * s.zeta[0] - s.unit_stretch_mag[0] * s.rate_zeta[0]
+        assert np.allclose(recomposed, s.xi[0], atol=1e-14)
         assert check_strain_pythagoras(s)[0] <= 1e-14
 
     def test_random_batch(self):
@@ -83,16 +70,16 @@ class TestThreeTerm:
     def test_chains_the_two_pythagoras_identities(self):
         s = single(np.diag([2.0, -1.0, -1.0]), np.diag([1.0, 2.0, -3.0]), [1.0, 1.0, 0.0])
         lhs = (
-            s.q.rate_stretch_mag[0] ** 2
-            + (s.q.rate_zeta_mag[0] * s.q.rate_vec_mag[0]) ** 2
-            + (s.q.rate_zeta_mag[0] * s.q.rate_xi_mag[0] * s.q.vec_mag[0]) ** 2
+            s.rate_stretch_mag[0] ** 2
+            + (s.rate_zeta_mag[0] * s.rate_vec_mag[0]) ** 2
+            + (s.rate_zeta_mag[0] * s.rate_xi_mag[0] * s.vec_mag[0]) ** 2
         )
-        assert lhs == pytest.approx(s.q.hess_vec_mag[0] ** 2, rel=1e-13)
+        assert lhs == pytest.approx(s.hess_vec_mag[0] ** 2, rel=1e-13)
         assert check_three_term(s)[0] <= 1e-13
 
     def test_random_2d_nonsymmetric(self):
         s = make_samples(100_000, 2, seed=12)
-        assert np.max(np.abs(s.S[:, 0, 1] - s.S[:, 1, 0])) > 0.1  # genuinely nonsymmetric
+        assert np.max(np.abs(s.mat[:, 0, 1] - s.mat[:, 1, 0])) > 0.1  # genuinely nonsymmetric
         assert np.nanmax(check_three_term(s)) <= TOL
 
 
@@ -100,13 +87,13 @@ class TestOrthogonalDecompositions:
     def test_isotropic_hessian(self):
         c = 1.7
         s = single(np.diag([2.0, -1.0, -1.0]), c * np.eye(3), [1.0, 1.0, 0.0])
-        recomposed = s.q.align[0] * s.q.zeta[0] - s.q.unit_stretch_mag[0] * s.q.rate_zeta[0]
-        assert np.allclose(recomposed, c * s.q.xi[0], atol=1e-14)
+        recomposed = s.align[0] * s.zeta[0] - s.unit_stretch_mag[0] * s.rate_zeta[0]
+        assert np.allclose(recomposed, c * s.xi[0], atol=1e-14)
 
     def test_xi_orthogonality_structural(self):
         s = make_samples(10_000, 3, seed=13)
-        dots = np.einsum("mi,mi->m", s.q.xi, s.q.rate_xi)
-        assert np.max(np.abs(dots)) <= 1e-12 * max(np.max(s.q.rate_xi_mag), 1.0)
+        dots = np.einsum("mi,mi->m", s.xi, s.rate_xi)
+        assert np.max(np.abs(dots)) <= 1e-12 * max(np.max(s.rate_xi_mag), 1.0)
 
     def test_random_batches_all_residuals(self):
         for dim, seed in ((3, 14), (2, 15)):
@@ -119,8 +106,8 @@ class TestInequalities:
     def test_eigenvector_degenerates_to_scalar_bound(self):
         s = single(np.diag([2.0, -1.0, -1.0]), np.zeros((3, 3)), [1.0, 0.0, 0.0])
         out = check_inequalities(s)
-        lhs = s.q.rate_vec_mag[0]
-        rhs = np.sqrt(2.0) * s.q.stretch_vec_mag[0]
+        lhs = s.rate_vec_mag[0]
+        rhs = np.sqrt(2.0) * s.stretch_vec_mag[0]
         assert lhs <= rhs
         assert out["two_term_vec"]["slack"][0] >= 0.0
 
@@ -157,11 +144,7 @@ class TestSuite:
             assert set(rep.residual_max) >= {"vorticity_pythagoras", "strain_pythagoras", "three_term"}
 
     def test_degenerate_zero_vector_skipped(self):
-        s = AlgebraicSample(
-            S=np.diag([1.0, -1.0, 0.0])[None],
-            P=np.zeros((1, 3, 3)),
-            v=np.zeros((1, 3)),
-        )
+        s = single(np.diag([1.0, -1.0, 0.0]), np.zeros((3, 3)), np.zeros(3))
         rep = run_identity_suite(1, 3, seed=0, samples=s)
         assert rep.passed
         assert rep.skipped["vorticity_pythagoras"] == 1
@@ -185,7 +168,7 @@ class TestSuite:
 
 
 def whole_batch_report(s, seed, scale, tolerance):
-    """The report fields of the five checks run on the whole sample `s`,
+    """The report fields of the five checks run on the whole batch `s`,
     aggregated as `run_identity_suite` did before it read slabs."""
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         residuals = {
@@ -195,7 +178,7 @@ def whole_batch_report(s, seed, scale, tolerance):
         }
         residuals.update(check_orthogonal_decompositions(s))
         inequalities = check_inequalities(s)
-    out = dict(dim=s.dim, count=s.size, seed=seed, scale=scale, tolerance=tolerance,
+    out = dict(dim=s.vec.shape[-1], count=len(s.vec), seed=seed, scale=scale, tolerance=tolerance,
                inequality_tolerance=1e-12, residual_max={}, inequality_min_slack={},
                inequality_max_ratio={}, skipped={}, passed=False, worst={})
     worst_val, worst_idx, worst_name = -1.0, 0, ""
@@ -221,9 +204,9 @@ def whole_batch_report(s, seed, scale, tolerance):
         out["worst"] = {
             "check": worst_name,
             "residual": worst_val,
-            "S": s.S[worst_idx].tolist(),
-            "P": s.P[worst_idx].tolist(),
-            "v": s.v[worst_idx].tolist(),
+            "S": s.mat[worst_idx].tolist(),
+            "P": s.hess[worst_idx].tolist(),
+            "v": s.vec[worst_idx].tolist(),
         }
     return out
 
@@ -255,12 +238,12 @@ class TestSlabs:
         # zero carriers (skipped) in the second and third slab, and one sample
         # whose squares overflow (residual inf, the worst) in the third
         base = make_samples(2 * SLAB + 7, dim, 0)
-        S, P, v = base.S.copy(), base.P.copy(), base.v.copy()
+        S, P, v = base.mat.copy(), base.hess.copy(), base.vec.copy()
         v[[SLAB + 1, 2 * SLAB + 5]] = 0.0
         k = 2 * SLAB + 3
         S[k], P[k], v[k] = S[k] * 1e80, P[k] * 1e80, v[k] * 1e80
-        rep = run_identity_suite(0, dim, seed=0, samples=AlgebraicSample(S, P, v))
-        ref = whole_batch_report(AlgebraicSample(S, P, v), 0, 1.0, IDENTITY_TOL)
+        rep = run_identity_suite(0, dim, seed=0, samples=direction_quantities(v, S, P, 0.0))
+        ref = whole_batch_report(direction_quantities(v, S, P, 0.0), 0, 1.0, IDENTITY_TOL)
         assert repr(suite_fields(rep)) == repr(ref)
         assert rep.skipped["vorticity_pythagoras"] == 2
         assert rep.worst["v"] == v[k].tolist()

@@ -52,6 +52,22 @@ amplitude = {amplitude}
 """
 
 
+# the tracer CSV headers; with fewer than 5 samples the residual_ columns are left out
+TRACER_HEADER_3D = (
+    "time,x1,x2,x3,carrier_mag,alpha,rho,align,stretch_balance,"
+    "residual_vec_transport,residual_vec_mag_rate,residual_stretch_mag_rate,"
+    "residual_log_curvature,residual_second_accel,margin_lemma,margin_double_exp,margin_damped"
+)
+TRACER_HEADER_2D = (
+    "time,x1,x2,carrier_mag,alpha,rho,align,stretch_balance,"
+    "residual_vec_transport,residual_vec_mag_rate,residual_stretch_mag_rate,"
+    "residual_log_curvature,residual_second_accel,margin_lemma,margin_double_exp"
+)
+TRACER_HEADER_3D_FEW = (
+    "time,x1,x2,x3,carrier_mag,alpha,rho,align,stretch_balance,margin_lemma,margin_double_exp,margin_damped"
+)
+
+
 @pytest.fixture()
 def bubble_config(tmp_path):
     path = tmp_path / "run.ini"
@@ -185,7 +201,7 @@ class TestPipelineRun:
         assert "hessian_direction" in names
         weaker = [e for e in result.report["criteria"] if e["name"] == "hessian_direction"]
         assert all("weaker" in e["note"] for e in weaker)
-        assert set(result.bound_checks) == {"lemma", "double-exp", "damped"}
+        assert set(result.report["bound_checks"]) == {"lemma", "double-exp", "damped"}
         assert all(e["threshold"] == 1.0 for e in result.report["type_one"])
 
     def test_byte_identical_reruns(self, bubble_config, tmp_path):
@@ -340,12 +356,34 @@ class TestPipelineRun:
             )
             with np.errstate(over="ignore", invalid="ignore"):
                 results.append(pipeline.run(cfg))
-        assert results[0].bound_checks == results[1].bound_checks
-        damped = results[0].bound_checks["damped"]
-        margins = np.concatenate([r.series["margin_damped"] for r in results[0].records])
+        assert results[0].report["bound_checks"] == results[1].report["bound_checks"]
+        damped = results[0].report["bound_checks"]["damped"]
+        margins = results[0].tracer_columns["margin_damped"]
         assert not np.all(np.isfinite(margins))
         assert damped["violations"] == np.count_nonzero(~np.isfinite(margins))
         assert damped["min_margin"] == np.min(margins[np.isfinite(margins)])
+
+    @pytest.mark.parametrize(
+        "system, initial, t_end, header",
+        [
+            ("euler3d", "taylor-green-3d", 0.06, TRACER_HEADER_3D),
+            ("boussinesq2d", "boussinesq-bubble", 0.06, TRACER_HEADER_2D),
+            ("euler3d", "taylor-green-3d", 0.03, TRACER_HEADER_3D_FEW),  # 4 samples
+        ],
+        ids=["3d", "2d", "3d-4-samples"],
+    )
+    def test_tracer_csv_layout(self, system, initial, t_end, header, tmp_path):
+        cfg = RunConfig(system=system, n=16, dt=0.01, t_end=t_end, initial=initial, seed=1, tracer_count=3)
+        result = pipeline.run(cfg, output_dir=tmp_path)
+        seeds = json.loads((tmp_path / "manifest.json").read_text())["tracer_seeds"]
+        paths = sorted((tmp_path / "tracers").iterdir())
+        assert [path.name for path in paths] == ["tracer_000.csv", "tracer_001.csv", "tracer_002.csv"]
+        for path, seed in zip(paths, seeds):
+            lines = path.read_text().splitlines()
+            assert lines[0] == header
+            assert len(lines) == 1 + len(result.times)
+            # 17 significant digits read back exactly: the seed is the first position
+            assert [float(x) for x in lines[1].split(",")[1 : 1 + cfg.dim]] == seed
 
     def test_region_with_no_grid_points_rejected(self):
         cfg = RunConfig(
@@ -381,9 +419,9 @@ class TestCli:
         analyse = pipeline.analyse
 
         def overflowed(config, log):
-            report, records = analyse(config, log)
+            report, tracer_columns = analyse(config, log)
             report["criteria"][0]["value"] = np.inf
-            return report, records
+            return report, tracer_columns
 
         monkeypatch.setattr(pipeline, "analyse", overflowed)
         assert main(["run", str(bubble_config), "-o", str(tmp_path / "out")]) == 0
@@ -673,6 +711,11 @@ class TestCli:
             "[gronwall]\nvariant = double\n\n[batch]\ncount = 0\n",
             "[gronwall]\nt_end = nan\n",
             "[gronwall]\nvariant = double\n\n[batch]\nseed = -1\n",
+            # profiles that are not finite at some sample time
+            "[gronwall]\nalpha = nan\n",
+            "[gronwall]\nt_end = 1e300\nalpha = linear:0,1e10\n",
+            "[gronwall]\nbeta = inf\n",
+            "[gronwall]\ny = const:nan\n",
         ],
     )
     def test_gronwall_bad_spec_exits_2(self, tmp_path, capsys, spec):

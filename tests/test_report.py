@@ -24,9 +24,9 @@ def test_type_one_verdict_of_a_hand_made_log(c, verdict):
     sup_norms["stretch_excess"] = {"global": list(c / (1.0 - times) ** 2)}
     log = pipeline.SampleLog(times=list(times), sup_norms=sup_norms, energy=zeros, tail_ratio=zeros)
 
-    report, records = pipeline.analyse(config, log)
+    report, tracer_columns = pipeline.analyse(config, log)
 
-    assert records == []
+    assert tracer_columns == {}
     (monitor,) = [m for m in report["type_one"] if m["name"] == "stretch_excess"]
     assert abs(monitor["window_max"] - c) <= 1e-12
     assert monitor["verdict"] == verdict

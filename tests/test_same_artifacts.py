@@ -25,14 +25,22 @@ def test_the_tree_matches_itself_on_the_cli_json(tmp_path):
     assert [path.stem for path in same_artifacts.GRONWALL_SPECS] == ["gronwall_batch", "gronwall_single"]
     count, differ = same_artifacts.compare(ROOT, ROOT, [], tmp_path)
     assert differ == []
-    written = sorted(path.name for path in (tmp_path / "tree" / "cli").iterdir())
+    cli = tmp_path / "tree" / "cli"
+    written = sorted(path.name for path in cli.iterdir())
     assert written == [
-        "check-identities-2d.json", "check-identities-3d.json", "gronwall_batch.json", "gronwall_single.json"
+        "check-identities-2d-scale1e80.txt", "check-identities-2d.json", "check-identities-2d.txt",
+        "check-identities-3d-scale1e80.txt", "check-identities-3d.json", "check-identities-3d.txt",
+        "gronwall_batch.json", "gronwall_single.json",
     ]
     assert count == len(written)
     for dim in (2, 3):
-        report = json.loads((tmp_path / "tree" / "cli" / f"check-identities-{dim}d.json").read_text())
+        report = json.loads((cli / f"check-identities-{dim}d.json").read_text())
         assert report["count"] == 20_000 and "elapsed_seconds" not in report
+        passed = (cli / f"check-identities-{dim}d.txt").read_text()
+        failed = (cli / f"check-identities-{dim}d-scale1e80.txt").read_text()
+        assert passed.startswith(f"identity suite: dim={dim} count=20000 ") and "FAIL" not in passed
+        assert "FAIL" in failed and "worst sample:" in failed
+        assert "elapsed:" not in passed + failed
 
 
 def _stub_tree(root: Path, files: dict, report: str = "tables") -> Path:

@@ -114,7 +114,7 @@ def test_series_is_bit_for_bit_the_reference(config, tmp_path, monkeypatch):
     grid = config.grid()
     per_sample = []
     for index, (u, theta, p) in enumerate(_sample_solves(config, solves)):
-        positions = np.stack([record.positions[index] for record in result.records])
+        positions = np.stack([result.tracer_columns[f"x{axis + 1}"][index] for axis in range(grid.dim)], axis=-1)
         per_sample.append(reference_tracer_fields(grid, u, theta, p, positions))
     expected_inputs = [np.stack(arrays) for arrays in zip(*per_sample)]
     for given, expected in zip(inputs[:3], expected_inputs):

@@ -9,7 +9,6 @@ from vortexlab.tracers import (
     BOUND_VARIANTS,
     BoundCheck,
     SpectralSampler,
-    TracerRecord,
     advance_positions,
     diagnostics_series,
     dynamical_residuals,
@@ -190,7 +189,9 @@ class TestTimeDerivative:
             time_derivative(np.zeros(6), 0.1, 1, accuracy=4)
 
 
-def constant_field_record(kind, n_samples=11, vec=None):
+def constant_field_series(kind, n_samples=11, vec=None):
+    """(times, series) of one tracer in a frozen field: the carrier `vec`,
+    zero matrix and Hessian; each series has the sample axis alone."""
     dim = 3 if kind == "euler" else 2
     vec = np.zeros(dim) if vec is None else np.asarray(vec)
     times = np.linspace(0.0, 1.0, n_samples)
@@ -198,13 +199,7 @@ def constant_field_record(kind, n_samples=11, vec=None):
     mats = np.zeros((n_samples, 1, dim, dim))
     hesses = np.zeros((n_samples, 1, dim, dim))
     series = diagnostics_series(vecs, mats, hesses, eps=1e-12)
-    return TracerRecord(
-        index=0,
-        seed_point=np.zeros(dim),
-        times=times,
-        positions=np.zeros((n_samples, dim)),
-        series={k: v[:, 0] for k, v in series.items()},
-    )
+    return times, {k: v[:, 0] for k, v in series.items()}
 
 
 class TestDiagnosticsSeries:
@@ -224,8 +219,8 @@ class TestDiagnosticsSeries:
 
 class TestDynamicalResiduals:
     def test_frozen_flow_residuals_vanish(self):
-        record = constant_field_record("euler", vec=[0.7, -0.2, 0.1])
-        res = dynamical_residuals(record.times, record.series)
+        times, series = constant_field_series("euler", vec=[0.7, -0.2, 0.1])
+        res = dynamical_residuals(times, series)
         for name, series in res.items():
             finite = series[np.isfinite(series)]
             if name == "stretch_mag_rate":
@@ -235,19 +230,19 @@ class TestDynamicalResiduals:
             assert np.max(np.abs(finite)) <= 1e-12, name
 
     def test_degenerate_carrier_masked(self):
-        record = constant_field_record("euler", vec=[0.0, 0.0, 0.0])
-        res = dynamical_residuals(record.times, record.series)
+        times, series = constant_field_series("euler", vec=[0.0, 0.0, 0.0])
+        res = dynamical_residuals(times, series)
         assert np.all(np.isnan(res["log_curvature"]))
 
     def test_residuals_need_uniform_times(self):
-        record = constant_field_record("boussinesq", n_samples=7, vec=[1.0, 0.0])
+        times, series = constant_field_series("boussinesq", n_samples=7, vec=[1.0, 0.0])
         times = np.array([0.0, 0.1, 0.2, 0.35, 0.4, 0.5, 0.6])
         with pytest.raises(SeriesError, match="uniform"):
-            dynamical_residuals(times, record.series)
+            dynamical_residuals(times, series)
 
     def test_summary_skips_end_stencils(self):
-        record = constant_field_record("boussinesq", vec=[1.0, 0.0])
-        res = dynamical_residuals(record.times, record.series)
+        times, series = constant_field_series("boussinesq", vec=[1.0, 0.0])
+        res = dynamical_residuals(times, series)
         summary = residual_summary(res)
         assert set(summary) == set(res)
         assert all(v <= 1e-12 for v in summary.values())
@@ -255,39 +250,39 @@ class TestDynamicalResiduals:
 
 class TestGrowthBounds:
     def test_frozen_flow_saturates_with_equality(self):
-        record = constant_field_record("euler", vec=[0.5, 0.5, 0.0])
+        times, series = constant_field_series("euler", vec=[0.5, 0.5, 0.0])
         for variant in ("lemma", "double-exp", "damped"):
-            check = growth_bound_check(record.times, record.series, variant, tolerance=1e-12)
+            check = growth_bound_check(times, series, variant, tolerance=1e-12)
             assert check.violations == 0
             assert np.max(np.abs(check.margins)) <= 1e-12, variant
 
     def test_non_finite_margin_is_a_violation(self):
-        record = constant_field_record("euler", vec=[0.5, 0.5, 0.0])
-        record.series["p_xi_mag"] = np.ones(record.times.size)
-        record.series["rate_zeta_mag"] = np.full(record.times.size, 1e5)
+        times, series = constant_field_series("euler", vec=[0.5, 0.5, 0.0])
+        series["p_xi_mag"] = np.ones(times.size)
+        series["rate_zeta_mag"] = np.full(times.size, 1e5)
         with np.errstate(over="ignore", invalid="ignore"):
-            check = growth_bound_check(record.times, record.series, "damped", tolerance=1e-6)
+            check = growth_bound_check(times, series, "damped", tolerance=1e-6)
         assert not np.all(np.isfinite(check.margins))
         assert check.violations > 0
 
     def test_min_margin_is_over_finite_margins(self):
         margins = np.array([0.0, -1.0, np.nan, np.inf, 2.0])
-        check = BoundCheck("damped", np.arange(5.0), np.ones(5), margins + 1.0, margins, 1e-6)
+        check = BoundCheck(margins, 1e-6)
         assert check.min_margin == -1.0
         assert check.violations == 3  # -1.0 and the two non-finite margins
-        empty = BoundCheck("damped", np.arange(2.0), np.ones(2), np.full(2, np.nan), np.full(2, np.nan), 1e-6)
+        empty = BoundCheck(np.full(2, np.nan), 1e-6)
         assert empty.min_margin == np.inf
         assert empty.violations == 2
 
     def test_damped_variant_is_3d_only(self):
-        record = constant_field_record("boussinesq", vec=[1.0, 0.0])
+        times, series = constant_field_series("boussinesq", vec=[1.0, 0.0])
         with pytest.raises(ValueError, match="3D"):
-            growth_bound_check(record.times, record.series, "damped", tolerance=1e-6)
+            growth_bound_check(times, series, "damped", tolerance=1e-6)
 
     def test_unknown_variant(self):
-        record = constant_field_record("euler", vec=[1.0, 0.0, 0.0])
+        times, series = constant_field_series("euler", vec=[1.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="unknown bound variant"):
-            growth_bound_check(record.times, record.series, "best", tolerance=1e-6)
+            growth_bound_check(times, series, "best", tolerance=1e-6)
 
     def test_steady_vortex_margins_nonnegative(self):
         from vortexlab import pipeline as P
@@ -302,7 +297,7 @@ class TestGrowthBounds:
             tracer_count=6,
         )
         result = P.run(cfg)
-        for agg in result.bound_checks.values():
+        for agg in result.report["bound_checks"].values():
             assert agg["violations"] == 0
             assert agg["min_margin"] >= -agg["tolerance"]
 
@@ -310,9 +305,10 @@ class TestGrowthBounds:
 class TestBatch:
     def test_batch_matches_per_tracer_calls_bit_for_bit(self):
         """`_tracer_analysis` makes one call on the whole batch where the
-        tracers used to make one each; every record column, residual
-        summary and bound aggregate keeps the bits of per-tracer calls on
-        that tracer's columns, folded as one tracer at a time."""
+        tracers used to make one each; every tracer's column of the CSV
+        columns, residual summary and bound aggregate keeps the bits of
+        per-tracer calls on that tracer's columns, folded as one tracer at
+        a time."""
         from vortexlab.pipeline import _tracer_analysis
 
         rng = np.random.default_rng(9)
@@ -337,27 +333,31 @@ class TestBatch:
         positions = rng.uniform(0.0, 2 * np.pi, (k, 3, 3))
 
         with np.errstate(over="ignore", invalid="ignore"):
-            records, summaries, bound_checks = _tracer_analysis(times, vec, mat, hess, 1e-12, positions)
+            columns, summaries, bound_checks = _tracer_analysis(times, vec, mat, hess, 1e-12, positions)
             series = diagnostics_series(vec, mat, hess, 1e-12)
             tol = 1e-6 * max(float(np.max(series["vec_mag"])), 1e-300)
             expected_summaries = {}
             expected_checks = {v: {"min_margin": np.inf, "violations": 0, "tolerance": tol} for v in BOUND_VARIANTS}
-            for p, record in enumerate(records):
-                columns = {key: values[:, p] for key, values in series.items()}
-                residuals = dynamical_residuals(times, columns)
+            for p in range(positions.shape[1]):
+                tracer = {key: values[:, p] for key, values in series.items()}
+                residuals = dynamical_residuals(times, tracer)
                 for name, values in residuals.items():
-                    assert np.array_equal(record.series[f"residual_{name}"], values, equal_nan=True), (p, name)
+                    assert np.array_equal(columns[f"residual_{name}"][:, p], values, equal_nan=True), (p, name)
                 for name, value in residual_summary(residuals).items():
                     expected_summaries[name] = max(expected_summaries.get(name, 0.0), value)
                 for variant in BOUND_VARIANTS:
-                    check = growth_bound_check(times, columns, variant, tol)
-                    margins = record.series[f"margin_{variant.replace('-', '_')}"]
+                    check = growth_bound_check(times, tracer, variant, tol)
+                    margins = columns[f"margin_{variant.replace('-', '_')}"][:, p]
                     assert np.array_equal(margins, check.margins, equal_nan=True), (p, variant)
                     agg = expected_checks[variant]
                     agg["min_margin"] = float(min(agg["min_margin"], check.min_margin))
                     agg["violations"] += check.violations
-        assert np.all(np.isnan(records[1].series["residual_log_curvature"]))
-        assert not np.all(np.isfinite(records[2].series["margin_damped"]))
+        assert np.array_equal(columns["time"], np.broadcast_to(times[:, None], (k, 3)))
+        for axis in range(3):
+            assert np.array_equal(columns[f"x{axis + 1}"], positions[..., axis])
+        assert np.array_equal(columns["carrier_mag"], series["vec_mag"])
+        assert np.all(np.isnan(columns["residual_log_curvature"][:, 1]))
+        assert not np.all(np.isfinite(columns["margin_damped"][:, 2]))
         assert bound_checks["damped"]["violations"] > 0
         assert summaries == expected_summaries
         assert bound_checks == expected_checks

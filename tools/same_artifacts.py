@@ -10,7 +10,10 @@ same process writes the stdout of `vortexlab report` on each run's output
 directory to report/<config stem>.txt. In a second process it writes the
 JSON of `vortexlab gronwall --json` on the specs beside this script
 (gronwall_*.ini) and of `vortexlab check-identities --json` in 2D and 3D at
-20,000 samples, without the wall-clock `elapsed_seconds`.
+20,000 samples, without the wall-clock `elapsed_seconds`, and the stdout of
+`check-identities` in 2D and 3D at 20,000 samples (a pass) and at 2,000
+samples of scale 1e80 (a failure that prints the worst sample), without its
+`elapsed:` line.
 Then compares every file written by sha256, names each file that differs or
 that only one tree wrote, and exits 1 on any difference, 0 otherwise.
 """
@@ -53,8 +56,10 @@ for path in map(Path, sys.argv[3:]):
 """
 
 # argv: the tree's src, the output directory and the gronwall specs; the JSON
-# goes to cli/ in the output directory
+# and the check-identities stdout go to cli/ in the output directory
 CLI = """
+import contextlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -64,12 +69,22 @@ assert Path(vortexlab.__file__).resolve().is_relative_to(sys.argv[1]), vortexlab
 out = Path(sys.argv[2]) / "cli"
 for path in map(Path, sys.argv[3:]):
     main(["gronwall", str(path), "--json", str(out / f"{path.stem}.json")])
+
+def check_identities(stem, *options):
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        main(["check-identities", *options])
+    lines = text.getvalue().splitlines(keepends=True)
+    (out / f"{stem}.txt").write_text("".join(line for line in lines if not line.startswith("elapsed:")))
+
 for dim in (2, 3):
     path = out / f"check-identities-{dim}d.json"
-    main(["check-identities", "--dim", str(dim), "--count", "20000", "--json", str(path)])
+    check_identities(path.stem, "--dim", str(dim), "--count", "20000", "--json", str(path))
     report = json.loads(path.read_text())
     del report["elapsed_seconds"]
     path.write_text(json.dumps(report, indent=2, sort_keys=True))
+    # fails: the squares overflow, and the worst sample is printed
+    check_identities(f"check-identities-{dim}d-scale1e80", "--dim", str(dim), "--count", "2000", "--scale", "1e80")
 """
 
 
