@@ -149,6 +149,13 @@ def _parse_profile(text: str, times: np.ndarray) -> np.ndarray:
         raise pipeline.ConfigError(f"cannot parse profile {text!r} (use a number or linear:c0,c1)") from exc
 
 
+# the sections of a gronwall spec and their keys
+GRONWALL_KEYS = {
+    "gronwall": {"variant", "t_start", "t_end", "samples", "alpha", "beta", "y"},
+    "batch": {"count", "seed"},
+}
+
+
 def _gronwall_spec(parser) -> dict:
     """The settings of a gronwall spec: the variant and sample times, and
     either the [batch] count and seed or the rest of the single problem's
@@ -191,7 +198,7 @@ def _gronwall_spec(parser) -> dict:
 
 
 def _cmd_gronwall(args) -> int:
-    spec = pipeline.read_config(args.spec, _gronwall_spec)
+    spec = pipeline.read_config(args.spec, _gronwall_spec, GRONWALL_KEYS)
     variant = spec["variant"]
     out: dict = {"variant": variant}
     if "count" in spec:

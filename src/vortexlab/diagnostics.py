@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import ScalarField, VectorField, gradient, hessian_values
+from .fields import FieldError, ScalarField, VectorField, gradient, hessian_values
 
 
 def positive_part(f):
@@ -278,7 +278,8 @@ def diag_field(
 ) -> DirectionQuantities:
     """Evaluate the pointwise diagnostics over the whole grid.
 
-    3D input gives the vorticity/strain diagnostics; 2D input requires the
+    3D input gives the vorticity/strain diagnostics and takes no temperature
+    (FieldError, as in `fields.solve_pressure`); 2D input requires the
     temperature field and gives the perpendicular-gradient/Jacobian ones.
     Quantities have the grid shape. eps defaults to the rule of a run's
     first sample, 1e-12 max(max |vec|, 1), read from this carrier.
@@ -294,11 +295,12 @@ def diag_field(
         raise ValueError("fields must share one grid")
     if grid.dim == 2 and theta is None:
         raise ValueError("2D diagnostics require the temperature field")
+    if grid.dim == 3 and theta is not None:
+        raise FieldError("a temperature field is supported on 2D grids only")
     if grad_u is None:
         grad_u = gradient(u).values
     elif grad_u.shape != (grid.dim, grid.dim) + grid.shape:
         raise ValueError(f"grad_u must have shape {(grid.dim, grid.dim) + grid.shape}, got {grad_u.shape}")
-    theta = theta if grid.dim == 2 else None
     if theta is None:
         vec, mat = _carrier_and_matrix(grad_u)
         del grad_u

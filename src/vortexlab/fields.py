@@ -37,9 +37,6 @@ class _Field:
     """Shared machinery for grid-sampled fields; do not instantiate directly."""
 
     rank = -1
-    # Builds the exact spectrum of a derived field that keeps none; see
-    # `_derived`. Without it `spectral` transforms the samples.
-    _spectral_of = None
     # True when `values` is bit for bit the real part of the inverse
     # transform of the cached spectrum, so a solver may reuse it instead of
     # transforming again. Samples given in physical space are not: there
@@ -82,17 +79,6 @@ class _Field:
         return field
 
     @classmethod
-    def _derived(cls, grid: GridSpec, values: np.ndarray, spectral_of):
-        """Internal constructor of a derivative whose fresh `values` are bit
-        for bit the transform of the exact coefficients that `spectral_of()`
-        builds. The coefficients are built, and cached, only if `spectral`
-        is read, so a caller of the values alone never holds them."""
-        field = cls._wrap(grid, values)
-        field._values_exact = True
-        field._spectral_of = spectral_of
-        return field
-
-    @classmethod
     def from_spectral(cls, grid: GridSpec, coeffs: np.ndarray):
         coeffs = np.array(coeffs, dtype=np.complex128)
         expected = (grid.dim,) * cls.rank + grid.shape
@@ -104,11 +90,9 @@ class _Field:
 
     @property
     def spectral(self) -> np.ndarray:
-        """Cached forward transform of the samples (for a derivative: its
-        exact coefficients)."""
+        """Cached forward transform of the samples."""
         if self._spectral is None:
-            build = self._spectral_of
-            spectral = self.grid.fftn(self.values) if build is None else build()
+            spectral = self.grid.fftn(self.values)
             spectral.flags.writeable = False
             self._spectral = spectral
         return self._spectral
@@ -141,13 +125,15 @@ def _derivative_coeffs(
     return np.multiply(1j * k, coeffs, out=out)
 
 
-def _gradient_coeffs(grid: GridSpec, fh: np.ndarray) -> np.ndarray:
-    """Spectrum of the gradient of one field or a stack of fields fh:
-    out[i] = 1j k_i fh."""
-    out = np.empty((grid.dim,) + fh.shape, dtype=np.complex128)
+def gradient_coeff_rows(field: ScalarField | VectorField):
+    """Yield the exact spectrum of each row d_i f of the gradient of f, in
+    turn, all written into one reused buffer: a row holds until the next
+    one is asked for."""
+    grid = field.grid
+    fh = field.spectral
+    row = np.empty(fh.shape, dtype=np.complex128)
     for i in range(grid.dim):
-        _derivative_coeffs(grid, fh, i, out=out[i])
-    return out
+        yield _derivative_coeffs(grid, fh, i, out=row)
 
 
 def gradient(field: ScalarField | VectorField) -> VectorField | TensorField:
@@ -155,19 +141,17 @@ def gradient(field: ScalarField | VectorField) -> VectorField | TensorField:
 
     For a scalar f returns the vector (d_i f). For a vector u returns the
     tensor G with G[i, j] = d_i u_j. The values are transformed one row
-    d_i at a time, through one reused coefficient buffer; the exact spectrum
-    of G is built only if the result's `spectral` is read.
+    d_i at a time from `gradient_coeff_rows`; the result keeps no spectrum,
+    and a caller that needs the rows' exact coefficients reads them there.
     """
     if not isinstance(field, (ScalarField, VectorField)):
         raise FieldError("gradient expects a ScalarField or VectorField")
     grid = field.grid
-    fh = field.spectral
-    values = np.empty((grid.dim,) + fh.shape)
-    row = np.empty(fh.shape, dtype=np.complex128)
-    for i, out in enumerate(values):
-        out[...] = grid.ifftn(_derivative_coeffs(grid, fh, i, out=row), overwrite=True)
+    values = np.empty((grid.dim,) + field.values.shape)
+    for out, row in zip(values, gradient_coeff_rows(field)):
+        out[...] = grid.ifftn(row, overwrite=True)
     cls = VectorField if isinstance(field, ScalarField) else TensorField
-    return cls._derived(grid, values, lambda: _gradient_coeffs(grid, fh))
+    return cls._wrap(grid, values)
 
 
 def divergence(u: VectorField) -> ScalarField:
@@ -371,6 +355,7 @@ __all__ = [
     "DivergenceError",
     "EmptyRegionError",
     "gradient",
+    "gradient_coeff_rows",
     "divergence",
     "perp_gradient",
     "hessian",

@@ -24,6 +24,7 @@ from .fields import (
     EmptyRegionError,
     ball_mask,
     gradient,
+    gradient_coeff_rows,
     hessian_coeffs,
     solve_pressure,
     symmetric_from_upper,
@@ -184,10 +185,12 @@ def _parse_points(text: str) -> list:
     return [[float(v) for v in chunk.split(",")] for chunk in text.split(";") if chunk.strip()]
 
 
-def read_config(path: str | Path, build):
+def read_config(path: str | Path, build, keys: dict):
     """`build(parser)` of the sectioned key-value file at `path` (UTF-8), for
-    a `configparser.ConfigParser` holding the file. Any defect of the file,
-    from its encoding and syntax to its values, raises ConfigError."""
+    a `configparser.ConfigParser` holding the file. `keys` maps each section
+    the file may hold to the set of its keys, or to None when any key goes.
+    Any defect of the file, from its encoding and syntax to a section or key
+    outside `keys` and its values, raises ConfigError."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         read = parser.read(path, encoding="utf-8")
@@ -195,6 +198,16 @@ def read_config(path: str | Path, build):
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
+    # configparser copies [DEFAULT] into every section, where a key is unknown
+    if parser.defaults():
+        raise ConfigError(f"[DEFAULT] is not a section of this file; it holds {sorted(parser.defaults())}")
+    for section in parser.sections():
+        if section not in keys:
+            raise ConfigError(f"unknown section [{section}]; the sections are {sorted(keys)}")
+        allowed = keys[section]
+        if allowed is not None and not allowed.issuperset(parser[section]):
+            unknown = sorted(set(parser[section]) - allowed)
+            raise ConfigError(f"unknown key(s) {unknown} in [{section}]; its keys are {sorted(allowed)}")
     try:
         return build(parser)
     except ConfigError:
@@ -211,9 +224,22 @@ def load_config(path: str | Path) -> RunConfig:
     and [criteria]. The declaration of RunConfig is the list of keys: each
     field names its section and key. [tracers] takes `count`, `points`
     ("x, y[, z] ; ...") or both if they agree, and each key of [regions] is a
-    label, set to "c1, c2[, c3] ; radius". Any defect raises ConfigError.
+    label, set to "c1, c2[, c3] ; radius". Any defect, an unknown section
+    or key among them, raises ConfigError.
     """
-    return read_config(path, _config_from)
+    keys = {}
+    for f in fields(RunConfig):
+        keys.setdefault(f.metadata["section"], set()).add(f.metadata["key"] or f.name)
+    keys["regions"] = None
+    return read_config(path, _config_from, keys)
+
+
+def _parse_bool(text: str) -> bool:
+    """configparser's boolean words: 1/yes/true/on and 0/no/false/off."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(text) from None
 
 
 # a field's annotation -> the reader of its text
@@ -222,7 +248,7 @@ _PARSE = {
     "int": int,
     "float": float,
     "float | None": float,
-    "bool": lambda text: text.lower() in ("1", "true", "yes"),
+    "bool": _parse_bool,
     "np.ndarray | None": _parse_points,
 }
 
@@ -397,7 +423,7 @@ def integrate(config: RunConfig, log: SampleLog, out_dir: Path | None = None):
         only for a sample or a diagnostic snapshot. A sample reads its sup
         norms slab by slab, unless the snapshot writes the whole grid's."""
         t = step * config.dt
-        theta_now = getattr(current, "theta", None)
+        theta_now = current.theta
         track = sampled and n_tracers > 0
         if sampled:
             log.times.append(t)
@@ -411,16 +437,15 @@ def integrate(config: RunConfig, log: SampleLog, out_dir: Path | None = None):
                     min(low, float(np.min(theta_now.values))), max(high, float(np.max(theta_now.values)))
                 ]
             log.tail_ratio.append(solver.spectral_tail_ratio(grid, *spectra))
-        grad = gradient(current.u)
+        # held in a list so that diag_field receives the only reference and
+        # can free grad u before it builds the Hessian
+        grad_u = [gradient(current.u).values]
         if track:
             log.positions.append(pos.copy())
             sampler = tracers.SpectralSampler(grid, pos)
             # row by row (d_i u), which bounds the sampler's temporaries
-            log.tracer_grad.append(np.stack([sampler.sample(row) for row in grad.spectral]))
-        # held in a list so that diag_field receives the only reference and
-        # can free grad u before it builds the Hessian
-        grad_u = [grad.values]
-        del grad  # keep no spectrum of grad u past this point
+            rows = gradient_coeff_rows(current.u)
+            log.tracer_grad.append(np.stack([sampler.sample(row) for row in rows]))
         p = solve_pressure(current.u, theta_now, grad_u=grad_u[0])
         hess_coeffs = None
         if track:

@@ -10,6 +10,9 @@ works in the frame of the mean flow; on a periodic box a nonzero mean
 buoyancy cannot be balanced by a periodic pressure and would only
 accelerate the box average.
 
+Both systems share one state type, `FlowState` (a velocity and, in 2D, a
+temperature; it keeps no clock), and one RK4 driver, `_step`, which hands
+out the four stage velocity spectra that the tracers are advanced with.
 Time stepping is classical RK4 with a fixed step; quadratic terms are
 dealiased with the grid's truncation rule before projection.
 """
@@ -63,16 +66,11 @@ class StepperConfig:
 
 
 @dataclass(frozen=True)
-class EulerState:
-    time: float
-    u: VectorField
+class FlowState:
+    """The velocity and, for the 2D Boussinesq system, the temperature."""
 
-
-@dataclass(frozen=True)
-class BoussinesqState:
-    time: float
     u: VectorField
-    theta: ScalarField
+    theta: ScalarField | None = None
 
 
 def _vorticity_spectral(grid: GridSpec, uh: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -170,33 +168,39 @@ def _check_finite(*arrays: np.ndarray) -> None:
             raise NonFiniteStateError("non-finite values in evolved state")
 
 
-def _rk4(grid: GridSpec, config: StepperConfig, rhs, y: tuple, u: np.ndarray | None, keep_stages: bool):
-    """One classical RK4 step of the spectral arrays y = (y_1, ...).
+def _step(state: FlowState, config: StepperConfig, rhs, keep_stages: bool):
+    """One classical RK4 step of `state` under `rhs`.
 
-    rhs(grid, y, u) returns the tendencies of y, given the grid velocity
-    u of y[0] or None. `u` is the input state's velocity samples when they
-    are bit for bit the transform of y[0], else None. Returns the new
-    arrays and, with keep_stages, the stage tuples at t + dt/2, t + dt/2
-    and t + dt, else None: then no stage outlives its own rhs call.
+    rhs(grid, y, u) returns the tendencies of the spectral arrays y = (uh,)
+    or (uh, theta_h), given the grid velocity u of uh or None. Returns the
+    new state and, with keep_stages, the four stage velocity spectra,
+    read-only, the first being the input's; else None: then no stage
+    outlives its own rhs call.
 
     The stages are y + (dt/2) k1, y + (dt/2) k2 and y + dt k3, and the new
     state is y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4): the textbook
     expressions in their textbook order, computed in place. A tendency is
     released before the next rhs call, so at most one k is alive beside
-    the accumulator.
+    the accumulator. The first rhs call reuses the input's velocity samples
+    when they are bit for bit the transform of its spectrum.
     """
+    grid = state.u.grid
     dt = config.dt
-    if u is None:
+    y = (state.u.spectral,) if state.theta is None else (state.u.spectral, state.theta.spectral)
+    if state.u._values_exact:
+        u = state.u.values
+    else:
         u = np.ascontiguousarray(grid.ifftn(y[0]))
     _check_cfl(grid, config, _max_speed(u))
     k = rhs(grid, y, u)
     del u
     acc = k
-    stages = [] if keep_stages else None
+    stages = [y[0]] if keep_stages else None
     for step, c in enumerate((0.5 * dt, 0.5 * dt, dt)):
         stage = tuple(_shifted(yi, c, ki) for yi, ki in zip(y, k))
         if keep_stages:
-            stages.append(stage)
+            stage[0].flags.writeable = False
+            stages.append(stage[0])
         if step > 0:
             for a, ki in zip(acc, k):
                 a += np.multiply(2.0, ki, out=ki)
@@ -209,7 +213,8 @@ def _rk4(grid: GridSpec, config: StepperConfig, rhs, y: tuple, u: np.ndarray | N
         np.multiply(dt / 6.0, a, out=a)
         np.add(yi, a, out=a)
     _check_finite(*acc)
-    return acc, stages
+    theta = None if state.theta is None else ScalarField._from_own_spectral(grid, acc[1])
+    return FlowState(VectorField._from_own_spectral(grid, acc[0]), theta), stages
 
 
 def _shifted(y: np.ndarray, c: float, k: np.ndarray) -> np.ndarray:
@@ -218,49 +223,16 @@ def _shifted(y: np.ndarray, c: float, k: np.ndarray) -> np.ndarray:
     return np.add(y, out, out=out)
 
 
-def _stage_list(t0: float, dt: float, y0: np.ndarray, stages: list | None) -> list | None:
-    """The (time, velocity coefficients) of the four stages, read-only."""
-    if stages is None:
-        return None
-    velocities = [y0] + [stage[0] for stage in stages]
-    for uh in velocities:
-        uh.flags.writeable = False
-    return list(zip((t0, t0 + 0.5 * dt, t0 + 0.5 * dt, t0 + dt), velocities))
+def rk4_stages_euler(state: FlowState, config: StepperConfig, keep_stages: bool = True):
+    """One RK4 step of the 3D Euler system (`_step`): the new state and the
+    four stage velocity spectra, or None for them with keep_stages=False,
+    which keeps no stage past its use and so holds less memory."""
+    return _step(state, config, _euler_rhs, keep_stages)
 
 
-def _exact_values(field) -> np.ndarray | None:
-    """The field's samples when they are the exact transform of its spectrum."""
-    return field.values if field._values_exact else None
-
-
-def rk4_stages_euler(state: EulerState, config: StepperConfig, keep_stages: bool = True):
-    """One RK4 step; returns the new state and the four (time, uh) stages,
-    or None for them with keep_stages=False, which keeps no stage past its
-    use and so holds less memory."""
-    grid = state.u.grid
-    uh = state.u.spectral
-    (uh_new,), stages = _rk4(grid, config, _euler_rhs, (uh,), _exact_values(state.u), keep_stages)
-    new_state = EulerState(
-        time=state.time + config.dt, u=VectorField._from_own_spectral(grid, uh_new)
-    )
-    return new_state, _stage_list(state.time, config.dt, uh, stages)
-
-
-def rk4_stages_boussinesq(state: BoussinesqState, config: StepperConfig, keep_stages: bool = True):
-    """One RK4 step; returns the new state and the four (time, uh) stages,
-    or None for them with keep_stages=False, as in `rk4_stages_euler`."""
-    grid = state.u.grid
-    uh = state.u.spectral
-    y = (uh, state.theta.spectral)
-    (uh_new, th_new), stages = _rk4(
-        grid, config, _boussinesq_rhs, y, _exact_values(state.u), keep_stages
-    )
-    new_state = BoussinesqState(
-        time=state.time + config.dt,
-        u=VectorField._from_own_spectral(grid, uh_new),
-        theta=ScalarField._from_own_spectral(grid, th_new),
-    )
-    return new_state, _stage_list(state.time, config.dt, uh, stages)
+def rk4_stages_boussinesq(state: FlowState, config: StepperConfig, keep_stages: bool = True):
+    """One RK4 step of the 2D Boussinesq system, as `rk4_stages_euler`."""
+    return _step(state, config, _boussinesq_rhs, keep_stages)
 
 
 def _rescale(values: np.ndarray, amplitude: float, peak: float) -> None:
@@ -281,8 +253,8 @@ def initial_condition(
     amplitude: float = 1.0,
     band: int = 3,
 ):
-    """Named divergence-free, band-limited initial states: an EulerState on a
-    3D grid, a BoussinesqState on a 2D one."""
+    """Named divergence-free, band-limited initial states: a FlowState with
+    a temperature on a 2D grid, without one on a 3D grid."""
     if name not in INITIAL_CONDITIONS:
         raise ValueError(f"unknown initial condition {name!r}; choose from {tuple(INITIAL_CONDITIONS)}")
     if grid.dim not in INITIAL_CONDITIONS[name]:
@@ -332,8 +304,8 @@ def initial_condition(
             theta = grid.ifftn(th)
             _rescale(theta, amplitude, np.max(np.abs(theta)))
     if grid.dim == 3:
-        return EulerState(time=0.0, u=VectorField(grid, u))
-    return BoussinesqState(time=0.0, u=VectorField(grid, u), theta=ScalarField(grid, theta))
+        return FlowState(VectorField(grid, u))
+    return FlowState(VectorField(grid, u), ScalarField(grid, theta))
 
 
 def kinetic_energy(u: VectorField) -> float:
@@ -374,8 +346,7 @@ __all__ = [
     "CflError",
     "NonFiniteStateError",
     "StepperConfig",
-    "EulerState",
-    "BoussinesqState",
+    "FlowState",
     "rk4_stages_euler",
     "rk4_stages_boussinesq",
     "initial_condition",

@@ -80,8 +80,8 @@ class SpectralSampler:
 def advance_positions(
     grid: GridSpec, stages: list, positions: np.ndarray, dt: float
 ) -> np.ndarray:
-    """RK4 position update fed by the solver's four stage velocity fields."""
-    (_, uh1), (_, uh2), (_, uh3), (_, uh4) = stages
+    """RK4 position update fed by the solver's four stage velocity spectra."""
+    uh1, uh2, uh3, uh4 = stages
     v1 = SpectralSampler(grid, positions).sample(uh1).T
     v2 = SpectralSampler(grid, positions + 0.5 * dt * v1).sample(uh2).T
     v3 = SpectralSampler(grid, positions + 0.5 * dt * v2).sample(uh3).T

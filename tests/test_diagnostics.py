@@ -5,6 +5,7 @@ import pytest
 
 from vortexlab.grid import GridSpec
 from vortexlab.fields import (
+    FieldError,
     ScalarField,
     VectorField,
     gradient,
@@ -360,7 +361,7 @@ class TestDiagField:
     @pytest.mark.parametrize("initial, dim", [("taylor-green-3d", 3), ("boussinesq-bubble", 2)])
     def test_given_gradient_matches_computed(self, initial, dim):
         state = initial_condition(initial, GridSpec(dim, 16))
-        theta = getattr(state, "theta", None)
+        theta = state.theta
         p = solve_pressure(state.u, theta)
         given = diag_field(state.u, p, theta, grad_u=gradient(state.u).values)
         computed = diag_field(state.u, p, theta)
@@ -371,7 +372,7 @@ class TestDiagField:
     @pytest.mark.parametrize("initial, dim", [("random-band-limited", 3), ("random-band-limited", 2)])
     def test_given_hessian_stack_matches_built(self, initial, dim):
         state = initial_condition(initial, GridSpec(dim, 16), seed=4)
-        theta = getattr(state, "theta", None)
+        theta = state.theta
         p = solve_pressure(state.u, theta)
         given = diag_field(state.u, p, theta, hess_coeffs=hessian_coeffs(p, theta))
         built = diag_field(state.u, p, theta)
@@ -386,6 +387,14 @@ class TestDiagField:
         u = VectorField(g, np.zeros((2,) + g.shape))
         with pytest.raises(ValueError, match="temperature"):
             diag_field(u, ScalarField(g, np.zeros(g.shape)))
+
+    def test_rejects_theta_in_3d(self):
+        # as solve_pressure does, rather than dropping the temperature
+        g = GridSpec(3, 16)
+        u = VectorField(g, np.zeros((3,) + g.shape))
+        theta = ScalarField(g, np.zeros(g.shape))
+        with pytest.raises(FieldError, match="2D grids only"):
+            diag_field(u, solve_pressure(u), theta)
 
     def test_grid_mismatch(self):
         g = GridSpec(3, 16)
@@ -448,7 +457,7 @@ def test_grid_tracer_and_suite_paths_agree_exactly(initial, dim):
     # one batch through the grid, the tracer and the identity-suite entry points
     g = GridSpec(dim, 16)
     state = initial_condition(initial, g)
-    theta = state.theta if dim == 2 else None
+    theta = state.theta
     grid_q = diag_field(state.u, solve_pressure(state.u, theta), theta, eps=0.0)
     vec = grid_q.vec.reshape(-1, dim)
     mat = grid_q.mat.reshape(-1, dim, dim)
@@ -469,7 +478,7 @@ QUANTITIES = [name for name, v in vars(DirectionQuantities).items() if isinstanc
 def test_slabs_equal_the_whole_grid_bit_for_bit(dim, n, width):
     g = GridSpec(dim, n)
     state = initial_condition("random-band-limited", g, seed=3)
-    theta = getattr(state, "theta", None)
+    theta = state.theta
     p = solve_pressure(state.u, theta)
     whole = diag_field(state.u, p, theta)
     parts = {name: [] for name in QUANTITIES}

@@ -18,6 +18,7 @@ from vortexlab.fields import (
     ball_mask,
     divergence,
     gradient,
+    gradient_coeff_rows,
     hessian,
     max_divergence,
     perp_gradient,
@@ -251,8 +252,10 @@ class TestHessian:
 
 
 class TestDerivativeExactness:
-    """Each derivative equals `from_spectral` of its per-entry coefficients
-    bit for bit, and hands out read-only arrays."""
+    """Each derivative's values equal those of `from_spectral` of its
+    per-entry coefficients bit for bit, and it hands out read-only arrays.
+    The rows of `gradient_coeff_rows`, which the tracers sample, are those
+    coefficients bit for bit."""
 
     @staticmethod
     def _same(field, expected, spectral=True):
@@ -263,13 +266,22 @@ class TestDerivativeExactness:
         assert not field.values.flags.writeable
         assert not field.spectral.flags.writeable
 
+    @staticmethod
+    def _same_rows(field, coeffs):
+        rows = list(gradient_coeff_rows(field))
+        # one buffer holds each row in turn
+        assert len(rows) == len(coeffs) and all(row is rows[0] for row in rows)
+        for want, row in zip(coeffs, gradient_coeff_rows(field)):
+            assert row.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("dim", [2, 3])
     def test_scalar_gradient(self, dim):
         g = GridSpec(dim, 16)
         f = ScalarField(g, np.random.default_rng(1).standard_normal(g.shape))
         k = g.wavenumbers
         coeffs = np.stack([1j * k[i] * f.spectral for i in range(dim)])
-        self._same(gradient(f), VectorField.from_spectral(g, coeffs))
+        self._same(gradient(f), VectorField.from_spectral(g, coeffs), spectral=False)
+        self._same_rows(f, coeffs)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_vector_gradient(self, dim):
@@ -279,7 +291,8 @@ class TestDerivativeExactness:
         coeffs = np.stack(
             [np.stack([1j * k[i] * u.spectral[j] for j in range(dim)]) for i in range(dim)]
         )
-        self._same(gradient(u), TensorField.from_spectral(g, coeffs))
+        self._same(gradient(u), TensorField.from_spectral(g, coeffs), spectral=False)
+        self._same_rows(u, coeffs)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_hessian(self, dim):
@@ -289,7 +302,8 @@ class TestDerivativeExactness:
         coeffs = np.stack(
             [np.stack([-(k[i] * k[j]) * p.spectral for j in range(dim)]) for i in range(dim)]
         )
-        # the Hessian keeps no spectrum; it is transformed from the samples on demand
+        # the Hessian, like the gradient, keeps no spectrum; it is
+        # transformed from the samples on demand
         self._same(hessian(p), TensorField.from_spectral(g, coeffs), spectral=False)
 
     def test_perp_gradient(self):

@@ -463,7 +463,7 @@ class TestCli:
         def divergent(name, grid, **kwargs):
             x = grid.coords
             u = np.stack([np.sin(x[0]), np.zeros(grid.shape), np.zeros(grid.shape)])
-            return solver.EulerState(time=0.0, u=VectorField(grid, u))
+            return solver.FlowState(VectorField(grid, u))
 
         monkeypatch.setattr(solver, "initial_condition", divergent)
         path = tmp_path / "run.ini"
@@ -564,6 +564,36 @@ class TestCli:
         assert main(["run", str(bad), "-o", str(tmp_path / "out")]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("snapshot_every = 5", "snapshot_every = 5\nsampel_every = 2", "sampel_every"),
+            ("[tracers]", "[tracer]", "[tracer]"),
+            ("count = 4", "count = 4\nseed = 3", "seed"),
+            # configparser would copy n into every section
+            ("[run]", "[DEFAULT]\nn = 16\n\n[run]", "[DEFAULT]"),
+            # words that are not among configparser's booleans
+            ("snapshot_every = 5", "snapshot_every = 5\nsnapshot_diagnostics = bogus", "snapshot_diagnostics"),
+            ("snapshot_every = 5", "snapshot_every = 5\nsnapshot_diagnostics = 2", "snapshot_diagnostics"),
+            ("snapshot_every = 5", "snapshot_every = 5\nsnapshot_diagnostics =", "snapshot_diagnostics"),
+        ],
+    )
+    def test_undeclared_setting_or_non_boolean_word_exits_2(self, tmp_path, capsys, old, new, named):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(BUBBLE_INI.replace(old, new))
+        assert main(["run", str(bad), "-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and named in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "word, value", [("on", True), ("Yes", True), ("1", True), ("off", False), ("NO", False), ("0", False)]
+    )
+    def test_boolean_words(self, tmp_path, word, value):
+        path = tmp_path / "run.ini"
+        path.write_text(BUBBLE_INI.replace("snapshot_every = 5", f"snapshot_every = 5\nsnapshot_diagnostics = {word}"))
+        assert load_config(path).snapshot_diagnostics is value
 
     @pytest.mark.parametrize("output", ["out", "out/run"])
     def test_output_that_is_or_lies_under_a_file_exits_2(self, bubble_config, tmp_path, capsys, output):
@@ -723,6 +753,22 @@ class TestCli:
         path.write_text(spec)
         assert main(["gronwall", str(path)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            ("[gronwall]\nvarient = double\n", "varient"),
+            ("[gronwall]\nvariant = double\n\n[bach]\ncount = 3\n", "[bach]"),
+            ("[gronwall]\nvariant = double\n\n[batch]\ncount = 3\nsead = 1\n", "sead"),
+            ("[DEFAULT]\nvariant = double\n\n[gronwall]\n", "[DEFAULT]"),
+        ],
+    )
+    def test_gronwall_undeclared_section_or_key_exits_2(self, tmp_path, capsys, spec, named):
+        path = tmp_path / "gw.ini"
+        path.write_text(spec)
+        assert main(["gronwall", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and named in err
 
     def test_gronwall_bad_variant(self, tmp_path):
         spec = tmp_path / "gw.ini"

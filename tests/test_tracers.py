@@ -97,7 +97,7 @@ class TestSpectralSampler:
 def advect_frozen(u, seeds, dt, n_steps):
     """Positions, shape (n_steps + 1, n_tracers, dim), of RK4 steps through
     the frozen field u: all four stages see its coefficients."""
-    stages = [(None, u.spectral)] * 4
+    stages = [u.spectral] * 4
     history = [np.atleast_2d(np.asarray(seeds, dtype=float))]
     for _ in range(n_steps):
         history.append(advance_positions(u.grid, stages, history[-1], dt))
