@@ -111,6 +111,7 @@ def _cmd_check_identities(args) -> int:
         raise pipeline.ConfigError("scale must be finite and nonzero")
     if not 0 <= args.tolerance < np.inf:
         raise pipeline.ConfigError("tolerance must be finite and nonnegative")
+    json_path = _json_path(args.json_path)
     report = identities.run_identity_suite(
         count=args.count,
         dim=args.dim,
@@ -129,13 +130,25 @@ def _cmd_check_identities(args) -> int:
         ratio = report.inequality_max_ratio[name]
         print(f"  {name:26s} min_slack={slack:.3e} max_ratio={ratio:.12f} {status}")
     print(f"elapsed: {report.elapsed_seconds:.2f} s")
-    if args.json_path:
-        storage.write_json(Path(args.json_path), report.to_dict())
+    if json_path is not None:
+        storage.write_json(json_path, report.to_dict())
     if not report.passed:
         print("worst sample:")
         print(json.dumps(storage.finite_or_null(report.worst), indent=2, allow_nan=False))
         return EXIT_VERIFICATION
     return EXIT_OK
+
+
+def _json_path(text: str | None) -> Path | None:
+    """The path of a --json option, checked before any work is done: it is
+    not a directory, and its directory can be made. None if not given."""
+    if not text:
+        return None
+    path = Path(text)
+    if path.is_dir():
+        raise pipeline.ConfigError(f"--json path {path} is a directory")
+    pipeline.check_output_dir(path.parent)
+    return path
 
 
 def _parse_profile(text: str, times: np.ndarray) -> np.ndarray:
@@ -159,7 +172,8 @@ GRONWALL_KEYS = {
 def _gronwall_spec(parser) -> dict:
     """The settings of a gronwall spec: the variant and sample times, and
     either the [batch] count and seed or the rest of the single problem's
-    `GronwallProblem` arguments (alpha, beta and y)."""
+    `GronwallProblem` arguments (alpha, beta and y). A batch draws its own
+    problems, so with [batch] the single problem's keys raise ConfigError."""
     if not parser.has_section("gronwall"):
         raise pipeline.ConfigError("spec file needs a [gronwall] section")
     sec = parser["gronwall"]
@@ -173,6 +187,9 @@ def _gronwall_spec(parser) -> dict:
         raise pipeline.ConfigError("need finite t_end > t_start and at least 5 samples")
     spec = {"variant": variant, "times": np.linspace(t_start, t_end, samples)}
     if parser.has_section("batch"):
+        single = sorted({"alpha", "beta", "y"}.intersection(sec))
+        if single:
+            raise pipeline.ConfigError(f"{single} in [gronwall] set a single problem; [batch] draws its own")
         spec["count"] = int(parser["batch"].get("count", 1000))
         spec["seed"] = int(parser["batch"].get("seed", 0))
         if spec["count"] < 1:
@@ -198,6 +215,7 @@ def _gronwall_spec(parser) -> dict:
 
 
 def _cmd_gronwall(args) -> int:
+    json_path = _json_path(args.json_path)
     spec = pipeline.read_config(args.spec, _gronwall_spec, GRONWALL_KEYS)
     variant = spec["variant"]
     out: dict = {"variant": variant}
@@ -243,8 +261,8 @@ def _cmd_gronwall(args) -> int:
             f"dominated={rep.domination_satisfied} max_excess={rep.max_relative_excess}"
         )
         failed = not (rep.hypothesis_satisfied and rep.domination_satisfied)
-    if args.json_path:
-        storage.write_json(Path(args.json_path), out)
+    if json_path is not None:
+        storage.write_json(json_path, out)
     return EXIT_VERIFICATION if failed else EXIT_OK
 
 
@@ -332,8 +350,9 @@ def _cmd_report(args) -> int:
         report = storage.read_json(report_path)
         lines = _report_lines(report)
         csvs = _report_csvs(report) if csv_dir else {}
-    except (ValueError, KeyError, TypeError) as exc:
-        # JSON that is truncated or not UTF-8, or that is not a run report
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        # a file that cannot be read (a directory, say), JSON that is
+        # truncated or not UTF-8, or JSON that is not a run report
         raise pipeline.ConfigError(f"cannot read run report {report_path}: {type(exc).__name__}: {exc}") from exc
     # printed only once every line and column is built, so a bad report prints nothing
     print("\n".join(lines))

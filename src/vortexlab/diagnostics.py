@@ -12,9 +12,9 @@ The same direction-field construction serves both settings:
 the pointwise algebra. The grid diagnostics (`diag_field`), the tracer
 series and the randomized identity suite all read from it, and
 `kernel_inputs` is the one assembly of its inputs from derivative values,
-at the tracers (`pipeline.analyse`) and, in two parts so that the 3D velocity
-gradient can be freed before the Hessian is built, on the grid
-(`diag_field`). With A = mat and P = hess it gives xi = vec/|vec|,
+at the tracers (per sample, in `pipeline.integrate`) and, in two parts so
+that the 3D velocity gradient can be freed before the Hessian is built, on
+the grid (`diag_field`). With A = mat and P = hess it gives xi = vec/|vec|,
 zeta = A xi/|A xi|, alpha = xi.A xi, rho = xi.P xi, the alignment zeta.P xi,
 the stretch balance |A xi|^2 - 2 alpha^2 - rho, and the rates along the
 flow: alpha |vec| for |vec|, A xi - alpha xi for xi, -(zeta.P xi) |vec|

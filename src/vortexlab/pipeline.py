@@ -146,11 +146,14 @@ class RunConfig:
             raise ConfigError(f"initial condition {self.initial!r} does not fit {self.system}")
         if self.initial == "random-band-limited" and self.band < 1:
             raise ConfigError("band must be at least 1 for random-band-limited")
+        # labels keep their case but are told apart without it, so that
+        # their CSV file names differ on any file system
         labels = [region.label for region in self.regions]
-        if "global" in labels:
-            raise ConfigError("region label 'global' is reserved for the whole box")
-        if len(set(labels)) < len(labels):
-            raise ConfigError(f"region labels must differ, got {labels}")
+        folded = [label.casefold() for label in labels]
+        if "global" in folded:
+            raise ConfigError("region label 'global' is reserved for the whole box, in any case")
+        if len(set(folded)) < len(labels):
+            raise ConfigError(f"region labels must differ, not only in case, got {labels}")
         for region in self.regions:
             if not region.is_global:
                 if len(region.center) != self.dim:
@@ -189,9 +192,11 @@ def read_config(path: str | Path, build, keys: dict):
     """`build(parser)` of the sectioned key-value file at `path` (UTF-8), for
     a `configparser.ConfigParser` holding the file. `keys` maps each section
     the file may hold to the set of its keys, or to None when any key goes.
-    Any defect of the file, from its encoding and syntax to a section or key
+    Keys are read as written, as section names are: `N` is not `n`. Any
+    defect of the file, from its encoding and syntax to a section or key
     outside `keys` and its values, raises ConfigError."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser.optionxform = str  # configparser would lowercase every key
     try:
         read = parser.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as exc:
@@ -224,8 +229,9 @@ def load_config(path: str | Path) -> RunConfig:
     and [criteria]. The declaration of RunConfig is the list of keys: each
     field names its section and key. [tracers] takes `count`, `points`
     ("x, y[, z] ; ...") or both if they agree, and each key of [regions] is a
-    label, set to "c1, c2[, c3] ; radius". Any defect, an unknown section
-    or key among them, raises ConfigError.
+    label, set to "c1, c2[, c3] ; radius". Keys and labels are read as
+    written. Any defect, an unknown section or key among them, raises
+    ConfigError.
     """
     keys = {}
     for f in fields(RunConfig):
@@ -318,14 +324,6 @@ def _tracer_seeds(config: RunConfig, grid: GridSpec) -> np.ndarray:
     return rng.uniform(0.0, grid.length, size=(config.tracer_count, grid.dim))
 
 
-def _series_first(values: np.ndarray) -> np.ndarray:
-    """Component-first values (..., samples, tracers) as a view of a C-ordered
-    (samples, tracers, ...) copy, so that `kernel_inputs` hands the tracer
-    series C-ordered arrays: the last bits of its contractions depend on it."""
-    values = np.ascontiguousarray(np.moveaxis(values, (-2, -1), (0, 1)))
-    return np.moveaxis(values, (0, 1), (-2, -1))
-
-
 SUP_QUANTITIES = (
     "alignment_negative",
     "stretch_excess",
@@ -370,9 +368,9 @@ def _sup_norms(diag, velocity: np.ndarray, masks: dict, width: int) -> dict:
 class SampleLog:
     """All that `analyse` reads, one entry per sample. `sup_norms` maps each
     of the `SUP_QUANTITIES` to a series per region label; the theta entries
-    are 2D only. At the tracers: `positions` (tracers, d), `tracer_grad`
-    (grad u, (d, d, tracers)) and `tracer_rows` (`hessian_coeffs`, (rows,
-    tracers)). eps is set by the first sample from its carrier."""
+    are 2D only. At the tracers: `positions` (tracers, d) and
+    `tracer_inputs`, the (vec, mat, hess) of `kernel_inputs`, of shape
+    (tracers, d[, d]). eps is set by the first sample from its carrier."""
 
     times: list = field(default_factory=list)
     sup_norms: dict = field(default_factory=dict)
@@ -381,8 +379,7 @@ class SampleLog:
     theta_l2: list = field(default_factory=list)
     theta_range: list = field(default_factory=lambda: [np.inf, -np.inf])
     positions: list = field(default_factory=list)
-    tracer_grad: list = field(default_factory=list)
-    tracer_rows: list = field(default_factory=list)
+    tracer_inputs: list = field(default_factory=list)
     eps: float | None = None
 
 
@@ -419,9 +416,10 @@ def integrate(config: RunConfig, log: SampleLog, out_dir: Path | None = None):
     def observe(step: int, current, pos: np.ndarray, sampled: bool, base: Path | None) -> None:
         """Log the sample of `current` at `step` if `sampled`, and write its
         snapshot next to `base` if not None. One velocity gradient feeds the
-        pressure, the tracer rows and the grid diagnostics, which are built
-        only for a sample or a diagnostic snapshot. A sample reads its sup
-        norms slab by slab, unless the snapshot writes the whole grid's."""
+        pressure, the tracers' kernel inputs and the grid diagnostics, which
+        are built only for a sample or a diagnostic snapshot. A sample reads
+        its sup norms slab by slab, unless the snapshot writes the whole
+        grid's."""
         t = step * config.dt
         theta_now = current.theta
         track = sampled and n_tracers > 0
@@ -444,13 +442,15 @@ def integrate(config: RunConfig, log: SampleLog, out_dir: Path | None = None):
             log.positions.append(pos.copy())
             sampler = tracers.SpectralSampler(grid, pos)
             # row by row (d_i u), which bounds the sampler's temporaries
-            rows = gradient_coeff_rows(current.u)
-            log.tracer_grad.append(np.stack([sampler.sample(row) for row in rows]))
+            tracer_grad = np.stack([sampler.sample(row) for row in gradient_coeff_rows(current.u)])
         p = solve_pressure(current.u, theta_now, grad_u=grad_u[0])
         hess_coeffs = None
         if track:
             hess_coeffs = hessian_coeffs(p, theta_now)
-            log.tracer_rows.append(sampler.sample(hess_coeffs))
+            rows = sampler.sample(hess_coeffs)  # the Hessian's upper triangle, then the 2D carrier
+            hess_p = symmetric_from_upper(rows[: grid.dim * (grid.dim + 1) // 2], grid.dim)
+            carrier = rows[-2:] if theta_now is not None else None
+            log.tracer_inputs.append(kernel_inputs(tracer_grad, hess_p, carrier))
         write_diag = base is not None and config.snapshot_diagnostics
         if sampled or write_diag:
             # eps None: the first sample fixes it from its own carrier
@@ -506,15 +506,15 @@ def _tracer_analysis(times: np.ndarray, vec, mat, hess, eps: float, positions: n
     batch. tracer_columns are the columns of the tracer CSVs in their order,
     each of shape (samples, tracers): time, x1..xd, five series, then
     `residual_<identity>` (with at least 5 samples) and `margin_<variant>`."""
-    series = tracers.diagnostics_series(vec, mat, hess, eps)
-    bound_tol = 1e-6 * max(float(np.max(series["vec_mag"])), 1e-300)
+    q = tracers.diagnostics_series(vec, mat, hess, eps)
+    bound_tol = 1e-6 * max(float(np.max(q.vec_mag)), 1e-300)
     variants = tracers.BOUND_VARIANTS if vec.shape[-1] == 3 else ("lemma", "double-exp")
-    residuals = tracers.dynamical_residuals(times, series) if times.size >= 5 else {}
-    checks = {v: tracers.growth_bound_check(times, series, v, bound_tol) for v in variants}
+    residuals = tracers.dynamical_residuals(times, q) if times.size >= 5 else {}
+    checks = {v: tracers.growth_bound_check(times, q, v, bound_tol) for v in variants}
     columns = {"time": np.broadcast_to(times[:, None], positions.shape[:2])}
     columns.update({f"x{axis + 1}": positions[..., axis] for axis in range(positions.shape[-1])})
-    columns["carrier_mag"] = series["vec_mag"]
-    columns.update({key: series[key] for key in ("alpha", "rho", "align", "stretch_balance")})
+    columns["carrier_mag"] = q.vec_mag
+    columns.update({key: getattr(q, key) for key in ("alpha", "rho", "align", "stretch_balance")})
     columns.update({f"residual_{name}": r for name, r in residuals.items()})
     columns.update({f"margin_{v.replace('-', '_')}": c.margins for v, c in checks.items()})
     bound_checks = {
@@ -537,13 +537,9 @@ def analyse(config: RunConfig, log: SampleLog) -> tuple[dict, dict]:
 
     tracer_columns, residual_summaries, bound_checks = {}, {}, {}
     if log.positions:
-        d = config.dim
-        upper, carrier = np.split(np.stack(log.tracer_rows, axis=-2), [d * (d + 1) // 2])
-        vec, mat, hess = kernel_inputs(
-            _series_first(np.stack(log.tracer_grad, axis=-2)),
-            _series_first(symmetric_from_upper(upper, d)),
-            _series_first(carrier) if d == 2 else None,
-        )
+        # forced C-ordered: a sample's inputs are views in other orders, which
+        # np.stack would keep, and the kernel's last bits depend on the order
+        vec, mat, hess = (np.array(inputs, order="C") for inputs in zip(*log.tracer_inputs))
         tracer_columns, residual_summaries, bound_checks = _tracer_analysis(
             times, vec, mat, hess, log.eps, np.stack(log.positions)
         )

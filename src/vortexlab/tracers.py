@@ -3,12 +3,13 @@ verification of transport identities and growth bounds along trajectories.
 
 Positions are advanced with the same RK4 stages as the field solve, and all
 point values are taken from the trigonometric interpolant, which is exact
-for band-limited fields. Residuals and bounds take the (samples, tracers)
-series of `diagnostics_series` and run once over the whole batch; material
-derivatives are finite differences along the sample axis: fourth-order
-central stencils in the interior by default (`dynamical_residuals`) and
-second-order one-sided ones at the ends, so identity residuals must shrink
-at order >= 2 under step refinement.
+for band-limited fields. Residuals and bounds read the direction kernel of
+the (samples, tracers) batch, a `DirectionQuantities`, with no copy, and run
+once over the whole batch; being lazy, the kernel computes only the
+quantities they read. Material derivatives are finite differences along the
+sample axis: fourth-order central stencils in the interior by default
+(`dynamical_residuals`) and second-order one-sided ones at the ends, so
+identity residuals must shrink at order >= 2 under step refinement.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import _lemma_integral, cumulative_trapezoid, uniform_step
-from .diagnostics import direction_quantities, negative_part, positive_part
+from .diagnostics import DirectionQuantities, direction_quantities, negative_part, positive_part
 from .grid import GridSpec
 
 BOUND_VARIANTS = ("lemma", "double-exp", "damped")
@@ -127,32 +128,11 @@ def time_derivative(values: np.ndarray, dt: float, order: int, accuracy: int = 2
     return out
 
 
-SERIES_KEYS = (
-    "vec_mag",
-    "stretch_vec",
-    "stretch_vec_mag",
-    "hess_vec",
-    "alpha",
-    "rho",
-    "align",
-    "stretch_balance",
-    "p_xi_mag",
-    "rate_xi_mag",
-    "rate_zeta_mag",
-    "active",
-    "stretch_active",
-)
-
-
-def diagnostics_series(vec: np.ndarray, mat: np.ndarray, hess: np.ndarray, eps: float) -> dict:
-    """Pointwise diagnostics for sampled (time, tracer) arrays, read from the
-    direction kernel.
-
-    vec: (k, p, d); mat, hess: (k, p, d, d). mat is the strain in 3D and the
-    velocity Jacobian in 2D, matching the grid diagnostics.
-    """
-    q = direction_quantities(vec, mat, hess, eps)
-    return {"vec": q.vec, **{key: getattr(q, key) for key in SERIES_KEYS}}
+def diagnostics_series(vec: np.ndarray, mat: np.ndarray, hess: np.ndarray, eps: float) -> DirectionQuantities:
+    """`direction_quantities` of the sampled (samples, tracers) kernel inputs:
+    vec (k, p, d); mat, hess (k, p, d, d). mat is the strain in 3D and the
+    velocity Jacobian in 2D, matching the grid diagnostics."""
+    return direction_quantities(vec, mat, hess, eps)
 
 
 def _valid_window(active: np.ndarray, halfwidth: int = 2) -> np.ndarray:
@@ -164,9 +144,10 @@ def _valid_window(active: np.ndarray, halfwidth: int = 2) -> np.ndarray:
     return ok
 
 
-def dynamical_residuals(times: np.ndarray, series: dict) -> dict[str, np.ndarray]:
+def dynamical_residuals(times: np.ndarray, q: DirectionQuantities) -> dict[str, np.ndarray]:
     """Residual series (samples, tracers) of the transport identities along
-    the trajectories of a `diagnostics_series` batch at uniform `times`.
+    the trajectories of the kernel batch `q` (samples first) at uniform
+    `times`.
 
     Each residual is (finite-difference estimate of the left side) minus the
     sampled right side; entries are NaN where the carrier vector degenerates
@@ -180,29 +161,28 @@ def dynamical_residuals(times: np.ndarray, series: dict) -> dict[str, np.ndarray
     * log_curvature:    second rate of log|vec| minus the stretch balance
     * second_accel:     second rate of the carrier vector plus the Hessian term
     """
-    s = series
     dt = uniform_step(times)
     accuracy = 4 if len(times) >= 7 else 2
     halfwidth = accuracy // 2 + 1
-    valid = _valid_window(s["active"], halfwidth)
-    valid_stretch = _valid_window(s["active"] & s["stretch_active"], halfwidth)
+    valid = _valid_window(q.active, halfwidth)
+    valid_stretch = _valid_window(q.active & q.stretch_active, halfwidth)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_mag = np.where(s["active"], np.log(np.where(s["active"], s["vec_mag"], 1.0)), np.nan)
+        log_mag = np.where(q.active, np.log(np.where(q.active, q.vec_mag, 1.0)), np.nan)
 
-    d_vec = time_derivative(s["vec"], dt, 1, accuracy)
-    res_transport = np.max(np.abs(d_vec - s["stretch_vec"]), axis=-1)
+    d_vec = time_derivative(q.vec, dt, 1, accuracy)
+    res_transport = np.max(np.abs(d_vec - q.stretch_vec), axis=-1)
 
-    d_mag = time_derivative(s["vec_mag"], dt, 1, accuracy)
-    res_mag = d_mag - s["alpha"] * s["vec_mag"]
+    d_mag = time_derivative(q.vec_mag, dt, 1, accuracy)
+    res_mag = d_mag - q.alpha * q.vec_mag
 
-    d_stretch = time_derivative(s["stretch_vec_mag"], dt, 1, accuracy)
-    res_stretch = d_stretch + s["align"] * s["vec_mag"]
+    d_stretch = time_derivative(q.stretch_vec_mag, dt, 1, accuracy)
+    res_stretch = d_stretch + q.align * q.vec_mag
 
     d2_log = time_derivative(np.where(valid, log_mag, 0.0), dt, 2, accuracy)
-    res_log = d2_log - s["stretch_balance"]
+    res_log = d2_log - q.stretch_balance
 
-    d2_vec = time_derivative(s["vec"], dt, 2, accuracy)
-    res_accel = np.max(np.abs(d2_vec + s["hess_vec"]), axis=-1)
+    d2_vec = time_derivative(q.vec, dt, 2, accuracy)
+    res_accel = np.max(np.abs(d2_vec + q.hess_vec), axis=-1)
 
     nanmask = np.where(valid, 1.0, np.nan)
     # the stretch-rate identity needs the stretching direction; mask samples
@@ -249,10 +229,10 @@ class BoundCheck:
         return int(np.count_nonzero(~ok))
 
 
-def growth_bound_check(times: np.ndarray, series: dict, variant: str, tolerance: float) -> BoundCheck:
+def growth_bound_check(times: np.ndarray, q: DirectionQuantities, variant: str, tolerance: float) -> BoundCheck:
     """Quadrature the growth bound's right side and compare with the measured
-    carrier magnitude along the trajectories of the `diagnostics_series`
-    batch `series` sampled at `times`; the margins are (samples, tracers).
+    carrier magnitude along the trajectories of the kernel batch `q`
+    (samples first) sampled at `times`; the margins are (samples, tracers).
 
     Variants:
 
@@ -264,32 +244,31 @@ def growth_bound_check(times: np.ndarray, series: dict, variant: str, tolerance:
 
     where m0 and s0 are the rows of initial carrier and stretched magnitudes.
     """
-    s = series
-    measured = s["vec_mag"]
+    measured = q.vec_mag
     t = np.asarray(times, dtype=float) - times[0]
     tc = t.reshape((-1,) + (1,) * (measured.ndim - 1))  # beside the rows m0, s0, alpha0
     m0 = measured[0]
-    s0 = s["stretch_vec_mag"][0]
+    s0 = q.stretch_vec_mag[0]
 
     if variant == "lemma":
         # where the stretched vector degenerates the alignment direction is
         # undefined; |P xi| dominates the bracket there and keeps the bound valid
         bracket = np.where(
-            s["stretch_active"],
-            negative_part(s["align"]),
-            np.where(s["active"], s["p_xi_mag"], 0.0),
+            q.stretch_active,
+            negative_part(q.align),
+            np.where(q.active, q.p_xi_mag, 0.0),
         )
         exponent = _lemma_integral(t, bracket, "double")
         bound = (m0 + s0 * tc) * np.exp(exponent)
     elif variant == "double-exp":
-        exponent = s["alpha"][0] * tc + _lemma_integral(t, positive_part(s["stretch_balance"]), "double")
+        exponent = q.alpha[0] * tc + _lemma_integral(t, positive_part(q.stretch_balance), "double")
         bound = m0 * np.exp(exponent)
     elif variant == "damped":
-        if s["vec"].shape[-1] != 3:
+        if q.vec.shape[-1] != 3:
             raise ValueError("the damped bound applies to the 3D diagnostics only")
-        a_int = cumulative_trapezoid(t, s["rate_xi_mag"])
-        c_int = cumulative_trapezoid(t, s["rate_zeta_mag"])
-        inner = cumulative_trapezoid(t, s["p_xi_mag"] * np.exp(c_int))
+        a_int = cumulative_trapezoid(t, q.rate_xi_mag)
+        c_int = cumulative_trapezoid(t, q.rate_zeta_mag)
+        inner = cumulative_trapezoid(t, q.p_xi_mag * np.exp(c_int))
         outer = cumulative_trapezoid(t, np.exp(a_int - c_int) * inner)
         bound = (m0 + np.sqrt(2.0) * s0 * tc) * np.exp(2.0 * np.exp(-a_int) * outer)
     else:

@@ -467,8 +467,7 @@ def test_grid_tracer_and_suite_paths_agree_exactly(initial, dim):
     for key in SHARED_KEYS:
         on_grid = getattr(grid_q, key).reshape(vec.shape[0], -1)
         assert np.array_equal(on_grid, getattr(suite_q, key).reshape(vec.shape[0], -1)), key
-        if key in series:
-            assert np.array_equal(on_grid, series[key].reshape(vec.shape[0], -1)), key
+        assert np.array_equal(on_grid, getattr(series, key).reshape(vec.shape[0], -1)), key
 
 
 QUANTITIES = [name for name, v in vars(DirectionQuantities).items() if isinstance(v, cached_property)]

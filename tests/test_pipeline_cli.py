@@ -550,6 +550,7 @@ class TestCli:
             ("count = 4", "points = ;"),
             ("ball1 = ", "global = "),
             ("ball1 = ", "Global = "),
+            ("ball1 = ", "Ball = 1.0, 1.0 ; 0.5\nball = "),
             ("count = 4", "count = 3\npoints = 1.0, 2.0 ; 3.0, 4.0"),
             # amplitude / max|u| overflows: once a RuntimeWarning, then non-finite samples
             ("name = boussinesq-bubble", "name = random-band-limited\namplitude = 1e308\nband = 1"),
@@ -577,6 +578,8 @@ class TestCli:
             ("snapshot_every = 5", "snapshot_every = 5\nsnapshot_diagnostics = bogus", "snapshot_diagnostics"),
             ("snapshot_every = 5", "snapshot_every = 5\nsnapshot_diagnostics = 2", "snapshot_diagnostics"),
             ("snapshot_every = 5", "snapshot_every = 5\nsnapshot_diagnostics =", "snapshot_diagnostics"),
+            # keys are read as written: N is not n
+            ("n = 32", "N = 32", "['N']"),
         ],
     )
     def test_undeclared_setting_or_non_boolean_word_exits_2(self, tmp_path, capsys, old, new, named):
@@ -586,6 +589,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert "configuration error" in err and named in err
         assert not (tmp_path / "out").exists()
+
+    def test_region_label_keeps_its_case(self, bubble_config, tmp_path):
+        # configparser used to lowercase it to core_ball
+        bubble_config.write_text(BUBBLE_INI.replace("ball1 =", "Core_Ball ="))
+        assert main(["run", str(bubble_config), "-o", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [region["label"] for region in report["regions"]] == ["global", "Core_Ball"]
+        assert set(report["series"]["sup_norms"]["carrier_sup"]) == {"global", "Core_Ball"}
 
     @pytest.mark.parametrize(
         "word, value", [("on", True), ("Yes", True), ("1", True), ("off", False), ("NO", False), ("0", False)]
@@ -670,6 +681,12 @@ class TestCli:
         # marked every check FAIL
         assert main(["check-identities", "--count", "10", option]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_check_identities_json_path_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        # it used to end in IsADirectoryError after the suite had run
+        assert main(["check-identities", "--count", "10", "--json", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "configuration error" in err and str(tmp_path) in err
 
     def test_check_identities_negative_scale_passes(self, capsys):
         assert main(["check-identities", "--count", "2000", "--scale", "-1"]) == 0
@@ -770,6 +787,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert "configuration error" in err and named in err
 
+    @pytest.mark.parametrize(
+        "keys, named",
+        [
+            ("alpha = nan\ny = const:5\n", "['alpha', 'y']"),
+            ("beta = 1.5\n", "['beta']"),
+            ("y = equality\n", "['y']"),
+        ],
+    )
+    def test_gronwall_batch_rejects_the_single_problem_keys(self, tmp_path, capsys, keys, named):
+        # a batch draws its own problems; alpha = nan once read dominated=3/3 and exit 0
+        path = tmp_path / "gw.ini"
+        path.write_text(f"[gronwall]\nvariant = double\n{keys}\n[batch]\ncount = 3\nseed = 1\n")
+        assert main(["gronwall", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "configuration error" in err and named in err
+
+    def test_gronwall_json_path_under_a_file_exits_2(self, tmp_path, capsys):
+        # it used to end in FileExistsError
+        spec = tmp_path / "gw.ini"
+        spec.write_text("[gronwall]\nvariant = single\n")
+        (tmp_path / "blocker").write_text("not a directory\n")
+        assert main(["gronwall", str(spec), "--json", str(tmp_path / "blocker" / "x.json")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "configuration error" in err and str(tmp_path / "blocker") in err
+
     def test_gronwall_bad_variant(self, tmp_path):
         spec = tmp_path / "gw.ini"
         spec.write_text("[gronwall]\nvariant = triple\n")
@@ -783,6 +825,15 @@ class TestCli:
 
     def test_report_missing_input(self, tmp_path):
         assert main(["report", str(tmp_path / "nothing")]) == 2
+
+    @pytest.mark.parametrize("target", ["named.json", "rundir/report.json"])
+    def test_report_that_is_a_directory_exits_2(self, tmp_path, capsys, target):
+        # a directory named *.json, or a run directory whose report.json is a
+        # directory, used to end in IsADirectoryError
+        (tmp_path / target).mkdir(parents=True)
+        assert main(["report", str(tmp_path / target.split("/")[0])]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("configuration error: ") and str(tmp_path / target) in err
 
     @pytest.mark.parametrize(
         "content",

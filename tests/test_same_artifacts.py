@@ -10,15 +10,20 @@ same_artifacts = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(same_artifacts)
 
 
-def test_the_tree_matches_itself_on_the_every_key_configs(tmp_path):
-    assert [path.stem for path in same_artifacts.EVERY_KEY] == ["every_key_2d", "every_key_3d"]
-    count, differ = same_artifacts.compare(ROOT, ROOT, same_artifacts.EVERY_KEY, tmp_path, cli=False)
+def test_the_tree_matches_itself_on_the_run_configs(tmp_path):
+    stems = [path.stem for path in same_artifacts.RUN_CONFIGS]
+    assert stems == ["every_key_2d", "every_key_3d", "short_3d"]
+    count, differ = same_artifacts.compare(ROOT, ROOT, same_artifacts.RUN_CONFIGS, tmp_path, cli=False)
     assert differ == []
-    # per config: report, manifest, tracer CSVs, five snapshots with diagnostics and the report text
-    assert count > 2 * (2 + 3 + 5 * 18 + 1)
-    for stem in ("every_key_2d", "every_key_3d"):
+    # every-key: report, manifest, tracer CSVs, five snapshots with diagnostics and the report text;
+    # short_3d: report, manifest, 4 tracer CSVs, 2 snapshots without diagnostics and the report text
+    assert count > 2 * (2 + 3 + 5 * 18 + 1) + (2 + 4 + 2 * 4 + 1)
+    for stem in stems:
         text = (tmp_path / "tree" / "report" / f"{stem}.txt").read_text()
         assert text.startswith("system: ") and "growth-bound margins along tracers:" in text
+    # 6 samples: the residuals take the short-run stencils
+    header, *rows = (tmp_path / "tree" / "short_3d" / "tracers" / "tracer_000.csv").read_text().splitlines()
+    assert len(rows) == 6 and "residual_vec_transport" in header
 
 
 def test_the_tree_matches_itself_on_the_cli_json(tmp_path):

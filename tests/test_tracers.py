@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vortexlab.criteria import SeriesError
+from vortexlab.diagnostics import DirectionQuantities, direction_quantities
 from vortexlab.grid import GridSpec
 from vortexlab.fields import VectorField
 from vortexlab.solver import StepperConfig, initial_condition, rk4_stages_euler
@@ -190,16 +191,15 @@ class TestTimeDerivative:
 
 
 def constant_field_series(kind, n_samples=11, vec=None):
-    """(times, series) of one tracer in a frozen field: the carrier `vec`,
-    zero matrix and Hessian; each series has the sample axis alone."""
+    """(times, q) of one tracer in a frozen field: the carrier `vec`, zero
+    matrix and Hessian; q is the kernel batch of shape (samples, 1)."""
     dim = 3 if kind == "euler" else 2
     vec = np.zeros(dim) if vec is None else np.asarray(vec)
     times = np.linspace(0.0, 1.0, n_samples)
     vecs = np.tile(vec, (n_samples, 1, 1))
     mats = np.zeros((n_samples, 1, dim, dim))
     hesses = np.zeros((n_samples, 1, dim, dim))
-    series = diagnostics_series(vecs, mats, hesses, eps=1e-12)
-    return times, {k: v[:, 0] for k, v in series.items()}
+    return times, diagnostics_series(vecs, mats, hesses, eps=1e-12)
 
 
 class TestDiagnosticsSeries:
@@ -212,16 +212,25 @@ class TestDiagnosticsSeries:
         vec = np.array([[[1.0, delta, 0.0]]])
         mat = np.diag([2.0, -1.0, -1.0])[None, None]
         hess = np.diag([1.0, 2.0, -3.0])[None, None]
-        series = diagnostics_series(vec, mat, hess, eps=0.0)
-        assert series["rate_xi_mag"][0, 0] == pytest.approx(3 * delta / (1 + delta**2), rel=1e-12)
-        assert series["rate_zeta_mag"][0, 0] == pytest.approx(5 * delta / (4 + delta**2), rel=1e-12)
+        q = diagnostics_series(vec, mat, hess, eps=0.0)
+        assert q.rate_xi_mag[0, 0] == pytest.approx(3 * delta / (1 + delta**2), rel=1e-12)
+        assert q.rate_zeta_mag[0, 0] == pytest.approx(5 * delta / (4 + delta**2), rel=1e-12)
+
+    def test_is_the_kernel_batch(self):
+        rng = np.random.default_rng(2)
+        vec = rng.standard_normal((4, 3, 3))
+        mat, hess = rng.standard_normal((2, 4, 3, 3, 3))
+        q = diagnostics_series(vec, mat, hess, eps=1e-12)
+        assert isinstance(q, DirectionQuantities)
+        assert q.eps == 1e-12 and q.vec is vec and q.mat is mat and q.hess is hess
 
 
 class TestDynamicalResiduals:
     def test_frozen_flow_residuals_vanish(self):
-        times, series = constant_field_series("euler", vec=[0.7, -0.2, 0.1])
-        res = dynamical_residuals(times, series)
+        times, q = constant_field_series("euler", vec=[0.7, -0.2, 0.1])
+        res = dynamical_residuals(times, q)
         for name, series in res.items():
+            assert series.shape == (times.size, 1), name
             finite = series[np.isfinite(series)]
             if name == "stretch_mag_rate":
                 assert finite.size == 0  # zero matrix: stretching direction undefined
@@ -230,19 +239,19 @@ class TestDynamicalResiduals:
             assert np.max(np.abs(finite)) <= 1e-12, name
 
     def test_degenerate_carrier_masked(self):
-        times, series = constant_field_series("euler", vec=[0.0, 0.0, 0.0])
-        res = dynamical_residuals(times, series)
+        times, q = constant_field_series("euler", vec=[0.0, 0.0, 0.0])
+        res = dynamical_residuals(times, q)
         assert np.all(np.isnan(res["log_curvature"]))
 
     def test_residuals_need_uniform_times(self):
-        times, series = constant_field_series("boussinesq", n_samples=7, vec=[1.0, 0.0])
+        times, q = constant_field_series("boussinesq", n_samples=7, vec=[1.0, 0.0])
         times = np.array([0.0, 0.1, 0.2, 0.35, 0.4, 0.5, 0.6])
         with pytest.raises(SeriesError, match="uniform"):
-            dynamical_residuals(times, series)
+            dynamical_residuals(times, q)
 
     def test_summary_skips_end_stencils(self):
-        times, series = constant_field_series("boussinesq", vec=[1.0, 0.0])
-        res = dynamical_residuals(times, series)
+        times, q = constant_field_series("boussinesq", vec=[1.0, 0.0])
+        res = dynamical_residuals(times, q)
         summary = residual_summary(res)
         assert set(summary) == set(res)
         assert all(v <= 1e-12 for v in summary.values())
@@ -250,18 +259,20 @@ class TestDynamicalResiduals:
 
 class TestGrowthBounds:
     def test_frozen_flow_saturates_with_equality(self):
-        times, series = constant_field_series("euler", vec=[0.5, 0.5, 0.0])
+        times, q = constant_field_series("euler", vec=[0.5, 0.5, 0.0])
         for variant in ("lemma", "double-exp", "damped"):
-            check = growth_bound_check(times, series, variant, tolerance=1e-12)
+            check = growth_bound_check(times, q, variant, tolerance=1e-12)
+            assert check.margins.shape == (times.size, 1)
             assert check.violations == 0
             assert np.max(np.abs(check.margins)) <= 1e-12, variant
 
     def test_non_finite_margin_is_a_violation(self):
-        times, series = constant_field_series("euler", vec=[0.5, 0.5, 0.0])
-        series["p_xi_mag"] = np.ones(times.size)
-        series["rate_zeta_mag"] = np.full(times.size, 1e5)
+        times, q = constant_field_series("euler", vec=[0.5, 0.5, 0.0])
+        # an instance attribute shadows the kernel's cached property
+        q.p_xi_mag = np.ones((times.size, 1))
+        q.rate_zeta_mag = np.full((times.size, 1), 1e5)
         with np.errstate(over="ignore", invalid="ignore"):
-            check = growth_bound_check(times, series, "damped", tolerance=1e-6)
+            check = growth_bound_check(times, q, "damped", tolerance=1e-6)
         assert not np.all(np.isfinite(check.margins))
         assert check.violations > 0
 
@@ -275,14 +286,14 @@ class TestGrowthBounds:
         assert empty.violations == 2
 
     def test_damped_variant_is_3d_only(self):
-        times, series = constant_field_series("boussinesq", vec=[1.0, 0.0])
+        times, q = constant_field_series("boussinesq", vec=[1.0, 0.0])
         with pytest.raises(ValueError, match="3D"):
-            growth_bound_check(times, series, "damped", tolerance=1e-6)
+            growth_bound_check(times, q, "damped", tolerance=1e-6)
 
     def test_unknown_variant(self):
-        times, series = constant_field_series("euler", vec=[1.0, 0.0, 0.0])
+        times, q = constant_field_series("euler", vec=[1.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="unknown bound variant"):
-            growth_bound_check(times, series, "best", tolerance=1e-6)
+            growth_bound_check(times, q, "best", tolerance=1e-6)
 
     def test_steady_vortex_margins_nonnegative(self):
         from vortexlab import pipeline as P
@@ -308,7 +319,7 @@ class TestBatch:
         tracers used to make one each; every tracer's column of the CSV
         columns, residual summary and bound aggregate keeps the bits of
         per-tracer calls on that tracer's columns, folded as one tracer at
-        a time."""
+        a time: each tracer's kernel is rebuilt from its own slices."""
         from vortexlab.pipeline import _tracer_analysis
 
         rng = np.random.default_rng(9)
@@ -334,28 +345,28 @@ class TestBatch:
 
         with np.errstate(over="ignore", invalid="ignore"):
             columns, summaries, bound_checks = _tracer_analysis(times, vec, mat, hess, 1e-12, positions)
-            series = diagnostics_series(vec, mat, hess, 1e-12)
-            tol = 1e-6 * max(float(np.max(series["vec_mag"])), 1e-300)
+            q = diagnostics_series(vec, mat, hess, 1e-12)
+            tol = 1e-6 * max(float(np.max(q.vec_mag)), 1e-300)
             expected_summaries = {}
             expected_checks = {v: {"min_margin": np.inf, "violations": 0, "tolerance": tol} for v in BOUND_VARIANTS}
             for p in range(positions.shape[1]):
-                tracer = {key: values[:, p] for key, values in series.items()}
+                tracer = direction_quantities(vec[:, p : p + 1], mat[:, p : p + 1], hess[:, p : p + 1], 1e-12)
                 residuals = dynamical_residuals(times, tracer)
                 for name, values in residuals.items():
-                    assert np.array_equal(columns[f"residual_{name}"][:, p], values, equal_nan=True), (p, name)
+                    assert np.array_equal(columns[f"residual_{name}"][:, p], values[:, 0], equal_nan=True), (p, name)
                 for name, value in residual_summary(residuals).items():
                     expected_summaries[name] = max(expected_summaries.get(name, 0.0), value)
                 for variant in BOUND_VARIANTS:
                     check = growth_bound_check(times, tracer, variant, tol)
                     margins = columns[f"margin_{variant.replace('-', '_')}"][:, p]
-                    assert np.array_equal(margins, check.margins, equal_nan=True), (p, variant)
+                    assert np.array_equal(margins, check.margins[:, 0], equal_nan=True), (p, variant)
                     agg = expected_checks[variant]
                     agg["min_margin"] = float(min(agg["min_margin"], check.min_margin))
                     agg["violations"] += check.violations
         assert np.array_equal(columns["time"], np.broadcast_to(times[:, None], (k, 3)))
         for axis in range(3):
             assert np.array_equal(columns[f"x{axis + 1}"], positions[..., axis])
-        assert np.array_equal(columns["carrier_mag"], series["vec_mag"])
+        assert np.array_equal(columns["carrier_mag"], q.vec_mag)
         assert np.all(np.isnan(columns["residual_log_curvature"][:, 1]))
         assert not np.all(np.isfinite(columns["margin_damped"][:, 2]))
         assert bound_checks["damped"]["violations"] > 0

@@ -5,7 +5,9 @@
 For each tree, in its own Python process with that tree's `src` first on the
 path, runs `pipeline.load_config` and `pipeline.run` on the same configuration
 files: the run workloads of `benchmarks/workloads.py` (`config_text(seed)`)
-at seeds 0 and 11, and the every-key configurations beside this script. The
+at seeds 0 and 11, and the run configurations beside this script (the
+every-key ones, every_key_*.ini, and short_3d.ini, whose 6 samples take the
+residuals' short-run stencils). The
 same process writes the stdout of `vortexlab report` on each run's output
 directory to report/<config stem>.txt. In a second process it writes the
 JSON of `vortexlab gronwall --json` on the specs beside this script
@@ -30,8 +32,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (0, 11)
-EVERY_KEY = sorted(Path(__file__).resolve().parent.glob("every_key_*.ini"))
-GRONWALL_SPECS = sorted(Path(__file__).resolve().parent.glob("gronwall_*.ini"))
+HERE = Path(__file__).resolve().parent
+RUN_CONFIGS = sorted(HERE.glob("every_key_*.ini")) + [HERE / "short_3d.ini"]
+GRONWALL_SPECS = sorted(HERE.glob("gronwall_*.ini"))
 
 # argv: the tree's src, the output directory and the config files; each
 # config's artifacts go to the directory named after its stem, and the text
@@ -133,7 +136,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("other", type=Path, help="root of the tree to compare with this one")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        configs = workload_configs(Path(tmp)) + EVERY_KEY
+        configs = workload_configs(Path(tmp)) + RUN_CONFIGS
         count, differ = compare(ROOT, args.other, configs, Path(tmp))
     for name in differ:
         print(f"differs: {name}")
