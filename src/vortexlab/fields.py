@@ -42,6 +42,9 @@ class _Field:
     # transforming again. Samples given in physical space are not: there
     # ifftn(fftn(values)) differs from values in the last bits.
     _values_exact = False
+    # True when the cached spectrum is zero outside the dealias cutoff, so
+    # that its inverse transforms may skip the lines that are zero.
+    _truncated = False
 
     def __init__(self, grid: GridSpec, values: np.ndarray):
         values = np.asarray(values, dtype=np.float64)
@@ -71,11 +74,14 @@ class _Field:
         return field
 
     @classmethod
-    def _from_own_spectral(cls, grid: GridSpec, coeffs: np.ndarray):
+    def _from_own_spectral(cls, grid: GridSpec, coeffs: np.ndarray, truncated: bool = False):
         """Internal constructor from complex128 coefficients of the right
-        shape that no one else holds; they become the cached spectrum."""
-        field = cls._wrap(grid, np.ascontiguousarray(grid.ifftn(coeffs)), coeffs)
+        shape that no one else holds; they become the cached spectrum.
+        truncated=True promises that they are zero outside the dealias
+        cutoff (`GridSpec.ifftn`)."""
+        field = cls._wrap(grid, np.ascontiguousarray(grid.ifftn(coeffs, truncated=truncated)), coeffs)
         field._values_exact = True
+        field._truncated = truncated
         return field
 
     @classmethod
@@ -224,7 +230,10 @@ def hessian_values(
     `perp_gradient(theta)`, else None. Each row is inverse-transformed in
     place and mirrored into the result: the rows of `coeffs`, that stack of
     a caller that samples it too, which is destroyed, or else rows built one
-    at a time in one buffer. The bits are those of one batched transform."""
+    at a time in one buffer. The bits are those of one batched transform.
+    The Hessian rows of a pressure whose spectrum is truncated (the one
+    `solve_pressure` returns without a temperature) are truncated too, and
+    take the inverse transform that skips the zero lines."""
     grid = p.grid
     pairs = list(zip(*np.triu_indices(grid.dim)))
     if coeffs is None:
@@ -236,7 +245,7 @@ def hessian_values(
     hess = np.empty((grid.dim, grid.dim) + grid.shape)
     carrier = None if theta is None else np.empty((2,) + grid.shape)
     for r, row in enumerate(coeffs):
-        values = grid.ifftn(row, overwrite=True)
+        values = grid.ifftn(row, overwrite=True, truncated=p._truncated and r < len(pairs))
         if r < len(pairs):
             i, j = pairs[r]
             hess[i, j] = values
@@ -278,7 +287,12 @@ def solve_pressure(
     """Recover the mean-zero pressure from the velocity (and buoyancy in 2D).
 
     Solves lap(p) = -d_i u_j d_j u_i (+ d_2 theta when a 2D buoyancy field
-    is supplied). The quadratic source is dealiased before inversion.
+    is supplied). The quadratic source is transformed with the dealiased
+    `GridSpec.fftn`, which computes only the modes the 2/3 rule keeps.
+    Without a temperature the pressure spectrum is therefore zero outside
+    the cutoff, and its grid values and Hessian rows take the inverse
+    transform that skips the zero lines; the buoyancy term d_2 theta is not
+    truncated, so a 2D pressure with it takes the full one.
     grad_u, the grid values of `gradient(u)`, lets a caller that needs them
     too (`diagnostics.diag_field`) compute them once; they are computed
     here when not given. The divergence check reads div u off their trace
@@ -302,25 +316,32 @@ def solve_pressure(
         raise FieldError("buoyancy source is supported on 2D grids only")
 
     source = -np.einsum("ij...,ji...->...", grad_u, grad_u)
-    p_hat = grid.fftn(source)
-    grid.truncate(p_hat, out=p_hat)
+    p_hat = grid.fftn(source, truncate=True)
     if theta is not None:
         np.add(p_hat, _derivative_coeffs(grid, theta.spectral, 1), out=p_hat)
     np.negative(p_hat, out=p_hat)
     np.multiply(p_hat, grid.inv_k_square, out=p_hat)
-    return ScalarField._from_own_spectral(grid, p_hat)
+    return ScalarField._from_own_spectral(grid, p_hat, truncated=theta is None)
 
 
-def project_spectral(grid: GridSpec, uh: np.ndarray) -> np.ndarray:
-    """In-place Leray projection of spectral velocity coefficients."""
-    k = grid.wavenumbers
-    k_dot_u = np.zeros(grid.shape, dtype=np.complex128)
-    term = np.empty(grid.shape, dtype=np.complex128)
-    for i in range(grid.dim):
-        k_dot_u += np.multiply(k[i], uh[i], out=term)
-    k_dot_u *= grid.inv_k_square
-    for i in range(grid.dim):
-        uh[i] -= np.multiply(k[i], k_dot_u, out=term)
+def project_spectral(grid: GridSpec, uh: np.ndarray, truncated: bool = False) -> np.ndarray:
+    """In-place Leray projection of spectral velocity coefficients.
+
+    truncated=True promises that uh is zero outside the dealias cutoff;
+    then only the retained index blocks (`GridSpec.mode_blocks`) are
+    projected, which gives the same bits there and leaves the zeros.
+    """
+    for block in grid.mode_blocks(truncated):
+        # the block's wavenumbers along each axis, shaped as `grid.wavenumbers`
+        k = [grid.axis_wavenumbers[b].reshape((-1,) + (1,) * (grid.dim - i - 1)) for i, b in enumerate(block)]
+        u = uh[(slice(None),) + block]
+        k_dot_u = np.zeros(u.shape[1:], dtype=np.complex128)
+        term = np.empty(u.shape[1:], dtype=np.complex128)
+        for i in range(grid.dim):
+            k_dot_u += np.multiply(k[i], u[i], out=term)
+        k_dot_u *= grid.inv_k_square[block]
+        for i in range(grid.dim):
+            u[i] -= np.multiply(k[i], k_dot_u, out=term)
     return uh
 
 

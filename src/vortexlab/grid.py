@@ -6,6 +6,14 @@ the steps of scipy.fft's pocketfft for the same calls, and their output is
 bit for bit that of `scipy.fft.fftn` / `ifftn(...).real`; this was checked
 with numpy 2.4 against scipy 1.17, and the tier-1 tests check it wherever
 scipy is installed.
+
+Both transforms also come band-limited, for spectra that the dealias rule
+truncates (a pruned FFT). `fftn(values, truncate=True)` transforms only the
+lines that reach retained modes and writes +0 at the others; the retained
+modes keep the bits of the full transform. `ifftn(coeffs, truncated=True)`
+skips the lines of a truncated spectrum that are all zero; its values equal
+those of the full inverse, and only a zero may differ in sign. Each form
+is the full transform's code path run on fewer blocks of lines.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,36 +63,70 @@ def _thread_pool(workers: int):
     return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="vortexlab-fft")
 
 
-def _fft_pass(transform, src, out, axis: int, dim: int, workers: int, norm=None) -> None:
+def _fft_pass(transform, src, out, axis: int, dim: int, workers: int, norm=None, lines=((...,),)) -> None:
     """`transform` (a numpy.fft function) of `src` along the grid axis
     `axis` (negative, of the trailing `dim`) into `out`.
 
-    With workers > 1 the lines are split into one block per worker along
+    `lines` holds the index tuples (basic slices) of the blocks of lines to
+    transform, all of them by default; `out` is not written outside them.
+    With workers > 1 each block is split into one piece per worker along
     the first other grid axis. The numpy FFT ufuncs release the GIL, and a
     line's bits do not depend on which call transforms it.
     """
     if workers == 1:
-        transform(src, axis=axis, norm=norm, out=out)
+        for block in lines:
+            transform(src[block], axis=axis, norm=norm, out=out[block])
         return
     split = -dim + (axis == -dim)
-    size = src.shape[split]
     tail = (slice(None),) * (-split - 1)
-    blocks = [
-        (..., slice(size * w // workers, size * (w + 1) // workers)) + tail for w in range(workers)
-    ]
+    jobs = []
+    for block in lines:
+        s, o = src[block], out[block]
+        size = s.shape[split]
+        for w in range(workers):
+            piece = (..., slice(size * w // workers, size * (w + 1) // workers)) + tail
+            jobs.append((s[piece], o[piece]))
     pool = _thread_pool(workers)
-    futures = [
-        pool.submit(transform, src[block], axis=axis, norm=norm, out=out[block]) for block in blocks
-    ]
+    futures = [pool.submit(transform, s, axis=axis, norm=norm, out=o) for s, o in jobs]
     for future in futures:
         future.result()
 
 
-def _mirror_blocks(k: int) -> list[tuple[tuple, tuple]]:
-    """Slice pairs (dst, src) over k axes of length n that together map each
-    index I to -I mod n: index 0 maps to itself, 1..n-1 to n-1..1."""
-    pairs = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
+def _mirror_pairs(n: int, kept: int) -> list[tuple[slice, slice]]:
+    """Slice pairs (dst, src) along an axis of length n that together map
+    each index i within `kept` of 0 mod n to -i mod n: index 0 maps to
+    itself, and the rest of the axis, or 1..kept and n-kept..n-1, to their
+    mirror images."""
+    if 2 * kept + 1 >= n:
+        return [(slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1))]
+    pairs = [(slice(0, 1), slice(0, 1))]
+    if kept:
+        pairs.append((slice(1, kept + 1), slice(n - 1, n - kept - 1, -1)))
+        pairs.append((slice(n - kept, None), slice(kept, 0, -1)))
+    return pairs
+
+
+def _mirror_blocks(k: int, pairs: list) -> list[tuple[tuple, tuple]]:
+    """The (dst, src) slice tuples over k axes that combine one of `pairs`
+    per axis, so that they map each index I to -I."""
     return [tuple(zip(*combo)) if combo else ((), ()) for combo in itertools.product(pairs, repeat=k)]
+
+
+class _Plan(NamedTuple):
+    """The index blocks (basic slices) that a transform visits.
+
+    forward[a]: the lines of the fft pass along grid axis a < dim - 1 in the
+    half spectrum; inverse[a]: the lines of the ifft pass along grid axis a;
+    half: the blocks of the half spectrum that hold the kept modes; zero:
+    the blocks of the full spectrum outside the kept modes; fill: the
+    `GridSpec._spectrum_fill` pairs.
+    """
+
+    forward: list
+    inverse: list
+    half: list
+    zero: list
+    fill: list
 
 
 @dataclass(frozen=True)
@@ -208,60 +251,125 @@ class GridSpec:
         return outer
 
     @cached_property
-    def _spectrum_fill(self) -> list[tuple[tuple, tuple]]:
+    def _kept(self) -> int:
+        """The largest index l <= n/2 whose wavenumber `dealias_mask` keeps
+        along an axis: a mode is retained when each of its indices lies
+        within l of 0 mod n."""
+        return int(np.count_nonzero(self.dealias_mask[(0,) * (self.dim - 1)][: self.n // 2 + 1])) - 1
+
+    def _runs(self, truncated: bool) -> tuple[slice, ...]:
+        """The index runs along a grid axis: the whole axis, or, with
+        truncated=True, those that hold the retained modes."""
+        n, kept = self.n, self._kept
+        if not truncated or 2 * kept + 1 >= n:
+            return (slice(None),)
+        return (slice(0, kept + 1), slice(n - kept, None)) if kept else (slice(0, 1),)
+
+    def mode_blocks(self, truncated: bool = False) -> list[tuple[slice, ...]]:
+        """Index blocks (basic slices over the grid axes) that cover the
+        whole spectrum, or with truncated=True the retained modes: up to
+        2**dim blocks."""
+        return list(itertools.product(self._runs(truncated), repeat=self.dim))
+
+    def _spectrum_fill(self, kept: int) -> list[tuple[tuple, tuple]]:
         """(dst, src) slice pairs that complete the spectrum of real values
         from the conjugate of its half l <= n/2 on the last axis, as
-        pocketfft does for a real input.
+        pocketfft does for a real input, at the modes whose indices all
+        lie within `kept` of 0 mod n.
 
         Index I runs over the other grid axes, and -I maps each index i to
-        -i mod n. The points l = n/2+1..n-1 at I take the conjugate of the
-        half's l = n/2-1..1 at -I. On the planes l = 0 and l = n/2, each
-        pair of points I != -I takes, at the later point in C order, the
-        conjugate of the earlier one, and a point with I = -I its own
-        conjugate.
+        -i mod n. The points l = n-kept..n-1 at I take the conjugate of the
+        half's l = kept..1 at -I (with kept = n/2: l = n/2+1..n-1 from
+        n/2-1..1). On the planes l = 0 and l = n/2, each pair of points
+        I != -I takes, at the later point in C order, the conjugate of the
+        earlier one, and a point with I = -I its own conjugate.
         """
-        h = self.n // 2
-        upper, lower, both = slice(h + 1, None), slice(h - 1, 0, -1), slice(0, h + 1, h)
+        n, h = self.n, self.n // 2
+        low = min(kept, h - 1)
+        upper, lower = slice(n - low, None), slice(low, 0, -1)
+        both = slice(0, h + 1, h) if kept == h else slice(0, 1)
+        pairs = _mirror_pairs(n, kept)
         others = self.dim - 1
-        fill = [((...,) + d + (upper,), (...,) + s + (lower,)) for d, s in _mirror_blocks(others)]
-        # rows h+1.. of an axis are the later points of their pairs; rows 0
-        # and n/2 pair with themselves there, so the next axis decides
+        fill = [((...,) + d + (upper,), (...,) + s + (lower,)) for d, s in _mirror_blocks(others, pairs)]
+        # rows n-kept.. of an axis are the later points of their pairs; rows
+        # 0 and n/2 pair with themselves there, so the next axis decides
         fixed = ()
         for k in range(others):
-            for d, s in _mirror_blocks(others - k - 1):
+            for d, s in _mirror_blocks(others - k - 1, pairs):
                 fill.append(((...,) + fixed + (upper,) + d + (both,), (...,) + fixed + (lower,) + s + (both,)))
             fixed += (both,)
         fill.append(((...,) + fixed + (both,),) * 2)
         return fill
+
+    def _plan(self, truncated: bool) -> _Plan:
+        """The blocks that the full transforms visit, or the truncated ones."""
+        dim, n, h = self.dim, self.n, self.n // 2
+        kept = self._kept if truncated else h
+        runs, every = self._runs(truncated), (slice(None),)
+        cols, gap = slice(0, kept + 1), slice(kept + 1, n - kept)
+
+        def blocks(ranges, last=()):
+            return [(...,) + block + last for block in itertools.product(*ranges)]
+
+        return _Plan(
+            forward=[
+                blocks([runs if b < a else every for b in range(dim - 1)], (cols,)) for a in range(dim - 1)
+            ],
+            inverse=[blocks([runs if b > a else every for b in range(dim)]) for a in range(dim)],
+            half=blocks([runs] * (dim - 1), (cols,)),
+            # axis k in the gap, the axes before it in the runs
+            zero=[block + every * (dim - k - 1) for k in range(dim) for block in blocks([runs] * k, (gap,))]
+            if runs != every
+            else [],
+            fill=self._spectrum_fill(kept),
+        )
+
+    @cached_property
+    def _plans(self) -> tuple[_Plan, _Plan]:
+        """The `_Plan` of the full transforms and of the truncated ones."""
+        return self._plan(False), self._plan(True)
 
     @cached_property
     def _inverse_scale(self) -> np.float64:
         # pocketfft's norm_fct: 1/N rounded from long double
         return np.float64(1 / np.longdouble(self.n**self.dim))
 
-    def fftn(self, values: np.ndarray) -> np.ndarray:
+    def fftn(self, values: np.ndarray, truncate: bool = False) -> np.ndarray:
         """Forward FFT of real values over the trailing dim axes.
 
         The steps of pocketfft for a real input: rfft along the last axis
         into a contiguous half spectrum, fft along the other grid axes in
         increasing order, then the rest from Hermitian symmetry
         (`_spectrum_fill`).
+
+        With truncate=True the modes outside the dealias cutoff are zero,
+        and only the lines that reach retained modes are transformed: after
+        the rfft of every line, each fft pass runs on the lines through
+        retained indices of the axes already transformed (the retained
+        columns l for the first pass, then also the retained rows of each
+        earlier axis). The retained modes keep the bits of the full
+        transform; the others are +0, where `fftn(values) * dealias_mask`
+        may hold either sign of zero.
         """
         workers = fft_workers()
-        dim, h = self.dim, self.n // 2
-        half = np.empty(values.shape[:-1] + (h + 1,), dtype=np.complex128)
+        dim, plan = self.dim, self._plans[truncate]
+        half = np.empty(values.shape[:-1] + (self.n // 2 + 1,), dtype=np.complex128)
         _fft_pass(np.fft.rfft, values, half, -1, dim, workers)
-        for axis in range(-dim, -1):
-            _fft_pass(np.fft.fft, half, half, axis, dim, workers)
+        for axis, lines in zip(range(-dim, -1), plan.forward):
+            _fft_pass(np.fft.fft, half, half, axis, dim, workers, lines=lines)
         out = np.empty(values.shape, dtype=np.complex128)
-        out[..., : h + 1] = half
-        # strided copies are much faster than a strided conjugate
+        for block in plan.zero:
+            out[block] = 0.0
+        for block in plan.half:
+            out[block] = half[block]
+        # strided copies are much faster than a strided conjugate; the whole
+        # half is conjugated, as a strided conjugate in place buffers its input
         np.conjugate(half, out=half)
-        for dst, src in self._spectrum_fill:
+        for dst, src in plan.fill:
             out[dst] = half[src]
         return out
 
-    def ifftn(self, coeffs: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    def ifftn(self, coeffs: np.ndarray, overwrite: bool = False, truncated: bool = False) -> np.ndarray:
         """Inverse FFT over the trailing dim axes, real part.
 
         The steps of pocketfft: an unnormalized ifft along the first grid
@@ -271,6 +379,12 @@ class GridSpec:
         With overwrite=True a C-contiguous complex128 `coeffs` becomes the
         transform's output buffer and is destroyed; the result is the real
         part of it. The bits are those of the out-of-place transform.
+
+        truncated=True promises that `coeffs` is zero outside the dealias
+        cutoff, and skips the lines that are zero: each pass runs on the
+        lines through retained indices of the axes not yet transformed, so
+        the last pass runs on every line. The values equal those of the
+        full transform; only a zero may differ in sign.
         """
         workers = fft_workers()
         dim = self.dim
@@ -279,16 +393,13 @@ class GridSpec:
         else:
             # a copy and in-place passes beat a first pass out of place
             out = np.array(coeffs, dtype=np.complex128, order="C")
-        for axis in range(-dim, 0):
-            _fft_pass(np.fft.ifft, out, out, axis, dim, workers, "forward")
+        for axis, lines in zip(range(-dim, 0), self._plans[truncated].inverse):
+            _fft_pass(np.fft.ifft, out, out, axis, dim, workers, "forward", lines)
             if axis == -dim:
+                # the whole array: a strided multiply in place buffers its input
                 flat = out.view(np.float64)
                 np.multiply(flat, self._inverse_scale, out=flat)
         return out.real
-
-    def truncate(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Zero all modes outside the dealias cutoff (in place with out=coeffs)."""
-        return np.multiply(coeffs, self.dealias_mask, out=out)
 
     def periodic_distance(self, center: np.ndarray) -> np.ndarray:
         """Distance from each grid point to `center` with periodic wrap-around."""

@@ -13,8 +13,13 @@ accelerate the box average.
 Both systems share one state type, `FlowState` (a velocity and, in 2D, a
 temperature; it keeps no clock), and one RK4 driver, `_step`, which hands
 out the four stage velocity spectra that the tracers are advanced with.
-Time stepping is classical RK4 with a fixed step; quadratic terms are
-dealiased with the grid's truncation rule before projection.
+Time stepping is classical RK4 with a fixed step. Quadratic terms are
+dealiased by the 2/3 rule (the grid's `dealias` fraction): the forward
+transform of the force computes only the retained modes and writes zeros
+at the rest (`GridSpec.fftn(..., truncate=True)`). The 3D tendency is then
+zero outside the cutoff, so its projection visits the retained index
+blocks only; the 2D tendency adds the untruncated buoyancy and takes the
+full projection.
 """
 
 from __future__ import annotations
@@ -86,9 +91,11 @@ def _vorticity_spectral(grid: GridSpec, uh: np.ndarray, out: np.ndarray) -> np.n
     return out
 
 
-def _finish_tendency(grid: GridSpec, fh: np.ndarray) -> None:
-    """Project the truncated momentum tendency and remove its mean, in place."""
-    project_spectral(grid, fh)
+def _finish_tendency(grid: GridSpec, fh: np.ndarray, truncated: bool) -> None:
+    """Project the momentum tendency and remove its mean, in place; with
+    truncated=True fh is zero outside the dealias cutoff, and the
+    projection visits the retained modes only."""
+    project_spectral(grid, fh, truncated)
     fh[(slice(None),) + (0,) * grid.dim] = 0.0
 
 
@@ -112,10 +119,9 @@ def _euler_rhs(grid: GridSpec, y: tuple, u: np.ndarray | None) -> tuple:
         np.multiply(u[a], w[b], out=fc)
         fc -= np.multiply(u[b], w[a], out=term)
     del u, w, term
-    fh = grid.fftn(force)
+    fh = grid.fftn(force, truncate=True)
     del force
-    grid.truncate(fh, out=fh)
-    _finish_tendency(grid, fh)
+    _finish_tendency(grid, fh, truncated=True)
     return (fh,)
 
 
@@ -146,12 +152,11 @@ def _boussinesq_rhs(grid: GridSpec, y: tuple, u: np.ndarray | None) -> tuple:
     src[2] += np.multiply(u[1], dth1, out=dth1)
     np.negative(src[2], out=src[2])
     del u, phys, w, dth0, dth1
-    out = grid.fftn(src)
+    out = grid.fftn(src, truncate=True)
     del src
-    grid.truncate(out, out=out)
     fh, th_rhs = out[:2], out[2]
-    fh[1] += th
-    _finish_tendency(grid, fh)
+    fh[1] += th  # the buoyancy is not truncated, so the projection visits every mode
+    _finish_tendency(grid, fh, truncated=False)
     return (fh, th_rhs)
 
 

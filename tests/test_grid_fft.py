@@ -1,4 +1,5 @@
-"""GridSpec.fftn / ifftn against scipy.fft, bit for bit.
+"""GridSpec.fftn / ifftn against scipy.fft, bit for bit, and the truncated
+forms against the full ones.
 
 The transforms are built from numpy.fft so that the package does not import
 scipy; they follow pocketfft's steps for the same calls, so every output bit
@@ -12,12 +13,15 @@ import numpy as np
 import pytest
 
 from vortexlab import grid as grid_module
+from vortexlab.fields import project_spectral
 from vortexlab.grid import TWO_PI, GridSpec
 
 sp_fft = pytest.importorskip("scipy.fft")
 
 CASES = [(3, n) for n in (8, 10, 24, 32, 48, 64)] + [(2, n) for n in (8, 10, 24, 32, 48, 64, 256)]
 LEADS = [(), (3,), (3, 3)]
+# 1.0 keeps every mode, the Nyquist planes included
+DEALIAS = [2.0 / 3.0, 0.6, 0.5, 1.0]
 
 
 def bits(a: np.ndarray) -> np.ndarray:
@@ -35,7 +39,7 @@ def inputs(grid: GridSpec, lead: tuple, seed: int):
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(lead + grid.shape)
     spectrum = grid.fftn(values)
-    truncated = grid.truncate(spectrum)
+    truncated = spectrum * grid.dealias_mask
     reals = [values, grid.ifftn(truncated), -values, np.zeros_like(values), -np.zeros_like(values)]
     spectra = [spectrum, truncated, -truncated, np.zeros_like(spectrum), -np.zeros_like(spectrum)]
     return reals, spectra
@@ -82,3 +86,64 @@ def test_more_workers_than_cpus_keep_the_bits(monkeypatch):
             assert_same_bits(grid.ifftn(spectra[1]), sp_fft.ifftn(spectra[1], axes=axes).real)
     finally:
         sys.setswitchinterval(interval)
+
+
+def assert_truncated_transforms(grid: GridSpec, values: np.ndarray):
+    """fftn(truncate=True) against fftn: the retained modes bit for bit, +0
+    elsewhere; ifftn(truncated=True) of a truncated spectrum against ifftn:
+    equal values, in and out of place."""
+    mask = np.broadcast_to(grid.dealias_mask, values.shape)
+    full = grid.fftn(values)
+    got = grid.fftn(values, truncate=True)
+    assert got.shape == full.shape and got.dtype == full.dtype
+    assert np.array_equal(bits(got[mask]), bits(full[mask]))
+    assert not np.any(bits(got[~mask]))
+    for coeffs in (got, full * grid.dealias_mask):
+        want = grid.ifftn(coeffs)
+        assert np.array_equal(grid.ifftn(coeffs, truncated=True), want)
+        buffer = coeffs.copy()
+        assert np.array_equal(grid.ifftn(buffer, overwrite=True, truncated=True), want)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("lead", LEADS, ids=str)
+@pytest.mark.parametrize("dim, n", CASES)
+def test_truncated_transforms_match_the_full_ones(dim, n, lead, threads, monkeypatch):
+    monkeypatch.setenv("VORTEXLAB_THREADS", threads)
+    values = np.random.default_rng(n + len(lead)).standard_normal(lead + (n,) * dim)
+    for dealias in DEALIAS:
+        grid = GridSpec(dim, n, dealias=dealias)
+        assert_truncated_transforms(grid, values)
+        if dealias == 1.0:
+            assert grid.dealias_mask.all()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_truncated_transforms_keeping_only_the_mean(dim, threads, monkeypatch):
+    # one run of indices per axis: the block of negative indices is empty
+    monkeypatch.setenv("VORTEXLAB_THREADS", threads)
+    grid = GridSpec(dim, 8, dealias=0.01)
+    assert np.count_nonzero(grid.dealias_mask) == 1 and grid.dealias_mask[(0,) * dim]
+    assert grid.mode_blocks(truncated=True) == [(slice(0, 1),) * dim]
+    values = np.random.default_rng(dim).standard_normal((3,) + grid.shape)
+    assert_truncated_transforms(grid, values)
+
+
+@pytest.mark.parametrize("dealias", DEALIAS + [0.01])
+@pytest.mark.parametrize("dim, n", [(3, 8), (3, 24), (3, 10), (2, 48)])
+def test_projection_on_the_retained_blocks(dim, n, dealias):
+    grid = GridSpec(dim, n, dealias=dealias)
+    blocks = grid.mode_blocks(truncated=True)
+    assert len(blocks) <= 2**dim
+    covered = np.zeros(grid.shape, dtype=int)
+    for block in blocks:
+        covered[block] += 1
+    assert np.array_equal(covered, grid.dealias_mask)
+    values = np.random.default_rng(n).standard_normal((dim,) + grid.shape)
+    for coeffs in (grid.fftn(values, truncate=True), grid.fftn(values) * grid.dealias_mask):
+        want = project_spectral(grid, coeffs.copy())
+        got = project_spectral(grid, coeffs.copy(), truncated=True)
+        mask = np.broadcast_to(grid.dealias_mask, got.shape)
+        assert np.array_equal(bits(got[mask]), bits(want[mask]))
+        assert np.array_equal(got, want)

@@ -33,7 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (0, 11)
 HERE = Path(__file__).resolve().parent
-RUN_CONFIGS = sorted(HERE.glob("every_key_*.ini")) + [HERE / "short_3d.ini"]
+RUN_CONFIGS = sorted(HERE.glob("every_key_*.ini")) + [HERE / "short_3d.ini", HERE / "dealias_full_3d.ini"]
 GRONWALL_SPECS = sorted(HERE.glob("gronwall_*.ini"))
 
 # argv: the tree's src, the output directory and the config files; each
