@@ -20,6 +20,15 @@ at the rest (`GridSpec.fftn(..., truncate=True)`). The 3D tendency is then
 zero outside the cutoff, so its projection visits the retained index
 blocks only; the 2D tendency adds the untruncated buoyancy and takes the
 full projection.
+
+The 3D inverse transforms run in `GridSpec.work_buffer`s, whose planes
+carry a spare row from n = 64 so that the strided passes do not thrash the
+caches. A step that keeps no stages (a run without tracers) builds each
+stage in such a buffer, and its rhs transforms it in place once the curl
+has read it and frees it before the forward transform, so no complex copy
+of the stage is made and no stage outlives its use. The curl and the
+cross product run one slab of about 256 KiB at a time. None of this moves
+a bit: the step is the same arithmetic on the same values.
 """
 
 from __future__ import annotations
@@ -78,16 +87,31 @@ class FlowState:
     theta: ScalarField | None = None
 
 
+_CROSS_PAIRS = {3: ((1, 2), (2, 0), (0, 1)), 2: ((0, 1),)}
+
+
+def _slabs(grid: GridSpec) -> list[slice]:
+    """Slices of the first grid axis into slabs of about 256 KiB of complex
+    values, so that the terms of an elementwise product stay in cache
+    between the passes over one slab."""
+    step = max(1, (256 << 10) // (16 * grid.n ** (grid.dim - 1)))
+    return [slice(i, i + step) for i in range(0, grid.n, step)]
+
+
 def _vorticity_spectral(grid: GridSpec, uh: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Spectral curl of uh into `out`: 3 components in 3D, 1 in 2D."""
-    k = grid.wavenumbers
-    pairs = ((1, 2), (2, 0), (0, 1)) if grid.dim == 3 else ((0, 1),)
-    term = np.empty(grid.shape, dtype=np.complex128)
-    for wh, (a, b) in zip(out, pairs):
-        # wh = 1j * (k_a uh_b - k_b uh_a)
-        np.multiply(k[a], uh[b], out=wh)
-        wh -= np.multiply(k[b], uh[a], out=term)
-        np.multiply(1j, wh, out=wh)
+    """Spectral curl of uh into `out`: 3 components in 3D, 1 in 2D, one
+    slab (`_slabs`) at a time."""
+    # complex-typed: numpy casts them so for these products anyway, and
+    # casting them once saves it the buffered casts on every call
+    k = [ki.astype(np.complex128) for ki in grid.wavenumbers]
+    for s in _slabs(grid):
+        ks = (k[0][s],) + tuple(k[1:])
+        term = np.empty(uh[0, s].shape, dtype=np.complex128)
+        for wh, (a, b) in zip(out[:, s], _CROSS_PAIRS[grid.dim]):
+            # wh = 1j * (k_a uh_b - k_b uh_a)
+            np.multiply(ks[a], uh[b, s], out=wh)
+            wh -= np.multiply(ks[b], uh[a, s], out=term)
+            np.multiply(1j, wh, out=wh)
     return out
 
 
@@ -99,25 +123,31 @@ def _finish_tendency(grid: GridSpec, fh: np.ndarray, truncated: bool) -> None:
     fh[(slice(None),) + (0,) * grid.dim] = 0.0
 
 
-def _max_speed(u: np.ndarray) -> float:
-    return float(np.max(np.sqrt(np.sum(u**2, axis=0))))
-
-
-def _euler_rhs(grid: GridSpec, y: tuple, u: np.ndarray | None) -> tuple:
+def _euler_rhs(grid: GridSpec, y: tuple | list, u: np.ndarray | None, overwrite: bool) -> tuple:
     """Projected spectral tendency of y = (uh,) under the 3D momentum
     equation in rotational form u x curl u. `u`, when given, is the grid
-    velocity, bit for bit ifftn(uh); otherwise it is transformed here."""
-    (uh,) = y
-    if u is None:
-        # a real copy, so that the complex transform is not held with w
+    velocity, bit for bit ifftn(uh); otherwise it is transformed here.
+
+    With overwrite=True, y is a list that the rhs empties: it transforms uh
+    in place once the curl has read it, and uh is freed with u, before the
+    forward transform. Else u comes from a copy, whose real part is copied
+    out before the curl's buffer is taken, so that the two complex buffers
+    are never held at once. The curl is transformed in a
+    `GridSpec.work_buffer`."""
+    uh = y.pop() if overwrite else y[0]
+    if u is None and not overwrite:
         u = np.ascontiguousarray(grid.ifftn(uh))
-    w = grid.ifftn(_vorticity_spectral(grid, uh, np.empty_like(uh)), overwrite=True)
+    w = grid.ifftn(_vorticity_spectral(grid, uh, grid.work_buffer(uh.shape[:1])), overwrite=True)
+    if u is None:
+        u = grid.ifftn(uh, overwrite=True)
+    del uh
     force = np.empty(u.shape)
-    term = np.empty(grid.shape)
-    for fc, (a, b) in zip(force, ((1, 2), (2, 0), (0, 1))):
-        # fc = u_a w_b - u_b w_a
-        np.multiply(u[a], w[b], out=fc)
-        fc -= np.multiply(u[b], w[a], out=term)
+    for s in _slabs(grid):
+        term = np.empty(force[0, s].shape)
+        for fc, (a, b) in zip(force[:, s], _CROSS_PAIRS[3]):
+            # fc = u_a w_b - u_b w_a
+            np.multiply(u[a, s], w[b, s], out=fc)
+            fc -= np.multiply(u[b, s], w[a, s], out=term)
     del u, w, term
     fh = grid.fftn(force, truncate=True)
     del force
@@ -125,12 +155,14 @@ def _euler_rhs(grid: GridSpec, y: tuple, u: np.ndarray | None) -> tuple:
     return (fh,)
 
 
-def _boussinesq_rhs(grid: GridSpec, y: tuple, u: np.ndarray | None) -> tuple:
+def _boussinesq_rhs(grid: GridSpec, y: tuple | list, u: np.ndarray | None, overwrite: bool) -> tuple:
     """Projected tendencies of y = (uh, th) under 2D momentum (with
     buoyancy) and temperature transport; `u` as in `_euler_rhs`.
 
     One inverse transform gives u (unless given), the vorticity and grad
     theta; one forward transform gives the force and the advection term.
+    That transform runs on a stack of its own, into which uh is copied, so
+    y is left as it is whatever `overwrite` says.
     """
     uh, th = y
     k = grid.wavenumbers
@@ -160,11 +192,11 @@ def _boussinesq_rhs(grid: GridSpec, y: tuple, u: np.ndarray | None) -> tuple:
     return (fh, th_rhs)
 
 
-def _check_cfl(grid: GridSpec, config: StepperConfig, umax: float) -> None:
-    if config.cfl_guard is not None:
-        cfl = umax * config.dt / grid.dx
-        if cfl > config.cfl_guard:
-            raise CflError(f"CFL number {cfl:.3f} exceeds guard {config.cfl_guard:.3f}")
+def _check_cfl(grid: GridSpec, config: StepperConfig, u: np.ndarray) -> None:
+    """Raise CflError when max|u| dt / dx of the grid velocity u exceeds the guard."""
+    cfl = float(np.max(np.sqrt(np.sum(u**2, axis=0)))) * config.dt / grid.dx
+    if cfl > config.cfl_guard:
+        raise CflError(f"CFL number {cfl:.3f} exceeds guard {config.cfl_guard:.3f}")
 
 
 def _check_finite(*arrays: np.ndarray) -> None:
@@ -176,33 +208,37 @@ def _check_finite(*arrays: np.ndarray) -> None:
 def _step(state: FlowState, config: StepperConfig, rhs, keep_stages: bool):
     """One classical RK4 step of `state` under `rhs`.
 
-    rhs(grid, y, u) returns the tendencies of the spectral arrays y = (uh,)
-    or (uh, theta_h), given the grid velocity u of uh or None. Returns the
-    new state and, with keep_stages, the four stage velocity spectra,
-    read-only, the first being the input's; else None: then no stage
-    outlives its own rhs call.
+    rhs(grid, y, u, overwrite) returns the tendencies of the spectral
+    arrays y = (uh,) or (uh, theta_h), given the grid velocity u of uh or
+    None; with overwrite=True y is a list whose arrays the rhs may take,
+    destroy and free. Returns the new state and, with keep_stages, the four
+    stage velocity spectra, read-only, the first being the input's; else
+    None: then each stage is built in a `GridSpec.work_buffer` and handed
+    to its rhs call, which may transform it in place and free it.
 
     The stages are y + (dt/2) k1, y + (dt/2) k2 and y + dt k3, and the new
     state is y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4): the textbook
     expressions in their textbook order, computed in place. A tendency is
     released before the next rhs call, so at most one k is alive beside
     the accumulator. The first rhs call reuses the input's velocity samples
-    when they are bit for bit the transform of its spectrum.
+    when they are bit for bit the transform of its spectrum. The CFL guard,
+    when set, reads the velocity of the first rhs call; without a guard no
+    speed is computed.
     """
     grid = state.u.grid
     dt = config.dt
     y = (state.u.spectral,) if state.theta is None else (state.u.spectral, state.theta.spectral)
-    if state.u._values_exact:
-        u = state.u.values
-    else:
-        u = np.ascontiguousarray(grid.ifftn(y[0]))
-    _check_cfl(grid, config, _max_speed(u))
-    k = rhs(grid, y, u)
+    u = state.u.values if state.u._values_exact else None
+    if config.cfl_guard is not None:
+        if u is None:
+            u = np.ascontiguousarray(grid.ifftn(y[0]))
+        _check_cfl(grid, config, u)
+    k = rhs(grid, y, u, False)
     del u
     acc = k
     stages = [y[0]] if keep_stages else None
     for step, c in enumerate((0.5 * dt, 0.5 * dt, dt)):
-        stage = tuple(_shifted(yi, c, ki) for yi, ki in zip(y, k))
+        stage = [_shifted(grid, yi, c, ki, keep_stages) for yi, ki in zip(y, k)]
         if keep_stages:
             stage[0].flags.writeable = False
             stages.append(stage[0])
@@ -211,7 +247,7 @@ def _step(state: FlowState, config: StepperConfig, rhs, keep_stages: bool):
                 a += np.multiply(2.0, ki, out=ki)
             del ki
         del k
-        k = rhs(grid, stage, None)
+        k = rhs(grid, stage, None, not keep_stages)
         del stage
     for a, ki, yi in zip(acc, k, y):
         a += ki
@@ -222,9 +258,11 @@ def _step(state: FlowState, config: StepperConfig, rhs, keep_stages: bool):
     return FlowState(VectorField._from_own_spectral(grid, acc[0]), theta), stages
 
 
-def _shifted(y: np.ndarray, c: float, k: np.ndarray) -> np.ndarray:
-    """y + c k in a new array."""
-    out = np.multiply(c, k)
+def _shifted(grid: GridSpec, y: np.ndarray, c: float, k: np.ndarray, kept: bool) -> np.ndarray:
+    """y + c k in a new array: a plain one for a stage that is kept, else a
+    `GridSpec.work_buffer`, which its rhs call transforms in place."""
+    out = np.empty_like(y) if kept else grid.work_buffer(y.shape[: y.ndim - grid.dim])
+    np.multiply(c, k, out=out)
     return np.add(y, out, out=out)
 
 

@@ -64,6 +64,48 @@ def test_transforms_match_scipy_bit_for_bit(dim, n, lead, threads, monkeypatch):
         assert_same_bits(got, want)
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=str)
+@pytest.mark.parametrize("dim, n", [(3, 64), (3, 8)])
+def test_in_place_transform_of_a_work_buffer(dim, n, lead, threads, monkeypatch):
+    # at n = 64 the buffer's planes carry a spare row, at n = 8 none
+    monkeypatch.setenv("VORTEXLAB_THREADS", threads)
+    grid = GridSpec(dim, n)
+    axes = tuple(range(-dim, 0))
+    _, spectra = inputs(grid, lead, seed=n + len(lead))
+    for coeffs in spectra[:2]:
+        want = sp_fft.ifftn(coeffs, axes=axes).real
+        for truncated in (False, True) if coeffs is spectra[1] else (False,):
+            copied = grid.ifftn(coeffs, truncated=truncated)
+            buffer = grid.work_buffer(lead)
+            buffer[...] = coeffs
+            got = grid.ifftn(buffer, overwrite=True, truncated=truncated)
+            assert np.shares_memory(got, buffer)
+            assert_same_bits(got, copied)
+            if truncated:  # equal values; a zero may differ in sign
+                assert np.array_equal(got, want)
+            else:
+                assert_same_bits(got, want)
+
+
+def test_inverse_rejects_coefficients_of_another_shape():
+    # a copy into the work buffer would broadcast a (n, n) array silently
+    grid = GridSpec(3, 8)
+    for shape in [(8, 8), (3, 8, 8, 1), (16, 16, 16)]:
+        with pytest.raises(ValueError, match="grid shape"):
+            grid.ifftn(np.ones(shape, dtype=np.complex128))
+
+
+def test_work_buffers_pad_the_planes_of_3d_grids_from_n_64():
+    buffer = GridSpec(3, 64).work_buffer((3,))
+    assert buffer.shape == (3, 64, 64, 64) and buffer.dtype == np.complex128
+    plane = buffer.strides[-3]
+    assert plane == 65 * 64 * 16 and plane & (plane - 1) != 0
+    assert buffer.strides[-1] == 16 and not buffer.flags.c_contiguous
+    for grid in (GridSpec(3, 32), GridSpec(2, 64), GridSpec(2, 256)):
+        assert grid.work_buffer((3,)).flags.c_contiguous
+
+
 @pytest.mark.parametrize("dim, n", CASES)
 def test_axis_wavenumbers_match_scipy(dim, n):
     grid = GridSpec(dim, n, length=3.7)

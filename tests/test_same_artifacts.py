@@ -5,6 +5,8 @@ import json
 import math
 from pathlib import Path
 
+from vortexlab.grid import GridSpec
+
 ROOT = Path(__file__).resolve().parents[1]
 spec = importlib.util.spec_from_file_location("same_artifacts", ROOT / "tools" / "same_artifacts.py")
 same_artifacts = importlib.util.module_from_spec(spec)
@@ -13,13 +15,14 @@ spec.loader.exec_module(same_artifacts)
 
 def test_the_tree_matches_itself_on_the_run_configs(tmp_path):
     stems = [path.stem for path in same_artifacts.RUN_CONFIGS]
-    assert stems == ["every_key_2d", "every_key_3d", "short_3d", "dealias_full_3d"]
+    assert stems == ["every_key_2d", "every_key_3d", "short_3d", "dealias_full_3d", "tracers_64_3d"]
     count, differ = same_artifacts.compare(ROOT, ROOT, same_artifacts.RUN_CONFIGS, tmp_path, cli=False)
     assert differ == []
     # every-key: report, manifest, tracer CSVs, five snapshots with diagnostics and the report text;
     # short_3d: report, manifest, 4 tracer CSVs, 2 snapshots without diagnostics and the report text;
-    # dealias_full_3d: report, manifest, 3 tracer CSVs and the report text
-    assert count > 2 * (2 + 3 + 5 * 18 + 1) + (2 + 4 + 2 * 4 + 1) + (2 + 3 + 1)
+    # dealias_full_3d: report, manifest, 3 tracer CSVs and the report text;
+    # tracers_64_3d: report, manifest, 3 tracer CSVs, four snapshots with diagnostics and the report text
+    assert count > 2 * (2 + 3 + 5 * 18 + 1) + (2 + 4 + 2 * 4 + 1) + (2 + 3 + 1) + (2 + 3 + 4 * 18 + 1)
     for stem in stems:
         text = (tmp_path / "tree" / "report" / f"{stem}.txt").read_text()
         assert text.startswith("system: ") and "growth-bound margins along tracers:" in text
@@ -28,6 +31,10 @@ def test_the_tree_matches_itself_on_the_run_configs(tmp_path):
     assert len(rows) == 6 and "residual_vec_transport" in header
     report = json.loads((tmp_path / "tree" / "dealias_full_3d" / "report.json").read_text())
     assert report["grid"] == {"dim": 3, "n": 24, "length": 2 * math.pi, "dealias": 1.0}
+    # n = 64: the RK4 stages, the tracers and the diagnostics run on padded work buffers
+    report = json.loads((tmp_path / "tree" / "tracers_64_3d" / "report.json").read_text())
+    assert report["grid"]["n"] == 64 and GridSpec(3, 64).work_buffer().strides[0] % 4096 != 0
+    assert len(list((tmp_path / "tree" / "tracers_64_3d" / "snapshots").glob("snap_*_rho.bin"))) == 4
 
 
 def test_the_tree_matches_itself_on_the_cli_json(tmp_path):

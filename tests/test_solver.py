@@ -364,3 +364,36 @@ class TestRk4Exactness:
         assert len(stages) == 4
         for coeffs in stages:
             assert not coeffs.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "name, dim, n, stepper, rhs",
+    [
+        ("taylor-green-3d", 3, 32, rk4_stages_euler, _textbook_euler_rhs),
+        ("taylor-green-3d", 3, 64, rk4_stages_euler, _textbook_euler_rhs),
+        ("boussinesq-bubble", 2, 32, rk4_stages_boussinesq, _textbook_boussinesq_rhs),
+    ],
+)
+def test_spent_and_kept_stages_give_the_same_step(name, dim, n, stepper, rhs):
+    """keep_stages=False builds each stage in a work buffer (with a spare
+    row per plane in 3D at n = 64) that its rhs call transforms in place;
+    keep_stages=True keeps plain stage arrays, which the rhs must not touch."""
+    g = GridSpec(dim, n)
+    cfg = StepperConfig(dt=0.01)
+    state = initial_condition(name, g)
+    for _ in range(2):
+        y = tuple(f.spectral for f in _fields(state))
+        _, expected_stages = _textbook_rk4(lambda *a: rhs(g, *a), y, cfg.dt)
+        kept, stages = stepper(state, cfg, keep_stages=True)
+        spent, none = stepper(state, cfg, keep_stages=False)
+        assert none is None and len(stages) == 4
+        for a, b in zip(_fields(kept), _fields(spent)):
+            assert a.spectral.tobytes() == b.spectral.tobytes()
+            assert a.values.tobytes() == b.values.tobytes()
+        # read-only, and still the stages of the step after the second one
+        assert stages[0] is state.u.spectral
+        for got, want in zip(stages[1:], expected_stages):
+            assert got.tobytes() == want[0].tobytes()
+        for coeffs in stages:
+            assert not coeffs.flags.writeable
+        state = spent

@@ -6,8 +6,10 @@ For each tree, in its own Python process with that tree's `src` first on the
 path, runs `pipeline.load_config` and `pipeline.run` on the same configuration
 files: the run workloads of `benchmarks/workloads.py` (`config_text(seed)`)
 at seeds 0 and 11, and the run configurations beside this script (the
-every-key ones, every_key_*.ini, and short_3d.ini, whose 6 samples take the
-residuals' short-run stencils). The
+every-key ones, every_key_*.ini; short_3d.ini, whose 6 samples take the
+residuals' short-run stencils; dealias_full_3d.ini, which keeps every mode;
+and tracers_64_3d.ini, whose n = 64 RK4 stages, tracers and diagnostic
+snapshots run on the padded work buffers of `GridSpec.work_buffer`). The
 same process writes the stdout of `vortexlab report` on each run's output
 directory to report/<config stem>.txt. In a second process it writes the
 JSON of `vortexlab gronwall --json` on the specs beside this script
@@ -33,7 +35,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (0, 11)
 HERE = Path(__file__).resolve().parent
-RUN_CONFIGS = sorted(HERE.glob("every_key_*.ini")) + [HERE / "short_3d.ini", HERE / "dealias_full_3d.ini"]
+RUN_CONFIGS = sorted(HERE.glob("every_key_*.ini")) + [
+    HERE / name for name in ("short_3d.ini", "dealias_full_3d.ini", "tracers_64_3d.ini")
+]
 GRONWALL_SPECS = sorted(HERE.glob("gronwall_*.ini"))
 
 # argv: the tree's src, the output directory and the config files; each
