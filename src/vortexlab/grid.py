@@ -434,6 +434,12 @@ class GridSpec:
                 np.multiply(flat, self._inverse_scale, out=flat)
         return out.real
 
+    def wrap(self, points: np.ndarray) -> np.ndarray:
+        """Coordinates mapped into [0, length), in a new array; np.mod alone
+        maps those just below 0 (-4e-16 <= x < 0 at 2 pi) to the length."""
+        out = np.mod(points, self.length)
+        return np.where(out == self.length, 0.0, out)
+
     def periodic_distance(self, center: np.ndarray) -> np.ndarray:
         """Distance from each grid point to `center` with periodic wrap-around."""
         center = np.asarray(center, dtype=float)

@@ -1,11 +1,12 @@
 """Run orchestration: configure, integrate, analyse, persist.
 
 `run` is `integrate`, then `analyse`, then the writes. `integrate` advances
-the chosen system with fixed-step RK4, carries a tracer cloud along with the
-solver stages, writes snapshots and logs the geometric diagnostics of each
-sample in a `SampleLog`. `analyse` turns a `SampleLog` alone into criterion
-functionals, type-I monitors, BKM integrals, transport-identity residuals and
-growth-bound margins. Everything written to disk is deterministic.
+the chosen system with fixed-step RK4, carries a tracer cloud with the solver
+stages, sampled inside each step, writes snapshots and logs the geometric
+diagnostics of each sample in a `SampleLog`. `analyse` turns a `SampleLog`
+alone into criterion functionals, type-I monitors, BKM integrals,
+transport-identity residuals and growth-bound margins. Everything written to
+disk is deterministic.
 """
 
 from __future__ import annotations
@@ -317,7 +318,7 @@ def _region_masks(grid: GridSpec, regions: list) -> dict:
 
 def _tracer_seeds(config: RunConfig, grid: GridSpec) -> np.ndarray:
     if config.tracer_points is not None:
-        return np.mod(config.tracer_points, grid.length)
+        return grid.wrap(config.tracer_points)
     if config.tracer_count <= 0:
         return np.zeros((0, grid.dim))
     rng = np.random.default_rng(config.seed + 1)
@@ -406,6 +407,7 @@ def integrate(config: RunConfig, log: SampleLog, out_dir: Path | None = None):
         # a start that cannot be built, as when its amplitude overflows
         raise ConfigError(str(exc)) from exc
     stepper = solver.StepperConfig(dt=config.dt, cfl_guard=config.cfl_guard)
+    rk4_step = solver.rk4_stages_euler if config.dim == 3 else solver.rk4_stages_boussinesq
     masks = _region_masks(grid, config.all_regions())
     positions = _tracer_seeds(config, grid)
     n_tracers = positions.shape[0]
@@ -486,13 +488,12 @@ def integrate(config: RunConfig, log: SampleLog, out_dir: Path | None = None):
                 observe(step_index, state, positions, sampled, base)
             if step_index == config.n_steps:
                 break
-            if config.dim == 3:
-                state, stages = solver.rk4_stages_euler(state, stepper, keep_stages=n_tracers > 0)
-            else:
-                state, stages = solver.rk4_stages_boussinesq(state, stepper, keep_stages=n_tracers > 0)
             if n_tracers:
-                positions = tracers.advance_positions(grid, stages, positions, config.dt)
-            del stages  # the stage arrays are not needed past the step
+                state, positions = tracers.advance_positions(
+                    grid, positions, config.dt, lambda on_stage: rk4_step(state, stepper, on_stage)
+                )
+            else:
+                state = rk4_step(state, stepper)
         except (solver.SolverError, tracers.TracerError, DivergenceError) as exc:
             raise type(exc)(f"aborted at step {step_index}: {exc}") from exc
     return snapshots

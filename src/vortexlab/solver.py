@@ -12,23 +12,23 @@ accelerate the box average.
 
 Both systems share one state type, `FlowState` (a velocity and, in 2D, a
 temperature; it keeps no clock), and one RK4 driver, `_step`, which hands
-out the four stage velocity spectra that the tracers are advanced with.
-Time stepping is classical RK4 with a fixed step. Quadratic terms are
-dealiased by the 2/3 rule (the grid's `dealias` fraction): the forward
-transform of the force computes only the retained modes and writes zeros
-at the rest (`GridSpec.fftn(..., truncate=True)`). The 3D tendency is then
-zero outside the cutoff, so its projection visits the retained index
-blocks only; the 2D tendency adds the untruncated buoyancy and takes the
-full projection.
+each stage velocity spectrum to a callback, if given, before its rhs call
+takes it; the tracers sample the stages there. Time stepping is classical
+RK4 with a fixed step. Quadratic terms are dealiased by the 2/3 rule (the
+grid's `dealias` fraction): the forward transform of the force computes
+only the retained modes and writes zeros at the rest (`GridSpec.fftn`
+with truncate=True). The 3D tendency is then zero outside the cutoff, so
+its projection visits the retained index blocks only; the 2D tendency
+adds the untruncated buoyancy and takes the full projection.
 
 The 3D inverse transforms run in `GridSpec.work_buffer`s, whose planes
 carry a spare row from n = 64 so that the strided passes do not thrash the
-caches. A step that keeps no stages (a run without tracers) builds each
-stage in such a buffer, and its rhs transforms it in place once the curl
-has read it and frees it before the forward transform, so no complex copy
-of the stage is made and no stage outlives its use. The curl and the
-cross product run one slab of about 256 KiB at a time. None of this moves
-a bit: the step is the same arithmetic on the same values.
+caches. Each stage is built in such a buffer, and its rhs transforms it in
+place once the curl has read it and frees it before the forward transform,
+so no complex copy of a stage is made and no stage outlives its rhs call.
+The curl and the cross product run one slab of about 256 KiB at a time.
+None of this moves a bit: the step is the same arithmetic on the same
+values.
 """
 
 from __future__ import annotations
@@ -123,23 +123,17 @@ def _finish_tendency(grid: GridSpec, fh: np.ndarray, truncated: bool) -> None:
     fh[(slice(None),) + (0,) * grid.dim] = 0.0
 
 
-def _euler_rhs(grid: GridSpec, y: tuple | list, u: np.ndarray | None, overwrite: bool) -> tuple:
+def _euler_rhs(grid: GridSpec, y: tuple | list, u: list | None) -> tuple:
     """Projected spectral tendency of y = (uh,) under the 3D momentum
-    equation in rotational form u x curl u. `u`, when given, is the grid
-    velocity, bit for bit ifftn(uh); otherwise it is transformed here.
-
-    With overwrite=True, y is a list that the rhs empties: it transforms uh
-    in place once the curl has read it, and uh is freed with u, before the
-    forward transform. Else u comes from a copy, whose real part is copied
-    out before the curl's buffer is taken, so that the two complex buffers
-    are never held at once. The curl is transformed in a
-    `GridSpec.work_buffer`."""
-    uh = y.pop() if overwrite else y[0]
-    if u is None and not overwrite:
-        u = np.ascontiguousarray(grid.ifftn(uh))
+    equation in rotational form u x curl u. `u`, when given, is a
+    one-element list holding the grid velocity, bit for bit ifftn(uh),
+    which the rhs takes out so as to free it before the forward transform;
+    uh is then only read. Else y is a list holding a spent stage, which the
+    rhs takes out, transforms in place once the curl has read it, and frees
+    with u. The curl is transformed in a `GridSpec.work_buffer`."""
+    uh = y.pop() if u is None else y[0]
     w = grid.ifftn(_vorticity_spectral(grid, uh, grid.work_buffer(uh.shape[:1])), overwrite=True)
-    if u is None:
-        u = grid.ifftn(uh, overwrite=True)
+    u = grid.ifftn(uh, overwrite=True) if u is None else u.pop()
     del uh
     force = np.empty(u.shape)
     for s in _slabs(grid):
@@ -155,14 +149,14 @@ def _euler_rhs(grid: GridSpec, y: tuple | list, u: np.ndarray | None, overwrite:
     return (fh,)
 
 
-def _boussinesq_rhs(grid: GridSpec, y: tuple | list, u: np.ndarray | None, overwrite: bool) -> tuple:
+def _boussinesq_rhs(grid: GridSpec, y: tuple | list, u: list | None) -> tuple:
     """Projected tendencies of y = (uh, th) under 2D momentum (with
     buoyancy) and temperature transport; `u` as in `_euler_rhs`.
 
     One inverse transform gives u (unless given), the vorticity and grad
     theta; one forward transform gives the force and the advection term.
     That transform runs on a stack of its own, into which uh is copied, so
-    y is left as it is whatever `overwrite` says.
+    y is only read.
     """
     uh, th = y
     k = grid.wavenumbers
@@ -173,8 +167,7 @@ def _boussinesq_rhs(grid: GridSpec, y: tuple | list, u: np.ndarray | None, overw
     np.multiply(1j * k[0], th, out=coeffs[lead + 1])
     np.multiply(1j * k[1], th, out=coeffs[lead + 2])
     phys = grid.ifftn(coeffs, overwrite=True)
-    if u is None:
-        u = phys[:2]
+    u = phys[:2] if u is None else u.pop()
     w, dth0, dth1 = phys[lead:]
     # rows: the force w * (u_2, -u_1) and the advection -(u . grad theta)
     src = np.empty((3,) + grid.shape)
@@ -205,49 +198,44 @@ def _check_finite(*arrays: np.ndarray) -> None:
             raise NonFiniteStateError("non-finite values in evolved state")
 
 
-def _step(state: FlowState, config: StepperConfig, rhs, keep_stages: bool):
-    """One classical RK4 step of `state` under `rhs`.
+def _step(state: FlowState, config: StepperConfig, rhs, on_stage=None) -> FlowState:
+    """One classical RK4 step of `state` under `rhs`; returns the new state.
 
-    rhs(grid, y, u, overwrite) returns the tendencies of the spectral
-    arrays y = (uh,) or (uh, theta_h), given the grid velocity u of uh or
-    None; with overwrite=True y is a list whose arrays the rhs may take,
-    destroy and free. Returns the new state and, with keep_stages, the four
-    stage velocity spectra, read-only, the first being the input's; else
-    None: then each stage is built in a `GridSpec.work_buffer` and handed
-    to its rhs call, which may transform it in place and free it.
+    rhs(grid, y, u) returns the tendencies of the spectral arrays y = (uh,)
+    or (uh, theta_h): of the state's, given its velocity u in a one-element
+    list, or of a spent stage built in a `GridSpec.work_buffer`, with u None
+    (`_euler_rhs`). on_stage, when given, is called with each of the four
+    stage velocity spectra, the input's first, just before the rhs takes it.
 
     The stages are y + (dt/2) k1, y + (dt/2) k2 and y + dt k3, and the new
     state is y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4): the textbook
     expressions in their textbook order, computed in place. A tendency is
     released before the next rhs call, so at most one k is alive beside
-    the accumulator. The first rhs call reuses the input's velocity samples
-    when they are bit for bit the transform of its spectrum. The CFL guard,
-    when set, reads the velocity of the first rhs call; without a guard no
-    speed is computed.
+    the accumulator. The first rhs call gets the input's velocity samples
+    if they are exact (else their transform), and so does the CFL guard,
+    when set; without a guard no speed is computed.
     """
     grid = state.u.grid
     dt = config.dt
     y = (state.u.spectral,) if state.theta is None else (state.u.spectral, state.theta.spectral)
-    u = state.u.values if state.u._values_exact else None
+    # handed over in a list, so that no reference stays here across the rhs call
+    u = [state.u.values if state.u._values_exact else np.ascontiguousarray(grid.ifftn(y[0]))]
     if config.cfl_guard is not None:
-        if u is None:
-            u = np.ascontiguousarray(grid.ifftn(y[0]))
-        _check_cfl(grid, config, u)
-    k = rhs(grid, y, u, False)
-    del u
+        _check_cfl(grid, config, u[0])
+    if on_stage is not None:
+        on_stage(y[0])
+    k = rhs(grid, y, u)
     acc = k
-    stages = [y[0]] if keep_stages else None
     for step, c in enumerate((0.5 * dt, 0.5 * dt, dt)):
-        stage = [_shifted(grid, yi, c, ki, keep_stages) for yi, ki in zip(y, k)]
-        if keep_stages:
-            stage[0].flags.writeable = False
-            stages.append(stage[0])
+        stage = [_shifted(grid, yi, c, ki) for yi, ki in zip(y, k)]
         if step > 0:
             for a, ki in zip(acc, k):
                 a += np.multiply(2.0, ki, out=ki)
             del ki
         del k
-        k = rhs(grid, stage, None, not keep_stages)
+        if on_stage is not None:
+            on_stage(stage[0])
+        k = rhs(grid, stage, None)
         del stage
     for a, ki, yi in zip(acc, k, y):
         a += ki
@@ -255,27 +243,25 @@ def _step(state: FlowState, config: StepperConfig, rhs, keep_stages: bool):
         np.add(yi, a, out=a)
     _check_finite(*acc)
     theta = None if state.theta is None else ScalarField._from_own_spectral(grid, acc[1])
-    return FlowState(VectorField._from_own_spectral(grid, acc[0]), theta), stages
+    return FlowState(VectorField._from_own_spectral(grid, acc[0]), theta)
 
 
-def _shifted(grid: GridSpec, y: np.ndarray, c: float, k: np.ndarray, kept: bool) -> np.ndarray:
-    """y + c k in a new array: a plain one for a stage that is kept, else a
-    `GridSpec.work_buffer`, which its rhs call transforms in place."""
-    out = np.empty_like(y) if kept else grid.work_buffer(y.shape[: y.ndim - grid.dim])
+def _shifted(grid: GridSpec, y: np.ndarray, c: float, k: np.ndarray) -> np.ndarray:
+    """y + c k in a new `GridSpec.work_buffer`."""
+    out = grid.work_buffer(y.shape[: y.ndim - grid.dim])
     np.multiply(c, k, out=out)
     return np.add(y, out, out=out)
 
 
-def rk4_stages_euler(state: FlowState, config: StepperConfig, keep_stages: bool = True):
-    """One RK4 step of the 3D Euler system (`_step`): the new state and the
-    four stage velocity spectra, or None for them with keep_stages=False,
-    which keeps no stage past its use and so holds less memory."""
-    return _step(state, config, _euler_rhs, keep_stages)
+def rk4_stages_euler(state: FlowState, config: StepperConfig, on_stage=None) -> FlowState:
+    """One RK4 step of the 3D Euler system (`_step`): the new state; each
+    stage velocity spectrum is handed to `on_stage`, if given."""
+    return _step(state, config, _euler_rhs, on_stage)
 
 
-def rk4_stages_boussinesq(state: FlowState, config: StepperConfig, keep_stages: bool = True):
+def rk4_stages_boussinesq(state: FlowState, config: StepperConfig, on_stage=None) -> FlowState:
     """One RK4 step of the 2D Boussinesq system, as `rk4_stages_euler`."""
-    return _step(state, config, _boussinesq_rhs, keep_stages)
+    return _step(state, config, _boussinesq_rhs, on_stage)
 
 
 def _rescale(values: np.ndarray, amplitude: float, peak: float) -> None:

@@ -1,10 +1,11 @@
 """Lagrangian tracers: spectral point sampling, advection, and the
 verification of transport identities and growth bounds along trajectories.
 
-Positions are advanced with the same RK4 stages as the field solve, and all
-point values are taken from the trigonometric interpolant, which is exact
-for band-limited fields. Residuals and bounds read the direction kernel of
-the (samples, tracers) batch, a `DirectionQuantities`, with no copy, and run
+Positions are advanced with the same RK4 stages as the field solve, each
+sampled inside the solver's step before the stage is consumed, and all point
+values are taken from the trigonometric interpolant, which is exact for
+band-limited fields. Residuals and bounds read the direction kernel of the
+(samples, tracers) batch, a `DirectionQuantities`, with no copy, and run
 once over the whole batch; being lazy, the kernel computes only the
 quantities they read. Material derivatives are finite differences along the
 sample axis: fourth-order central stencils in the interior by default
@@ -78,20 +79,25 @@ class SpectralSampler:
         return np.ascontiguousarray(out.real).reshape(lead + (self.points.shape[0],))
 
 
-def advance_positions(
-    grid: GridSpec, stages: list, positions: np.ndarray, dt: float
-) -> np.ndarray:
-    """RK4 position update fed by the solver's four stage velocity spectra."""
-    uh1, uh2, uh3, uh4 = stages
-    v1 = SpectralSampler(grid, positions).sample(uh1).T
-    v2 = SpectralSampler(grid, positions + 0.5 * dt * v1).sample(uh2).T
-    v3 = SpectralSampler(grid, positions + 0.5 * dt * v2).sample(uh3).T
-    v4 = SpectralSampler(grid, positions + dt * v3).sample(uh4).T
+def advance_positions(grid: GridSpec, positions: np.ndarray, dt: float, step) -> tuple:
+    """RK4 position update fed by the solver's four stage velocity spectra,
+    each sampled when step(on_stage), one solver step, hands it to on_stage.
+    They are combined after the step has returned, so that a failing step
+    raises its own error first. Returns the step's result and the positions."""
+    shifts = (0.5 * dt, 0.5 * dt, dt)
+    velocities = []
+
+    def on_stage(uh: np.ndarray) -> None:
+        at = positions + shifts[len(velocities) - 1] * velocities[-1] if velocities else positions
+        velocities.append(SpectralSampler(grid, at).sample(uh).T)
+
+    result = step(on_stage)
+    v1, v2, v3, v4 = velocities
     new = positions + (dt / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
     if not np.all(np.isfinite(new)):
         bad = int(np.argwhere(~np.all(np.isfinite(new), axis=1))[0, 0])
         raise TracerError(f"tracer {bad} produced a non-finite position")
-    return np.mod(new, grid.length)
+    return result, grid.wrap(new)
 
 
 def time_derivative(values: np.ndarray, dt: float, order: int, accuracy: int = 2) -> np.ndarray:

@@ -125,21 +125,21 @@ def test_criterion_04_solver_conservation():
     e0 = kinetic_energy(st.u)
     cfg = StepperConfig(dt=0.005)
     for _ in range(100):  # t = 0.5
-        st = rk4_stages_euler(st, cfg, keep_stages=False)[0]
+        st = rk4_stages_euler(st, cfg)
     energy_drift = abs(kinetic_energy(st.u) - e0) / e0
 
     st2 = initial_condition("boussinesq-bubble", GridSpec(2, 64))
     l0 = scalar_l2_norm(st2.theta)
     cfg2 = StepperConfig(dt=0.005)
     for _ in range(100):  # t = 0.5
-        st2 = rk4_stages_boussinesq(st2, cfg2, keep_stages=False)[0]
+        st2 = rk4_stages_boussinesq(st2, cfg2)
     theta_drift = abs(scalar_l2_norm(st2.theta) - l0) / l0
 
     st3 = initial_condition("taylor-green-2d", GridSpec(2, 64))
     u0 = st3.u.values.copy()
     cfg3 = StepperConfig(dt=0.01)
     for _ in range(100):  # t = 1
-        st3 = rk4_stages_boussinesq(st3, cfg3, keep_stages=False)[0]
+        st3 = rk4_stages_boussinesq(st3, cfg3)
     steady_dev = float(np.max(np.abs(st3.u.values - u0)))
 
     elapsed = time.perf_counter() - t0
@@ -178,7 +178,7 @@ def test_criterion_05_dynamical_identity_convergence():
     st2 = initial_condition("boussinesq-bubble", GridSpec(2, 64))
     cfg = StepperConfig(dt=0.01)
     for _ in range(10):  # move off the from-rest degeneracy before seeding
-        st2 = rk4_stages_boussinesq(st2, cfg, keep_stages=False)[0]
+        st2 = rk4_stages_boussinesq(st2, cfg)
     seeds2 = filtered_seeds(st2, st2.theta, 10, rng_seed=5)
     coarse = _residual_maxima("boussinesq2d", "boussinesq-bubble", 64, 0.02, 0.4, seeds2, 1)
     fine = _residual_maxima("boussinesq2d", "boussinesq-bubble", 64, 0.01, 0.4, seeds2, 2)

@@ -17,13 +17,20 @@ from vortexlab.pipeline import Region, RunConfig
 N = 32
 VECTOR_BYTES = 3 * N**3 * 8
 # In real vector fields. This config reads 5.2 (`gradient`), 5.2 (a sample)
-# and 8.5 (an RK4 step). Keeping the 9-row gradient spectrum beside its
+# and 7.3 (an RK4 step). Keeping the 9-row gradient spectrum beside its
 # out-of-place transform, the full skew part and the whole grid's direction
 # quantities, and every RK4 stage, reads 17.0, 15.0 and 15.3.
 LIMITS = {"gradient": 8, "sample": 7, "rk4 step": 10}
 
 
-def test_phase_working_sets_are_bounded(monkeypatch):
+# With 4 tracers the step reads 7.3 as well: they sample each stage inside
+# it, and no stage outlives its rhs call (keeping the four stages for the
+# tracers read 13.0). Only the step is held to its limit there: the sample
+# phase reads 8.7 with tracers, for the tracers' point samples of the
+# gradient and the Hessian, which the limit of a sample without tracers
+# does not allow.
+@pytest.mark.parametrize("tracer_count, phases", [(0, LIMITS), (4, ["rk4 step"])], ids=["grid", "tracers"])
+def test_phase_working_sets_are_bounded(monkeypatch, tracer_count, phases):
     peaks = {}
     current = []  # (phase, memory in use at its start)
 
@@ -57,6 +64,7 @@ def test_phase_working_sets_are_bounded(monkeypatch):
     config = RunConfig(
         system="euler3d", n=N, dt=0.005, t_end=0.005, initial="taylor-green-3d",
         regions=[Region("core", center=(3.14159, 3.14159, 3.14159), radius=1.0)],
+        tracer_count=tracer_count,
     )
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
@@ -69,8 +77,8 @@ def test_phase_working_sets_are_bounded(monkeypatch):
         if not was_tracing:
             tracemalloc.stop()
     in_fields = {name: round(peak / VECTOR_BYTES, 2) for name, peak in peaks.items()}
-    for name, limit in LIMITS.items():
-        assert in_fields[name] < limit, (name, in_fields)
+    for name in phases:
+        assert in_fields[name] < LIMITS[name], (name, in_fields)
 
 
 SUITE_COUNT = 100_000

@@ -6,6 +6,7 @@ import pytest
 from vortexlab import pipeline
 from vortexlab.cli import main
 from vortexlab.pipeline import ConfigError, Region, RunConfig, load_config
+from vortexlab.solver import NonFiniteStateError
 from vortexlab.storage import sha256_file
 
 BUBBLE_INI = """
@@ -384,6 +385,24 @@ class TestPipelineRun:
             assert len(lines) == 1 + len(result.times)
             # 17 significant digits read back exactly: the seed is the first position
             assert [float(x) for x in lines[1].split(",")[1 : 1 + cfg.dim]] == seed
+
+    @pytest.mark.parametrize(
+        "system, initial", [("euler3d", "taylor-green-3d"), ("boussinesq2d", "boussinesq-bubble")]
+    )
+    def test_blow_up_with_tracers_raises_non_finite_state(self, system, initial):
+        # the tracers' stage velocities turn non-finite with the stages; the
+        # solver's check of the new state must speak before the tracers' one
+        cfg = RunConfig(system=system, n=16, dt=1000.0, t_end=5000.0, initial=initial, tracer_count=2)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteStateError):
+            pipeline.run(cfg)
+
+    def test_point_just_below_zero_is_seeded_at_zero(self):
+        # np.mod(-1e-17, 2 pi) is 2 pi itself, which lies outside [0, 2 pi)
+        cfg = RunConfig(
+            system="boussinesq2d", n=8, dt=0.01, t_end=0.02, initial="boussinesq-bubble",
+            tracer_points=[[-1e-17, 1.0]],
+        )
+        assert pipeline.run(cfg).tracer_columns["x1"][0, 0] == 0.0
 
     def test_region_with_no_grid_points_rejected(self):
         cfg = RunConfig(

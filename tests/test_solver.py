@@ -69,14 +69,14 @@ class TestEulerStepping:
     def test_rest_state_unchanged(self):
         g = GridSpec(3, 16)
         st = initial_condition("random-band-limited", g, seed=1, amplitude=0.0)
-        new = rk4_stages_euler(st, StepperConfig(dt=0.01), keep_stages=False)[0]
+        new = rk4_stages_euler(st, StepperConfig(dt=0.01))
         assert np.array_equal(new.u.values, st.u.values)
 
     def test_embedded_2d_flow_stays_planar(self):
         st = initial_condition("taylor-green-2d-embedded", GridSpec(3, 16))
         cfg = StepperConfig(dt=0.01)
         for _ in range(10):
-            st = rk4_stages_euler(st, cfg, keep_stages=False)[0]
+            st = rk4_stages_euler(st, cfg)
         z_variation = np.max(np.abs(st.u.values - st.u.values[:, :, :, :1]))
         assert z_variation <= 1e-13
         assert np.max(np.abs(st.u.values[2])) <= 1e-13
@@ -85,7 +85,7 @@ class TestEulerStepping:
         st = initial_condition("taylor-green-3d", GridSpec(3, 16))
         cfg = StepperConfig(dt=0.01)
         for _ in range(5):
-            st = rk4_stages_euler(st, cfg, keep_stages=False)[0]
+            st = rk4_stages_euler(st, cfg)
         worst, _ = max_divergence(st.u)
         assert worst <= 1e-10
 
@@ -94,20 +94,20 @@ class TestEulerStepping:
         e0 = kinetic_energy(st.u)
         cfg = StepperConfig(dt=0.01)
         for _ in range(20):
-            st = rk4_stages_euler(st, cfg, keep_stages=False)[0]
+            st = rk4_stages_euler(st, cfg)
         assert abs(kinetic_energy(st.u) - e0) / e0 <= 1e-8
 
     def test_cfl_guard_trips(self):
         st = initial_condition("taylor-green-3d", GridSpec(3, 16), amplitude=5.0)
         with pytest.raises(CflError, match="exceeds"):
-            rk4_stages_euler(st, StepperConfig(dt=0.5, cfl_guard=0.5), keep_stages=False)
+            rk4_stages_euler(st, StepperConfig(dt=0.5, cfl_guard=0.5))
 
     def test_blowup_detected(self):
         st = initial_condition("taylor-green-3d", GridSpec(3, 16))
         cfg = StepperConfig(dt=1e3)
         with np.errstate(all="ignore"), pytest.raises(NonFiniteStateError):
             for _ in range(5):
-                st = rk4_stages_euler(st, cfg, keep_stages=False)[0]
+                st = rk4_stages_euler(st, cfg)
 
     def test_temporal_self_convergence(self):
         g = GridSpec(3, 16)
@@ -116,7 +116,7 @@ class TestEulerStepping:
             st = initial_condition("taylor-green-3d", g)
             cfg = StepperConfig(dt=dt)
             for _ in range(round(t_end / dt)):
-                st = rk4_stages_euler(st, cfg, keep_stages=False)[0]
+                st = rk4_stages_euler(st, cfg)
             return st.u.values
 
         ref = advance(0.0025)
@@ -131,7 +131,7 @@ class TestBoussinesqStepping:
         u0 = st.u.values.copy()
         cfg = StepperConfig(dt=0.01)
         for _ in range(50):
-            st = rk4_stages_boussinesq(st, cfg, keep_stages=False)[0]
+            st = rk4_stages_boussinesq(st, cfg)
         assert np.max(np.abs(st.u.values - u0)) <= 1e-12
 
     def test_uniform_buoyancy_cannot_accelerate(self):
@@ -142,7 +142,7 @@ class TestBoussinesqStepping:
         )
         cfg = StepperConfig(dt=0.01)
         for _ in range(5):
-            st = rk4_stages_boussinesq(st, cfg, keep_stages=False)[0]
+            st = rk4_stages_boussinesq(st, cfg)
         assert np.max(np.abs(st.u.values)) == 0.0
         assert np.max(np.abs(st.theta.values - 0.7)) == 0.0
 
@@ -156,7 +156,7 @@ class TestBoussinesqStepping:
         )
         cfg = StepperConfig(dt=0.01)
         for _ in range(10):
-            st = rk4_stages_boussinesq(st, cfg, keep_stages=False)[0]
+            st = rk4_stages_boussinesq(st, cfg)
         assert np.max(np.abs(st.u.values)) <= 1e-14
 
     def test_bubble_theta_norms_conserved(self):
@@ -165,7 +165,7 @@ class TestBoussinesqStepping:
         lo, hi = st.theta.values.min(), st.theta.values.max()
         cfg = StepperConfig(dt=0.005)
         for _ in range(60):
-            st = rk4_stages_boussinesq(st, cfg, keep_stages=False)[0]
+            st = rk4_stages_boussinesq(st, cfg)
         assert abs(scalar_l2_norm(st.theta) - l2_0) / l2_0 <= 1e-9
         assert st.theta.values.max() <= hi + 1e-6
         assert st.theta.values.min() >= lo - 1e-6
@@ -174,7 +174,7 @@ class TestBoussinesqStepping:
         st = initial_condition("boussinesq-bubble", GridSpec(2, 32))
         cfg = StepperConfig(dt=0.01)
         for _ in range(20):
-            st = rk4_stages_boussinesq(st, cfg, keep_stages=False)[0]
+            st = rk4_stages_boussinesq(st, cfg)
         assert kinetic_energy(st.u) > 1e-4
 
 
@@ -303,6 +303,15 @@ def _fields(state):
     return [state.u] + ([state.theta] if state.theta is not None else [])
 
 
+def _step_with_stages(stepper, state, cfg):
+    """The new state and the four stage velocity spectra the step hands its
+    callback: the input's own array first, then copies of the later stages,
+    which the step destroys after the callback has seen them."""
+    stages = []
+    new = stepper(state, cfg, lambda uh: stages.append(uh if uh is state.u.spectral else uh.copy()))
+    return new, stages
+
+
 @pytest.mark.parametrize(
     "name, dim, stepper, rhs",
     [
@@ -325,7 +334,7 @@ class TestRk4Exactness:
         for _ in range(3):
             expected, expected_stages = _textbook_rk4(lambda *a: rhs(g, *a), y, cfg.dt)
             before = state
-            state, stages = stepper(state, cfg)
+            state, stages = _step_with_stages(stepper, state, cfg)
             for want, field in zip(expected, _fields(state)):
                 assert field.spectral.tobytes() == want.tobytes()
                 assert field.values.tobytes() == g.ifftn(want).tobytes()
@@ -335,35 +344,32 @@ class TestRk4Exactness:
                 assert got.tobytes() == want[0].tobytes()
             y = expected
 
-    def test_without_stages_same_bits(self, name, dim, stepper, rhs):
+    def test_with_and_without_a_callback_same_bits(self, name, dim, stepper, rhs):
         g = GridSpec(dim, 16)
         cfg = StepperConfig(dt=0.02)
-        kept = lean = initial_condition(name, g, seed=5)
+        watched = plain = initial_condition(name, g, seed=5)
         for _ in range(3):
-            kept, stages = stepper(kept, cfg)
-            lean, none = stepper(lean, cfg, keep_stages=False)
-            assert none is None and len(stages) == 4
-            for a, b in zip(_fields(kept), _fields(lean)):
+            watched, stages = _step_with_stages(stepper, watched, cfg)
+            plain = stepper(plain, cfg)
+            assert len(stages) == 4
+            for a, b in zip(_fields(watched), _fields(plain)):
                 assert a.spectral.tobytes() == b.spectral.tobytes()
                 assert a.values.tobytes() == b.values.tobytes()
 
     def test_results_are_read_only_and_never_rewritten(self, name, dim, stepper, rhs):
         g = GridSpec(dim, 16)
         cfg = StepperConfig(dt=0.02)
-        state = stepper(initial_condition(name, g, seed=5), cfg)[0]
+        state = stepper(initial_condition(name, g, seed=5), cfg)
         frozen = [(f.values.tobytes(), f.spectral.tobytes()) for f in _fields(state)]
-        later, stages = stepper(state, cfg)
+        later = stepper(state, cfg)
         for _ in range(2):
-            later, stages = stepper(later, cfg)
+            later = stepper(later, cfg)
         for field, (values, spectral) in zip(_fields(state), frozen):
             assert field.values.tobytes() == values
             assert field.spectral.tobytes() == spectral
         for field in _fields(state) + _fields(later):
             assert not field.values.flags.writeable
             assert not field.spectral.flags.writeable
-        assert len(stages) == 4
-        for coeffs in stages:
-            assert not coeffs.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -374,26 +380,22 @@ class TestRk4Exactness:
         ("boussinesq-bubble", 2, 32, rk4_stages_boussinesq, _textbook_boussinesq_rhs),
     ],
 )
-def test_spent_and_kept_stages_give_the_same_step(name, dim, n, stepper, rhs):
-    """keep_stages=False builds each stage in a work buffer (with a spare
-    row per plane in 3D at n = 64) that its rhs call transforms in place;
-    keep_stages=True keeps plain stage arrays, which the rhs must not touch."""
+def test_the_callback_sees_the_textbook_stages(name, dim, n, stepper, rhs):
+    """Each stage is built in a work buffer (with a spare row per plane in
+    3D at n = 64) that its rhs call transforms in place; the callback sees
+    it before that, and the step's result does not depend on the callback."""
     g = GridSpec(dim, n)
     cfg = StepperConfig(dt=0.01)
     state = initial_condition(name, g)
     for _ in range(2):
         y = tuple(f.spectral for f in _fields(state))
         _, expected_stages = _textbook_rk4(lambda *a: rhs(g, *a), y, cfg.dt)
-        kept, stages = stepper(state, cfg, keep_stages=True)
-        spent, none = stepper(state, cfg, keep_stages=False)
-        assert none is None and len(stages) == 4
-        for a, b in zip(_fields(kept), _fields(spent)):
+        watched, stages = _step_with_stages(stepper, state, cfg)
+        plain = stepper(state, cfg)
+        for a, b in zip(_fields(watched), _fields(plain)):
             assert a.spectral.tobytes() == b.spectral.tobytes()
             assert a.values.tobytes() == b.values.tobytes()
-        # read-only, and still the stages of the step after the second one
-        assert stages[0] is state.u.spectral
+        assert len(stages) == 4 and stages[0] is state.u.spectral
         for got, want in zip(stages[1:], expected_stages):
             assert got.tobytes() == want[0].tobytes()
-        for coeffs in stages:
-            assert not coeffs.flags.writeable
-        state = spent
+        state = plain

@@ -57,8 +57,13 @@ def _artifact_tree(root):
             system="boussinesq2d", n=32, dt=0.01, t_end=0.06, initial="boussinesq-bubble",
             seed=6, tracer_count=3, sample_every=2, snapshot_every=3, snapshot_diagnostics=True,
         ),
+        # from n = 64 the 3D stages the tracers sample are padded work buffers
+        RunConfig(
+            system="euler3d", n=64, dt=0.005, t_end=0.01, initial="taylor-green-3d",
+            seed=13, tracer_count=3, snapshot_every=1, snapshot_diagnostics=True,
+        ),
     ],
-    ids=["euler3d-tracers", "boussinesq2d-snapshots"],
+    ids=["euler3d-tracers", "boussinesq2d-snapshots", "euler3d-padded-tracers"],
 )
 def test_artifacts_byte_identical_for_one_and_two_workers(config, tmp_path, monkeypatch):
     trees = []

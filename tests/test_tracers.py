@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -98,10 +100,14 @@ class TestSpectralSampler:
 def advect_frozen(u, seeds, dt, n_steps):
     """Positions, shape (n_steps + 1, n_tracers, dim), of RK4 steps through
     the frozen field u: all four stages see its coefficients."""
-    stages = [u.spectral] * 4
+
+    def frozen_step(on_stage):
+        for _ in range(4):
+            on_stage(u.spectral)
+
     history = [np.atleast_2d(np.asarray(seeds, dtype=float))]
     for _ in range(n_steps):
-        history.append(advance_positions(u.grid, stages, history[-1], dt))
+        history.append(advance_positions(u.grid, history[-1], dt, frozen_step)[1])
     return np.stack(history)
 
 
@@ -132,6 +138,13 @@ class TestAdvection:
         assert np.all(hist >= 0.0) and np.all(hist < g.length)
         assert hist[-1][0, 0] == pytest.approx((6.0 + 1.0) % g.length)
 
+    def test_point_just_below_zero_stays_at_zero(self):
+        # np.mod(-1e-17, 2 pi) is 2 pi itself, which lies outside [0, 2 pi)
+        g = GridSpec(2, 16)
+        u = VectorField(g, np.zeros((2,) + g.shape))
+        hist = advect_frozen(u, [[-1e-17, 1.0]], dt=0.1, n_steps=2)
+        assert hist[1:, 0, 0].tolist() == [0.0, 0.0]
+
     def test_streamline_invariant_on_steady_vortex(self):
         g = GridSpec(2, 64)
         st = initial_condition("taylor-green-2d", g)
@@ -154,8 +167,7 @@ class TestAdvection:
         pos = seeds.copy()
         state = st
         for _ in range(10):
-            state, stages = rk4_stages_euler(state, cfg)
-            pos = advance_positions(g, stages, pos, cfg.dt)
+            state, pos = advance_positions(g, pos, cfg.dt, functools.partial(rk4_stages_euler, state, cfg))
         hist = advect_frozen(st.u, seeds, dt=0.02, n_steps=10)
         assert np.max(np.abs(pos - hist[-1])) <= 1e-9
 
