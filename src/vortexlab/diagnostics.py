@@ -14,11 +14,14 @@ series and the randomized identity suite all read from it, and
 `kernel_inputs` is the one assembly of its inputs from derivative values,
 at the tracers (per sample, in `pipeline.integrate`) and, in two parts so
 that the 3D velocity gradient can be freed before the Hessian is built, on
-the grid (`diag_field`). With A = mat and P = hess it gives xi = vec/|vec|,
-zeta = A xi/|A xi|, alpha = xi.A xi, rho = xi.P xi, the alignment zeta.P xi,
-the stretch balance |A xi|^2 - 2 alpha^2 - rho, and the rates along the
-flow: alpha |vec| for |vec|, A xi - alpha xi for xi, -(zeta.P xi) |vec|
-for |A vec|, and (-P xi + (zeta.P xi) zeta)/|A xi| for zeta.
+the grid (`diag_field`). Each input comes from its own spectral stack:
+grad u from `fields.gradient_coeff_rows`, the pressure Hessian from
+`fields.hessian_coeffs` and the 2D carrier from `fields.perp_gradient_coeffs`.
+With A = mat and P = hess it gives xi = vec/|vec|, zeta = A xi/|A xi|,
+alpha = xi.A xi, rho = xi.P xi, the alignment zeta.P xi, the stretch
+balance |A xi|^2 - 2 alpha^2 - rho, and the rates along the flow: alpha
+|vec| for |vec|, A xi - alpha xi for xi, -(zeta.P xi) |vec| for |A vec|,
+and (-P xi + (zeta.P xi) zeta)/|A xi| for zeta.
 
 Degeneracy convention: where |vec| <= eps, xi and every quantity derived
 from it are zero; where |vec| > eps but |A xi| <= eps, zeta, the alignment
@@ -31,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import FieldError, ScalarField, VectorField, gradient, hessian_values
+from .fields import FieldError, ScalarField, VectorField, gradient, hessian_values, perp_gradient_coeffs
 
 
 def positive_part(f):
@@ -286,9 +289,11 @@ def diag_field(
     grad_u, the grid values of `gradient(u)` (as `fields.solve_pressure`
     takes them), is computed here when not given; in 3D it is read before
     the Hessian is built, so a caller that hands over its only reference
-    lets it be freed first. hess_coeffs, the `fields.hessian_coeffs(p,
-    theta)` stack of a caller that samples it too, is transformed in place,
-    and so destroyed; without it the rows are built here one at a time.
+    lets it be freed first. The 2D carrier is built from
+    `fields.perp_gradient_coeffs(theta)`, transformed in place and copied
+    out as a real array. hess_coeffs, the `fields.hessian_coeffs(p)` stack
+    of a caller that samples it too, is transformed in place, and so
+    destroyed; without it the Hessian rows are built here one at a time.
     """
     grid = u.grid
     if p.grid != grid or (theta is not None and theta.grid != grid):
@@ -301,14 +306,13 @@ def diag_field(
         grad_u = gradient(u).values
     elif grad_u.shape != (grid.dim, grid.dim) + grid.shape:
         raise ValueError(f"grad_u must have shape {(grid.dim, grid.dim) + grid.shape}, got {grad_u.shape}")
-    if theta is None:
-        vec, mat = _carrier_and_matrix(grad_u)
-        del grad_u
-        hess_p, _ = hessian_values(p, coeffs=hess_coeffs)
-    else:
-        hess_p, carrier = hessian_values(p, theta, coeffs=hess_coeffs)
-        vec, mat = _carrier_and_matrix(grad_u, carrier)
-    hess = np.moveaxis(hess_p, (0, 1), (-2, -1))
+    carrier = None
+    if theta is not None:
+        # copied out of the complex stack, so that the kernel holds only the real part
+        carrier = np.ascontiguousarray(grid.ifftn(perp_gradient_coeffs(theta), overwrite=True))
+    vec, mat = _carrier_and_matrix(grad_u, carrier)
+    del grad_u
+    hess = np.moveaxis(hessian_values(p, coeffs=hess_coeffs), (0, 1), (-2, -1))
     if eps is None:
         eps = 1e-12 * max(float(np.max(_norm(vec))), 1.0)
     return direction_quantities(vec, mat, hess, eps)

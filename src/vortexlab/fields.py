@@ -4,6 +4,9 @@ Fields are immutable: the sample array is frozen at construction and the
 spectral mirror is cached on first use. Differentiation is exact for the
 trigonometric interpolant; the 2/3-rule truncation is applied to nonlinear
 products only (here: the pressure source), never to plain derivatives.
+Each derivative stack holds one field's derivatives: `gradient_coeff_rows`
+yields the rows of grad f, `hessian_coeffs` stacks the distinct entries of
+the Hessian of p, and `perp_gradient_coeffs` the 2D carrier of theta.
 """
 
 from __future__ import annotations
@@ -169,45 +172,39 @@ def divergence(u: VectorField) -> ScalarField:
     return ScalarField._from_own_spectral(grid, div)
 
 
-def _perp_gradient_rows(grid: GridSpec, th: np.ndarray, buffers):
-    """Yield the spectrum of (-d2 theta, d1 theta) one component at a time,
-    each written into the next of `buffers`."""
-    out = next(buffers)
-    yield np.negative(_derivative_coeffs(grid, th, 1, out=out), out=out)
-    yield _derivative_coeffs(grid, th, 0, out=next(buffers))
-
-
-def perp_gradient(theta: ScalarField) -> VectorField:
-    """Perpendicular gradient (-d2 theta, d1 theta); defined in 2D only."""
+def perp_gradient_coeffs(theta: ScalarField) -> np.ndarray:
+    """Spectrum of the 2D carrier, the perpendicular gradient (-d2 theta,
+    d1 theta), in a new (2, ...) stack; defined in 2D only."""
     grid = theta.grid
     if grid.dim != 2:
         raise FieldError("perp_gradient is defined for 2D grids only")
     out = np.empty((2,) + grid.shape, dtype=np.complex128)
-    for _ in _perp_gradient_rows(grid, theta.spectral, iter(out)):
-        pass
-    return VectorField._from_own_spectral(grid, out)
+    np.negative(_derivative_coeffs(grid, theta.spectral, 1, out=out[0]), out=out[0])
+    _derivative_coeffs(grid, theta.spectral, 0, out=out[1])
+    return out
 
 
-def _hessian_coeff_rows(p: ScalarField, theta: ScalarField | None, out: np.ndarray):
-    """Yield the rows of `hessian_coeffs(p, theta)` in turn, each written
-    into out[r] when out is such a stack, else into the one grid array out."""
+def perp_gradient(theta: ScalarField) -> VectorField:
+    """Perpendicular gradient (-d2 theta, d1 theta); defined in 2D only."""
+    return VectorField._from_own_spectral(theta.grid, perp_gradient_coeffs(theta))
+
+
+def _hessian_coeff_rows(p: ScalarField, out: np.ndarray):
+    """Yield the rows of `hessian_coeffs(p)` in turn, each written into
+    out[r] when out is such a stack, else into the one grid array out."""
     grid = p.grid
     buffers = iter(out) if out.ndim > grid.dim else itertools.repeat(out)
     k = grid.wavenumbers
-    for i, j in zip(*np.triu_indices(grid.dim)):
-        yield np.multiply(-(k[i] * k[j]), p.spectral, out=next(buffers))
-    if theta is not None:
-        yield from _perp_gradient_rows(grid, theta.spectral, buffers)
+    for i, j, buffer in zip(*np.triu_indices(grid.dim), buffers):
+        yield np.multiply(-(k[i] * k[j]), p.spectral, out=buffer)
 
 
-def hessian_coeffs(p: ScalarField, theta: ScalarField | None = None) -> np.ndarray:
+def hessian_coeffs(p: ScalarField) -> np.ndarray:
     """Spectra of the d(d+1)/2 distinct entries d_i d_j p, upper triangle
-    row by row; given the 2D theta, the spectrum of `perp_gradient(theta)`
-    follows them in the same stack."""
+    row by row."""
     grid = p.grid
-    rows = grid.dim * (grid.dim + 1) // 2 + (0 if theta is None else 2)
-    out = np.empty((rows,) + grid.shape, dtype=np.complex128)
-    for _ in _hessian_coeff_rows(p, theta, out):
+    out = np.empty((grid.dim * (grid.dim + 1) // 2,) + grid.shape, dtype=np.complex128)
+    for _ in _hessian_coeff_rows(p, out):
         pass
     return out
 
@@ -222,44 +219,32 @@ def symmetric_from_upper(upper: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def hessian_values(
-    p: ScalarField, theta: ScalarField | None = None, coeffs: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Grid values of the rows of `hessian_coeffs(p, theta)`: the symmetric
-    (d, d, ...) Hessian of p and, given the 2D theta, the (2, ...) carrier
-    `perp_gradient(theta)`, else None. Each row is inverse-transformed in
-    place and mirrored into the result: the rows of `coeffs`, that stack of
-    a caller that samples it too, which is destroyed, or else rows built one
-    at a time in one buffer. The bits are those of one batched transform.
-    The Hessian rows of a pressure whose spectrum is truncated (the one
-    `solve_pressure` returns without a temperature) are truncated too, and
-    take the inverse transform that skips the zero lines."""
+def hessian_values(p: ScalarField, coeffs: np.ndarray | None = None) -> np.ndarray:
+    """Grid values of the symmetric (d, d, ...) Hessian of p. Each row of
+    `hessian_coeffs(p)` is inverse-transformed in place and mirrored into
+    the result: the rows of `coeffs`, that stack of a caller that samples
+    it too, which is destroyed, or else rows built one at a time in one
+    buffer. The bits are those of one batched transform. The rows of a
+    pressure whose spectrum is truncated (the one `solve_pressure` returns
+    without a temperature) are truncated too, and take the inverse
+    transform that skips the zero lines."""
     grid = p.grid
     pairs = list(zip(*np.triu_indices(grid.dim)))
+    expected = (len(pairs),) + grid.shape
     if coeffs is None:
-        coeffs = _hessian_coeff_rows(p, theta, np.empty(grid.shape, dtype=np.complex128))
-    else:
-        expected = (len(pairs) + (0 if theta is None else 2),) + grid.shape
-        if coeffs.shape != expected:
-            raise FieldError(f"Hessian coefficients must have shape {expected}, got {coeffs.shape}")
+        coeffs = _hessian_coeff_rows(p, np.empty(grid.shape, dtype=np.complex128))
+    elif coeffs.shape != expected:
+        raise FieldError(f"Hessian coefficients must have shape {expected}, got {coeffs.shape}")
     hess = np.empty((grid.dim, grid.dim) + grid.shape)
-    carrier = None if theta is None else np.empty((2,) + grid.shape)
-    for r, row in enumerate(coeffs):
-        values = grid.ifftn(row, overwrite=True, truncated=p._truncated and r < len(pairs))
-        if r < len(pairs):
-            i, j = pairs[r]
-            hess[i, j] = values
-            hess[j, i] = values
-        else:
-            carrier[r - len(pairs)] = values
-    return hess, carrier
+    for (i, j), row in zip(pairs, coeffs):
+        hess[i, j] = hess[j, i] = grid.ifftn(row, overwrite=True, truncated=p._truncated)
+    return hess
 
 
 def hessian(p: ScalarField) -> TensorField:
     """Second-derivative tensor of p, transformed one distinct entry at a
     time and mirrored."""
-    hess, _ = hessian_values(p)
-    return TensorField._wrap(p.grid, hess)
+    return TensorField._wrap(p.grid, hessian_values(p))
 
 
 def max_divergence(
@@ -300,6 +285,8 @@ def solve_pressure(
     grows with the gradient.
     """
     grid = u.grid
+    if theta is not None and grid.dim != 2:
+        raise FieldError("buoyancy source is supported on 2D grids only")
     if grad_u is None:
         grad_u = gradient(u).values
     elif grad_u.shape != (grid.dim, grid.dim) + grid.shape:
@@ -312,8 +299,6 @@ def solve_pressure(
             f"velocity divergence {worst:.3e} exceeds {div_tol * scale:.1e} "
             f"at grid index {idx}, x = {coords}"
         )
-    if theta is not None and grid.dim != 2:
-        raise FieldError("buoyancy source is supported on 2D grids only")
 
     source = -np.einsum("ij...,ji...->...", grad_u, grad_u)
     p_hat = grid.fftn(source, truncate=True)
@@ -379,6 +364,7 @@ __all__ = [
     "gradient_coeff_rows",
     "divergence",
     "perp_gradient",
+    "perp_gradient_coeffs",
     "hessian",
     "hessian_coeffs",
     "hessian_values",

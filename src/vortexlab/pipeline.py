@@ -27,6 +27,7 @@ from .fields import (
     gradient,
     gradient_coeff_rows,
     hessian_coeffs,
+    perp_gradient_coeffs,
     solve_pressure,
     symmetric_from_upper,
 )
@@ -445,13 +446,12 @@ def integrate(config: RunConfig, log: SampleLog, out_dir: Path | None = None):
             sampler = tracers.SpectralSampler(grid, pos)
             # row by row (d_i u), which bounds the sampler's temporaries
             tracer_grad = np.stack([sampler.sample(row) for row in gradient_coeff_rows(current.u)])
+            carrier = None if theta_now is None else sampler.sample(perp_gradient_coeffs(theta_now))
         p = solve_pressure(current.u, theta_now, grad_u=grad_u[0])
         hess_coeffs = None
         if track:
-            hess_coeffs = hessian_coeffs(p, theta_now)
-            rows = sampler.sample(hess_coeffs)  # the Hessian's upper triangle, then the 2D carrier
-            hess_p = symmetric_from_upper(rows[: grid.dim * (grid.dim + 1) // 2], grid.dim)
-            carrier = rows[-2:] if theta_now is not None else None
+            hess_coeffs = hessian_coeffs(p)
+            hess_p = symmetric_from_upper(sampler.sample(hess_coeffs), grid.dim)
             log.tracer_inputs.append(kernel_inputs(tracer_grad, hess_p, carrier))
         write_diag = base is not None and config.snapshot_diagnostics
         if sampled or write_diag:
@@ -555,8 +555,7 @@ def analyse(config: RunConfig, log: SampleLog) -> tuple[dict, dict]:
         for name in ("alignment_negative", "stretch_excess"):
             series = sup[name]
             entry = crit.criterion_functional(
-                times, series, weight=None if weight == "none" else weight,
-                horizon=None if weight == "none" else horizon, region=label,
+                times, series, weight=weight, horizon=None if weight == "none" else horizon, region=label,
             ).to_dict()
             entry["name"] = name
             criteria_entries.append(entry)

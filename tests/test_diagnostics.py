@@ -11,6 +11,7 @@ from vortexlab.fields import (
     gradient,
     hessian,
     hessian_coeffs,
+    perp_gradient,
     solve_pressure,
 )
 from vortexlab.pipeline import RunConfig, SampleLog, integrate
@@ -374,11 +375,14 @@ class TestDiagField:
         state = initial_condition(initial, GridSpec(dim, 16), seed=4)
         theta = state.theta
         p = solve_pressure(state.u, theta)
-        given = diag_field(state.u, p, theta, hess_coeffs=hessian_coeffs(p, theta))
+        given = diag_field(state.u, p, theta, hess_coeffs=hessian_coeffs(p))
         built = diag_field(state.u, p, theta)
         for name in ("vec", "mat", "hess"):
             a, b = getattr(given, name), getattr(built, name)
             assert a.strides == b.strides and a.tobytes() == b.tobytes(), name
+        if dim == 2:
+            # the carrier comes from its own stack, not from the Hessian's
+            assert given.vec.tobytes() == np.moveaxis(perp_gradient(theta).values, 0, -1).tobytes()
         with pytest.raises(ValueError, match="Hessian coefficients must have shape"):
             diag_field(state.u, p, theta, hess_coeffs=hessian_coeffs(p)[1:])
 

@@ -20,8 +20,10 @@ from vortexlab.fields import (
     gradient,
     gradient_coeff_rows,
     hessian,
+    hessian_coeffs,
     max_divergence,
     perp_gradient,
+    perp_gradient_coeffs,
     project_spectral,
     solve_pressure,
 )
@@ -312,6 +314,10 @@ class TestDerivativeExactness:
         k = g.wavenumbers
         coeffs = np.stack([-(1j * k[1] * th.spectral), 1j * k[0] * th.spectral])
         self._same(perp_gradient(th), VectorField.from_spectral(g, coeffs))
+        assert perp_gradient_coeffs(th).tobytes() == perp_gradient(th).spectral.tobytes()
+        # the carrier has its own stack: the 2D Hessian stack holds the
+        # three distinct entries of the pressure Hessian only
+        assert hessian_coeffs(th).shape == (3,) + g.shape
 
 
 class TestSolvePressure:
@@ -407,6 +413,17 @@ class TestSolvePressure:
         theta = ScalarField(g, np.zeros(g.shape))
         with pytest.raises(FieldError):
             solve_pressure(u, theta)
+
+    def test_buoyancy_on_3d_is_rejected_before_the_divergence_check(self):
+        # a divergent velocity too: the temperature is the first error, and
+        # is reported before any gradient is computed
+        g = grid3()
+        zero = np.zeros(g.shape)
+        u = VectorField(g, np.stack([np.sin(g.coords[0]), zero, zero]))
+        theta = ScalarField(g, zero)
+        with pytest.raises(FieldError, match="buoyancy source is supported on 2D grids only") as err:
+            solve_pressure(u, theta)
+        assert type(err.value) is FieldError
 
 
 class TestProjection:

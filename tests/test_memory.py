@@ -15,12 +15,24 @@ from vortexlab import fields, identities, pipeline, solver
 from vortexlab.pipeline import Region, RunConfig
 
 N = 32
-VECTOR_BYTES = 3 * N**3 * 8
 # In real vector fields. This config reads 5.2 (`gradient`), 5.2 (a sample)
 # and 7.3 (an RK4 step). Keeping the 9-row gradient spectrum beside its
 # out-of-place transform, the full skew part and the whole grid's direction
 # quantities, and every RK4 stage, reads 17.0, 15.0 and 15.3.
 LIMITS = {"gradient": 8, "sample": 7, "rk4 step": 10}
+EULER = dict(
+    system="euler3d", n=N, dt=0.005, t_end=0.005, initial="taylor-green-3d",
+    regions=[Region("core", center=(3.14159, 3.14159, 3.14159), radius=1.0)],
+)
+# The 2D bubble with 4 tracers, in real vector fields of its grid (two
+# grid arrays). It reads 4.5 (`gradient`), 7.0 (a sample) and 17.0 (an RK4
+# step). Sampling the carrier at the tracers from the Hessian's stack, which
+# then held two rows more through the sample phase, read 10.2 there.
+BUBBLE = dict(
+    system="boussinesq2d", n=128, dt=0.005, t_end=0.005, initial="boussinesq-bubble",
+    regions=[Region("core", center=(3.14159, 3.14159), radius=1.0)], tracer_count=4,
+)
+LIMITS_2D = {"gradient": 6, "sample": 11, "rk4 step": 19}
 
 
 # With 4 tracers the step reads 7.3 as well: they sample each stage inside
@@ -29,8 +41,18 @@ LIMITS = {"gradient": 8, "sample": 7, "rk4 step": 10}
 # phase reads 8.7 with tracers, for the tracers' point samples of the
 # gradient and the Hessian, which the limit of a sample without tracers
 # does not allow.
-@pytest.mark.parametrize("tracer_count, phases", [(0, LIMITS), (4, ["rk4 step"])], ids=["grid", "tracers"])
-def test_phase_working_sets_are_bounded(monkeypatch, tracer_count, phases):
+@pytest.mark.parametrize(
+    "settings, limits",
+    [
+        (dict(EULER, tracer_count=0), LIMITS),
+        (dict(EULER, tracer_count=4), {"rk4 step": LIMITS["rk4 step"]}),
+        (BUBBLE, LIMITS_2D),
+    ],
+    ids=["grid", "tracers", "bubble-tracers"],
+)
+def test_phase_working_sets_are_bounded(monkeypatch, settings, limits):
+    config = RunConfig(**settings)
+    vector_bytes = config.dim * config.n**config.dim * 8
     peaks = {}
     current = []  # (phase, memory in use at its start)
 
@@ -60,12 +82,8 @@ def test_phase_working_sets_are_bounded(monkeypatch, tracer_count, phases):
     monkeypatch.setattr(
         pipeline, "solve_pressure", phase("pressure", fields.solve_pressure, then="sample")
     )
-    monkeypatch.setattr(solver, "rk4_stages_euler", phase("rk4 step", solver.rk4_stages_euler))
-    config = RunConfig(
-        system="euler3d", n=N, dt=0.005, t_end=0.005, initial="taylor-green-3d",
-        regions=[Region("core", center=(3.14159, 3.14159, 3.14159), radius=1.0)],
-        tracer_count=tracer_count,
-    )
+    for name in ("rk4_stages_euler", "rk4_stages_boussinesq"):
+        monkeypatch.setattr(solver, name, phase("rk4 step", getattr(solver, name)))
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()
@@ -76,9 +94,9 @@ def test_phase_working_sets_are_bounded(monkeypatch, tracer_count, phases):
     finally:
         if not was_tracing:
             tracemalloc.stop()
-    in_fields = {name: round(peak / VECTOR_BYTES, 2) for name, peak in peaks.items()}
-    for name in phases:
-        assert in_fields[name] < LIMITS[name], (name, in_fields)
+    in_fields = {name: round(peak / vector_bytes, 2) for name, peak in peaks.items()}
+    for name, limit in limits.items():
+        assert in_fields[name] < limit, (name, in_fields)
 
 
 SUITE_COUNT = 100_000
