@@ -47,9 +47,9 @@ def trapezoid(times: np.ndarray, values: np.ndarray) -> float:
     return float(np.trapezoid(values, np.asarray(times, dtype=float)))
 
 
-def _weight(times: np.ndarray, weight: str | None, horizon: float | None) -> np.ndarray:
+def _weight(times: np.ndarray, weight: str, horizon: float | None) -> np.ndarray:
     times = np.asarray(times, dtype=float)
-    if weight in (None, "none"):
+    if weight == "none":
         return np.ones_like(times)
     if weight == "linear":
         if horizon is None:
@@ -82,7 +82,7 @@ class CriterionSeries:
 def criterion_functional(
     times: np.ndarray,
     norm_samples: np.ndarray,
-    weight: str | None = None,
+    weight: str = "none",
     horizon: float | None = None,
     region: str = "global",
 ) -> CriterionSeries:
@@ -105,7 +105,7 @@ def criterion_functional(
         double=double,
         integrand=integrand,
         value=value,
-        weight=weight or "none",
+        weight=weight,
         horizon=horizon,
         region=region,
     )
@@ -165,7 +165,7 @@ def type_one_monitor(
 def bkm_integral(
     times: np.ndarray,
     norm_samples: np.ndarray,
-    weight: str | None = None,
+    weight: str = "none",
     horizon: float | None = None,
 ) -> float:
     """Trapezoidal integral of an (optionally (T - t)-weighted) sup-norm series."""

@@ -21,14 +21,14 @@ with truncate=True). The 3D tendency is then zero outside the cutoff, so
 its projection visits the retained index blocks only; the 2D tendency
 adds the untruncated buoyancy and takes the full projection.
 
-The 3D inverse transforms run in `GridSpec.work_buffer`s, whose planes
-carry a spare row from n = 64 so that the strided passes do not thrash the
-caches. Each stage is built in such a buffer, and its rhs transforms it in
-place once the curl has read it and frees it before the forward transform,
-so no complex copy of a stage is made and no stage outlives its rhs call.
-The curl and the cross product run one slab of about 256 KiB at a time.
-None of this moves a bit: the step is the same arithmetic on the same
-values.
+The inverse transforms run in `GridSpec.work_buffer`s (with a spare row
+per plane on 3D grids from n = 64, against cache thrashing). Each stage is
+built in such a buffer; both rhs take it through `_velocity_and_vorticity`,
+which transforms it in place once the curl has read it, and free it before
+the forward transform, so no complex copy of a stage is made and no stage
+outlives its rhs call. The curl and the 3D cross product run one slab of
+about 256 KiB at a time. None of this moves a bit: the step is the same
+arithmetic on the same values.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScalarField, VectorField, project_spectral
-from .grid import GridSpec
+from .grid import TWO_PI, GridSpec
 
 # Each named start and the grid dimensions it is defined on: 3 for the Euler
 # system, 2 for the Boussinesq one. `initial_condition` and `RunConfig` check
@@ -123,18 +123,23 @@ def _finish_tendency(grid: GridSpec, fh: np.ndarray, truncated: bool) -> None:
     fh[(slice(None),) + (0,) * grid.dim] = 0.0
 
 
+def _velocity_and_vorticity(grid: GridSpec, y: tuple | list, u: list | None) -> tuple:
+    """The grid velocity and vorticity of y's first spectrum. With `u` given
+    (a one-element list holding ifftn(y[0]) bit for bit), y is only read and
+    u.pop() is the velocity. Else y is a list holding a spent stage, whose
+    velocity spectrum is popped and transformed in place once the curl has
+    read it. The curl is transformed in a `GridSpec.work_buffer`."""
+    uh = y.pop(0) if u is None else y[0]
+    curl = grid.work_buffer((len(_CROSS_PAIRS[grid.dim]),))
+    w = grid.ifftn(_vorticity_spectral(grid, uh, curl), overwrite=True)
+    return (grid.ifftn(uh, overwrite=True) if u is None else u.pop()), w
+
+
 def _euler_rhs(grid: GridSpec, y: tuple | list, u: list | None) -> tuple:
     """Projected spectral tendency of y = (uh,) under the 3D momentum
-    equation in rotational form u x curl u. `u`, when given, is a
-    one-element list holding the grid velocity, bit for bit ifftn(uh),
-    which the rhs takes out so as to free it before the forward transform;
-    uh is then only read. Else y is a list holding a spent stage, which the
-    rhs takes out, transforms in place once the curl has read it, and frees
-    with u. The curl is transformed in a `GridSpec.work_buffer`."""
-    uh = y.pop() if u is None else y[0]
-    w = grid.ifftn(_vorticity_spectral(grid, uh, grid.work_buffer(uh.shape[:1])), overwrite=True)
-    u = grid.ifftn(uh, overwrite=True) if u is None else u.pop()
-    del uh
+    equation in rotational form u x curl u; y and `u` as in
+    `_velocity_and_vorticity`."""
+    u, w = _velocity_and_vorticity(grid, y, u)
     force = np.empty(u.shape)
     for s in _slabs(grid):
         term = np.empty(force[0, s].shape)
@@ -151,24 +156,16 @@ def _euler_rhs(grid: GridSpec, y: tuple | list, u: list | None) -> tuple:
 
 def _boussinesq_rhs(grid: GridSpec, y: tuple | list, u: list | None) -> tuple:
     """Projected tendencies of y = (uh, th) under 2D momentum (with
-    buoyancy) and temperature transport; `u` as in `_euler_rhs`.
-
-    One inverse transform gives u (unless given), the vorticity and grad
-    theta; one forward transform gives the force and the advection term.
-    That transform runs on a stack of its own, into which uh is copied, so
-    y is only read.
-    """
-    uh, th = y
-    k = grid.wavenumbers
-    lead = 0 if u is not None else 2
-    coeffs = np.empty((lead + 3,) + grid.shape, dtype=np.complex128)
-    coeffs[:lead] = uh[:lead]
-    _vorticity_spectral(grid, uh, coeffs[lead : lead + 1])
-    np.multiply(1j * k[0], th, out=coeffs[lead + 1])
-    np.multiply(1j * k[1], th, out=coeffs[lead + 2])
-    phys = grid.ifftn(coeffs, overwrite=True)
-    u = phys[:2] if u is None else u.pop()
-    w, dth0, dth1 = phys[lead:]
+    buoyancy) and temperature transport; y and `u` as in
+    `_velocity_and_vorticity`, which leaves th, the last of y, to be read.
+    grad theta is transformed in a `GridSpec.work_buffer`; one forward
+    transform gives the force and the advection term."""
+    u, (w,) = _velocity_and_vorticity(grid, y, u)
+    th = y[-1]
+    dth = grid.work_buffer((2,))
+    for row, k in zip(dth, grid.wavenumbers):
+        np.multiply(1j * k, th, out=row)
+    dth0, dth1 = grid.ifftn(dth, overwrite=True)
     # rows: the force w * (u_2, -u_1) and the advection -(u . grad theta)
     src = np.empty((3,) + grid.shape)
     np.multiply(w, u[1], out=src[0])
@@ -176,7 +173,7 @@ def _boussinesq_rhs(grid: GridSpec, y: tuple | list, u: list | None) -> tuple:
     np.multiply(u[0], dth0, out=src[2])
     src[2] += np.multiply(u[1], dth1, out=dth1)
     np.negative(src[2], out=src[2])
-    del u, phys, w, dth0, dth1
+    del u, w, dth, row, dth0, dth1
     out = grid.fftn(src, truncate=True)
     del src
     fh, th_rhs = out[:2], out[2]
@@ -203,9 +200,10 @@ def _step(state: FlowState, config: StepperConfig, rhs, on_stage=None) -> FlowSt
 
     rhs(grid, y, u) returns the tendencies of the spectral arrays y = (uh,)
     or (uh, theta_h): of the state's, given its velocity u in a one-element
-    list, or of a spent stage built in a `GridSpec.work_buffer`, with u None
-    (`_euler_rhs`). on_stage, when given, is called with each of the four
-    stage velocity spectra, the input's first, just before the rhs takes it.
+    list, or of a spent stage built in a `GridSpec.work_buffer`, with u None,
+    which the rhs transforms in place (`_velocity_and_vorticity`). on_stage,
+    when given, is called with each of the four stage velocity spectra, the
+    input's first, just before the rhs takes it.
 
     The stages are y + (dt/2) k1, y + (dt/2) k2 and y + dt k3, and the new
     state is y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4): the textbook
@@ -288,8 +286,9 @@ def initial_condition(
         raise ValueError(f"unknown initial condition {name!r}; choose from {tuple(INITIAL_CONDITIONS)}")
     if grid.dim not in INITIAL_CONDITIONS[name]:
         raise ValueError(f"{name} is not defined on a {grid.dim}D grid")
-    # the coordinates as in `grid.coords`, but not cached on the grid for the run
-    x = np.meshgrid(*([grid.axis_coords] * grid.dim), indexing="ij")
+    # one period of 2 pi per box (a factor of exactly 1 at the default
+    # length), so that the trig starts are periodic; not cached on the grid
+    x = np.meshgrid(*([grid.axis_coords * (TWO_PI / grid.length)] * grid.dim), indexing="ij")
     if name == "taylor-green-3d":
         u = amplitude * np.stack(
             [

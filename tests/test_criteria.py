@@ -26,6 +26,14 @@ class TestCriterionFunctional:
         out = criterion_functional(times, np.zeros_like(times))
         assert out.value == pytest.approx(2.5, abs=1e-14)
         assert np.all(out.integrand == 1.0)
+        assert out.weight == "none"
+
+    def test_unweighted_has_one_spelling(self):
+        times = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(SeriesError, match="unknown weight None"):
+            criterion_functional(times, np.zeros_like(times), weight=None)
+        with pytest.raises(SeriesError, match="unknown weight None"):
+            bkm_integral(times, np.zeros_like(times), weight=None)
 
     def test_constant_input_closed_form(self):
         c = 1.3

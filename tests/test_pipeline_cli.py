@@ -475,6 +475,18 @@ class TestCli:
         assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 0
         assert "run complete" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "ini",
+        [TAYLOR_GREEN_INI.format(amplitude="1", dt="0.01", t_end="0.02", extra=""), BUBBLE_INI],
+        ids=["taylor-green-3d", "bubble"],
+    )
+    def test_trig_start_runs_on_a_box_that_is_not_2_pi(self, ini, tmp_path, capsys):
+        # the starts take one period per box, so they stay divergence-free
+        path = tmp_path / "run.ini"
+        path.write_text(ini.replace("[grid]\n", "[grid]\nlength = 6.0\n"))
+        assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 0
+        assert "run complete" in capsys.readouterr().out
+
     def test_divergent_flow_aborts_run(self, tmp_path, capsys, monkeypatch):
         from vortexlab import solver
         from vortexlab.fields import VectorField

@@ -64,6 +64,22 @@ class TestInitialConditions:
             worst, _ = max_divergence(st.u)
             assert worst <= 1e-12
 
+    @pytest.mark.parametrize(
+        "name, dim",
+        [("taylor-green-3d", 3), ("taylor-green-2d-embedded", 3), ("taylor-green-2d", 2), ("boussinesq-bubble", 2)],
+    )
+    def test_trig_starts_are_periodic_on_any_box(self, name, dim):
+        # sin and cos of the raw coordinates would be periodic only when the
+        # length is a multiple of 2 pi
+        grid = GridSpec(dim, 16, length=6.0)
+        st = initial_condition(name, grid)
+        worst, _ = max_divergence(st.u)
+        assert worst <= 1e-13
+        if name == "boussinesq-bubble":
+            # sin x sin y on one period: the four modes (+-1, +-1) alone
+            th = np.abs(st.theta.spectral)
+            assert np.count_nonzero(th > 1e-12 * th.max()) == 4
+
 
 class TestEulerStepping:
     def test_rest_state_unchanged(self):
