@@ -234,12 +234,11 @@ def gronwall_bound(problem: GronwallProblem) -> np.ndarray:
     return problem.alpha * np.exp(_lemma_integral(problem.times, problem.beta, problem.variant))
 
 
-def gronwall_oracle(
-    problem: GronwallProblem,
-    tol: float = 1e-13,
-    max_iter: int = 400,
-    refine: int = 1,
-) -> np.ndarray:
+ORACLE_TOL = 1e-13  # relative update size at which `gronwall_oracle` stops
+ORACLE_MAX_ITER = 400
+
+
+def gronwall_oracle(problem: GronwallProblem, refine: int = 1) -> np.ndarray:
     """Equality-case solution of y = alpha + I[beta y] by fixed-point iteration.
 
     Independent of gronwall_bound: it solves the Volterra equation directly.
@@ -257,13 +256,13 @@ def gronwall_oracle(
 
     y = alpha.copy()
     scale = max(float(np.max(np.abs(alpha))), 1.0)
-    for _ in range(max_iter):
+    for _ in range(ORACLE_MAX_ITER):
         y_next = alpha + _lemma_integral(times, beta * y, problem.variant)
         delta = float(np.max(np.abs(y_next - y)))
         y = y_next
-        if delta <= tol * max(scale, float(np.max(np.abs(y)))):
+        if delta <= ORACLE_TOL * max(scale, float(np.max(np.abs(y)))):
             return y[::refine] if refine > 1 else y
-    raise RuntimeError(f"fixed-point iteration did not converge in {max_iter} steps")
+    raise RuntimeError(f"fixed-point iteration did not converge in {ORACLE_MAX_ITER} steps")
 
 
 def hypothesis_residual(problem: GronwallProblem) -> np.ndarray:

@@ -13,10 +13,10 @@ the pointwise algebra. The grid diagnostics (`diag_field`), the tracer
 series and the randomized identity suite all read from it, and
 `kernel_inputs` is the one assembly of its inputs from derivative values,
 at the tracers (per sample, in `pipeline.integrate`) and, in two parts so
-that the 3D velocity gradient can be freed before the Hessian is built, on
-the grid (`diag_field`). Each input comes from its own spectral stack:
-grad u from `fields.gradient_coeff_rows`, the pressure Hessian from
-`fields.hessian_coeffs` and the 2D carrier from `fields.perp_gradient_coeffs`.
+that the 3D velocity gradient can be freed first, on the grid
+(`diag_field`). The builder of each spectral stack (`fields.gradient` for
+grad u, `diag_field` for the 2D carrier and the pressure Hessian) hands it
+to an `on_stack` callback before its transform, for the tracers to sample.
 With A = mat and P = hess it gives xi = vec/|vec|, zeta = A xi/|A xi|,
 alpha = xi.A xi, rho = xi.P xi, the alignment zeta.P xi, the stretch
 balance |A xi|^2 - 2 alpha^2 - rho, and the rates along the flow: alpha
@@ -34,7 +34,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import FieldError, ScalarField, VectorField, gradient, hessian_values, perp_gradient_coeffs
+from .fields import (
+    FieldError, ScalarField, VectorField, gradient, hessian_coeffs, hessian_values, perp_gradient_coeffs,
+)
 
 
 def positive_part(f):
@@ -277,7 +279,7 @@ def diag_field(
     theta: ScalarField | None = None,
     eps: float | None = None,
     grad_u: np.ndarray | None = None,
-    hess_coeffs: np.ndarray | None = None,
+    on_stack=None,
 ) -> DirectionQuantities:
     """Evaluate the pointwise diagnostics over the whole grid.
 
@@ -288,12 +290,11 @@ def diag_field(
     first sample, 1e-12 max(max |vec|, 1), read from this carrier.
     grad_u, the grid values of `gradient(u)` (as `fields.solve_pressure`
     takes them), is computed here when not given; in 3D it is read before
-    the Hessian is built, so a caller that hands over its only reference
-    lets it be freed first. The 2D carrier is built from
-    `fields.perp_gradient_coeffs(theta)`, transformed in place and copied
-    out as a real array. hess_coeffs, the `fields.hessian_coeffs(p)` stack
-    of a caller that samples it too, is transformed in place, and so
-    destroyed; without it the Hessian rows are built here one at a time.
+    the Hessian is transformed, so a caller that hands over its only
+    reference lets it be freed first. on_stack, when given, is called with
+    ("carrier", `fields.perp_gradient_coeffs(theta)`) in 2D and ("hessian",
+    `fields.hessian_coeffs(p)`), each stack before it is transformed in
+    place; without it the Hessian rows are built one at a time.
     """
     grid = u.grid
     if p.grid != grid or (theta is not None and theta.grid != grid):
@@ -306,10 +307,17 @@ def diag_field(
         grad_u = gradient(u).values
     elif grad_u.shape != (grid.dim, grid.dim) + grid.shape:
         raise ValueError(f"grad_u must have shape {(grid.dim, grid.dim) + grid.shape}, got {grad_u.shape}")
-    carrier = None
+    carrier = hess_coeffs = None
     if theta is not None:
+        carrier = perp_gradient_coeffs(theta)
+        if on_stack is not None:
+            on_stack("carrier", carrier)
         # copied out of the complex stack, so that the kernel holds only the real part
-        carrier = np.ascontiguousarray(grid.ifftn(perp_gradient_coeffs(theta), overwrite=True))
+        carrier = np.ascontiguousarray(grid.ifftn(carrier, overwrite=True))
+    if on_stack is not None:
+        # before the strain and the vorticity, whose arrays it would sit beside
+        hess_coeffs = hessian_coeffs(p)
+        on_stack("hessian", hess_coeffs)
     vec, mat = _carrier_and_matrix(grad_u, carrier)
     del grad_u
     hess = np.moveaxis(hessian_values(p, coeffs=hess_coeffs), (0, 1), (-2, -1))

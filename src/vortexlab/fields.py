@@ -4,9 +4,11 @@ Fields are immutable: the sample array is frozen at construction and the
 spectral mirror is cached on first use. Differentiation is exact for the
 trigonometric interpolant; the 2/3-rule truncation is applied to nonlinear
 products only (here: the pressure source), never to plain derivatives.
-Each derivative stack holds one field's derivatives: `gradient_coeff_rows`
-yields the rows of grad f, `hessian_coeffs` stacks the distinct entries of
-the Hessian of p, and `perp_gradient_coeffs` the 2D carrier of theta.
+Each derivative stack holds one field's derivatives: `gradient` builds the
+rows of grad f one at a time, `hessian_coeffs` stacks the distinct entries
+of the Hessian of p, and `perp_gradient_coeffs` the 2D carrier of theta. A
+caller samples a stack through the builder's `on_stack(name, coeffs)`
+callback, before the stack is transformed in place, so none is built twice.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ import itertools
 import numpy as np
 
 from .grid import GridSpec
+
+# the max |div u| that `solve_pressure` allows, relative to max(1, max |grad u|)
+DIV_TOL = 1e-8
 
 
 class FieldError(ValueError):
@@ -134,30 +139,21 @@ def _derivative_coeffs(
     return np.multiply(1j * k, coeffs, out=out)
 
 
-def gradient_coeff_rows(field: ScalarField | VectorField):
-    """Yield the exact spectrum of each row d_i f of the gradient of f, in
-    turn, all written into one reused buffer: a row holds until the next
-    one is asked for."""
-    grid = field.grid
-    fh = field.spectral
-    row = np.empty(fh.shape, dtype=np.complex128)
-    for i in range(grid.dim):
-        yield _derivative_coeffs(grid, fh, i, out=row)
-
-
-def gradient(field: ScalarField | VectorField) -> VectorField | TensorField:
-    """Spectral gradient.
-
-    For a scalar f returns the vector (d_i f). For a vector u returns the
-    tensor G with G[i, j] = d_i u_j. The values are transformed one row
-    d_i at a time from `gradient_coeff_rows`; the result keeps no spectrum,
-    and a caller that needs the rows' exact coefficients reads them there.
-    """
+def gradient(field: ScalarField | VectorField, on_stack=None) -> VectorField | TensorField:
+    """Spectral gradient: for a scalar f the vector (d_i f), for a vector u
+    the tensor G with G[i, j] = d_i u_j. The exact spectrum of each row d_i f
+    is built in turn in one buffer, handed to on_stack("grad_u", row) when
+    given, and then transformed in place; the result keeps no spectrum."""
     if not isinstance(field, (ScalarField, VectorField)):
         raise FieldError("gradient expects a ScalarField or VectorField")
     grid = field.grid
+    fh = field.spectral
+    row = np.empty(fh.shape, dtype=np.complex128)
     values = np.empty((grid.dim,) + field.values.shape)
-    for out, row in zip(values, gradient_coeff_rows(field)):
+    for i, out in enumerate(values):
+        _derivative_coeffs(grid, fh, i, out=row)
+        if on_stack is not None:
+            on_stack("grad_u", row)
         out[...] = grid.ifftn(row, overwrite=True)
     cls = VectorField if isinstance(field, ScalarField) else TensorField
     return cls._wrap(grid, values)
@@ -220,13 +216,12 @@ def symmetric_from_upper(upper: np.ndarray, dim: int) -> np.ndarray:
 
 
 def hessian_values(p: ScalarField, coeffs: np.ndarray | None = None) -> np.ndarray:
-    """Grid values of the symmetric (d, d, ...) Hessian of p. Each row of
-    `hessian_coeffs(p)` is inverse-transformed in place and mirrored into
-    the result: the rows of `coeffs`, that stack of a caller that samples
-    it too, which is destroyed, or else rows built one at a time in one
-    buffer. The bits are those of one batched transform. The rows of a
-    pressure whose spectrum is truncated (the one `solve_pressure` returns
-    without a temperature) are truncated too, and take the inverse
+    """Grid values of the symmetric (d, d, ...) Hessian of p, each row of
+    `hessian_coeffs(p)` inverse-transformed in place and mirrored: the rows
+    of `coeffs`, a stack that its caller has sampled, which is destroyed,
+    or else rows built one at a time in one buffer, with the bits of one
+    batched transform. The rows of a pressure whose spectrum is truncated
+    (as `solve_pressure` returns it without a temperature) take the inverse
     transform that skips the zero lines."""
     grid = p.grid
     pairs = list(zip(*np.triu_indices(grid.dim)))
@@ -266,7 +261,6 @@ def max_divergence(
 def solve_pressure(
     u: VectorField,
     theta: ScalarField | None = None,
-    div_tol: float = 1e-8,
     grad_u: np.ndarray | None = None,
 ) -> ScalarField:
     """Recover the mean-zero pressure from the velocity (and buoyancy in 2D).
@@ -281,7 +275,7 @@ def solve_pressure(
     grad_u, the grid values of `gradient(u)`, lets a caller that needs them
     too (`diagnostics.diag_field`) compute them once; they are computed
     here when not given. The divergence check reads div u off their trace
-    and allows div_tol * max(1, max |grad u|), since the roundoff in div u
+    and allows DIV_TOL * max(1, max |grad u|), since the roundoff in div u
     grows with the gradient.
     """
     grid = u.grid
@@ -292,11 +286,11 @@ def solve_pressure(
     elif grad_u.shape != (grid.dim, grid.dim) + grid.shape:
         raise FieldError(f"grad_u must have shape {(grid.dim, grid.dim) + grid.shape}, got {grad_u.shape}")
     worst, idx = max_divergence(u, grad_u)
-    scale = max(1.0, float(np.max(grad_u)), -float(np.min(grad_u))) if worst > div_tol else 1.0
-    if worst > div_tol * scale:
+    scale = max(1.0, float(np.max(grad_u)), -float(np.min(grad_u))) if worst > DIV_TOL else 1.0
+    if worst > DIV_TOL * scale:
         coords = tuple(float(grid.axis_coords[i]) for i in idx)
         raise DivergenceError(
-            f"velocity divergence {worst:.3e} exceeds {div_tol * scale:.1e} "
+            f"velocity divergence {worst:.3e} exceeds {DIV_TOL * scale:.1e} "
             f"at grid index {idx}, x = {coords}"
         )
 
@@ -361,7 +355,6 @@ __all__ = [
     "DivergenceError",
     "EmptyRegionError",
     "gradient",
-    "gradient_coeff_rows",
     "divergence",
     "perp_gradient",
     "perp_gradient_coeffs",

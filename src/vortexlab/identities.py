@@ -240,7 +240,6 @@ def run_identity_suite(
     seed: int,
     scale: float = 1.0,
     tolerance: float = IDENTITY_TOL,
-    inequality_tolerance: float = INEQUALITY_TOL,
     samples: DirectionQuantities | None = None,
 ) -> IdentitySuiteReport:
     """Run every identity and inequality check over one seeded random batch.
@@ -261,7 +260,7 @@ def run_identity_suite(
         seed=seed,
         scale=scale,
         tolerance=tolerance,
-        inequality_tolerance=inequality_tolerance,
+        inequality_tolerance=INEQUALITY_TOL,
     )
 
     # per name, one entry for each slab with a sample that is not skipped:
@@ -297,7 +296,7 @@ def run_identity_suite(
         report.inequality_max_ratio[name] = max((hi for _, hi in entries), default=0.0)
 
     report.passed = all(v <= tolerance for v in report.residual_max.values()) and all(
-        v >= -inequality_tolerance for v in report.inequality_min_slack.values()
+        v >= -INEQUALITY_TOL for v in report.inequality_min_slack.values()
     )
     if not report.passed:
         report.worst = {

@@ -25,9 +25,6 @@ from .fields import (
     EmptyRegionError,
     ball_mask,
     gradient,
-    gradient_coeff_rows,
-    hessian_coeffs,
-    perp_gradient_coeffs,
     solve_pressure,
     symmetric_from_upper,
 )
@@ -420,12 +417,12 @@ def integrate(config: RunConfig, log: SampleLog, out_dir: Path | None = None):
         """Log the sample of `current` at `step` if `sampled`, and write its
         snapshot next to `base` if not None. One velocity gradient feeds the
         pressure, the tracers' kernel inputs and the grid diagnostics, which
-        are built only for a sample or a diagnostic snapshot. A sample reads
-        its sup norms slab by slab, unless the snapshot writes the whole
-        grid's."""
+        are built only for a sample or a diagnostic snapshot, and the
+        tracers sample each derivative stack that those builders hand over.
+        A sample reads its sup norms slab by slab, unless the snapshot
+        writes the whole grid's."""
         t = step * config.dt
         theta_now = current.theta
-        track = sampled and n_tracers > 0
         if sampled:
             log.times.append(t)
             log.energy.append(solver.kinetic_energy(current.u))
@@ -438,26 +435,27 @@ def integrate(config: RunConfig, log: SampleLog, out_dir: Path | None = None):
                     min(low, float(np.min(theta_now.values))), max(high, float(np.max(theta_now.values)))
                 ]
             log.tail_ratio.append(solver.spectral_tail_ratio(grid, *spectra))
-        # held in a list so that diag_field receives the only reference and
-        # can free grad u before it builds the Hessian
-        grad_u = [gradient(current.u).values]
-        if track:
+        at_tracers = {}  # stack name -> its samples at the tracers, in build order
+        on_stack = None
+        if sampled and n_tracers > 0:
             log.positions.append(pos.copy())
             sampler = tracers.SpectralSampler(grid, pos)
-            # row by row (d_i u), which bounds the sampler's temporaries
-            tracer_grad = np.stack([sampler.sample(row) for row in gradient_coeff_rows(current.u)])
-            carrier = None if theta_now is None else sampler.sample(perp_gradient_coeffs(theta_now))
+
+            def on_stack(name: str, coeffs: np.ndarray) -> None:
+                at_tracers.setdefault(name, []).append(sampler.sample(coeffs))
+        # held in a list so that diag_field receives the only reference and
+        # can free grad u before it transforms the Hessian
+        grad_u = [gradient(current.u, on_stack).values]
         p = solve_pressure(current.u, theta_now, grad_u=grad_u[0])
-        hess_coeffs = None
-        if track:
-            hess_coeffs = hessian_coeffs(p)
-            hess_p = symmetric_from_upper(sampler.sample(hess_coeffs), grid.dim)
-            log.tracer_inputs.append(kernel_inputs(tracer_grad, hess_p, carrier))
         write_diag = base is not None and config.snapshot_diagnostics
         if sampled or write_diag:
             # eps None: the first sample fixes it from its own carrier
-            diag = diag_field(current.u, p, theta_now, eps=log.eps, grad_u=grad_u.pop(), hess_coeffs=hess_coeffs)
-            del hess_coeffs  # destroyed by diag_field; free it before the sup norms
+            diag = diag_field(current.u, p, theta_now, eps=log.eps, grad_u=grad_u.pop(), on_stack=on_stack)
+        if on_stack is not None:
+            # popped, so that no point sample outlives this assembly
+            hess_p = symmetric_from_upper(at_tracers.pop("hessian")[0], grid.dim)
+            carrier = at_tracers.pop("carrier", [None])[0]
+            log.tracer_inputs.append(kernel_inputs(np.stack(at_tracers.pop("grad_u")), hess_p, carrier))
         if sampled:
             log.eps = diag.eps
             width = grid.n if write_diag else -(-grid.n // SUP_SLABS)

@@ -11,7 +11,9 @@ from vortexlab.fields import (
     gradient,
     hessian,
     hessian_coeffs,
+    hessian_values,
     perp_gradient,
+    perp_gradient_coeffs,
     solve_pressure,
 )
 from vortexlab.pipeline import RunConfig, SampleLog, integrate
@@ -371,20 +373,33 @@ class TestDiagField:
             assert np.array_equal(getattr(given, name), getattr(computed, name)), name
 
     @pytest.mark.parametrize("initial, dim", [("random-band-limited", 3), ("random-band-limited", 2)])
-    def test_given_hessian_stack_matches_built(self, initial, dim):
+    def test_handed_stacks_are_the_builders_and_change_nothing(self, initial, dim):
         state = initial_condition(initial, GridSpec(dim, 16), seed=4)
         theta = state.theta
         p = solve_pressure(state.u, theta)
-        given = diag_field(state.u, p, theta, hess_coeffs=hessian_coeffs(p))
-        built = diag_field(state.u, p, theta)
+        handed = []  # (name, a copy of the stack): each is transformed once the callback returns
+        recorded = diag_field(state.u, p, theta, on_stack=lambda name, coeffs: handed.append((name, coeffs.copy())))
+        plain = diag_field(state.u, p, theta)
+        assert recorded.eps == plain.eps
         for name in ("vec", "mat", "hess"):
-            a, b = getattr(given, name), getattr(built, name)
+            a, b = getattr(recorded, name), getattr(plain, name)
             assert a.strides == b.strides and a.tobytes() == b.tobytes(), name
+        # one stack per field, built by its own builder, the carrier first
+        expected = [("hessian", hessian_coeffs(p))]
         if dim == 2:
+            expected.insert(0, ("carrier", perp_gradient_coeffs(theta)))
             # the carrier comes from its own stack, not from the Hessian's
-            assert given.vec.tobytes() == np.moveaxis(perp_gradient(theta).values, 0, -1).tobytes()
-        with pytest.raises(ValueError, match="Hessian coefficients must have shape"):
-            diag_field(state.u, p, theta, hess_coeffs=hessian_coeffs(p)[1:])
+            assert recorded.vec.tobytes() == np.moveaxis(perp_gradient(theta).values, 0, -1).tobytes()
+        assert [name for name, _ in handed] == [name for name, _ in expected]
+        for (name, got), (_, want) in zip(handed, expected):
+            assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_hessian_values_rejects_a_stack_of_the_wrong_shape(self, dim):
+        state = initial_condition("random-band-limited", GridSpec(dim, 16), seed=4)
+        p = solve_pressure(state.u, state.theta)
+        with pytest.raises(FieldError, match="Hessian coefficients must have shape"):
+            hessian_values(p, coeffs=hessian_coeffs(p)[1:])
 
     def test_requires_theta_in_2d(self):
         g = GridSpec(2, 16)

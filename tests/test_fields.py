@@ -18,7 +18,6 @@ from vortexlab.fields import (
     ball_mask,
     divergence,
     gradient,
-    gradient_coeff_rows,
     hessian,
     hessian_coeffs,
     max_divergence,
@@ -256,8 +255,8 @@ class TestHessian:
 class TestDerivativeExactness:
     """Each derivative's values equal those of `from_spectral` of its
     per-entry coefficients bit for bit, and it hands out read-only arrays.
-    The rows of `gradient_coeff_rows`, which the tracers sample, are those
-    coefficients bit for bit."""
+    The rows that `gradient` hands to its `on_stack` callback, which the
+    tracers sample, are those coefficients bit for bit."""
 
     @staticmethod
     def _same(field, expected, spectral=True):
@@ -270,11 +269,20 @@ class TestDerivativeExactness:
 
     @staticmethod
     def _same_rows(field, coeffs):
-        rows = list(gradient_coeff_rows(field))
+        handed, copies = [], []
+
+        def on_stack(name, row):
+            assert name == "grad_u"
+            handed.append(row)
+            copies.append(row.copy())  # the row is transformed once the callback returns
+
+        values = gradient(field, on_stack).values
         # one buffer holds each row in turn
-        assert len(rows) == len(coeffs) and all(row is rows[0] for row in rows)
-        for want, row in zip(coeffs, gradient_coeff_rows(field)):
+        assert len(handed) == len(coeffs) and all(row is handed[0] for row in handed)
+        for want, row in zip(coeffs, copies):
             assert row.tobytes() == want.tobytes()
+        # the callback changes nothing of the result
+        assert values.tobytes() == gradient(field).values.tobytes()
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_scalar_gradient(self, dim):

@@ -5,7 +5,7 @@ earlier per-sample stack, kept below as the reference implementation."""
 import numpy as np
 import pytest
 
-from vortexlab import pipeline, tracers
+from vortexlab import diagnostics, fields, pipeline, tracers
 from vortexlab.pipeline import RunConfig
 from vortexlab.tracers import diagnostics_series
 
@@ -171,3 +171,34 @@ def test_tracers_on_grid_nodes_read_the_grid_diagnostics(config, nodes, monkeypa
         assert scale > 0
         for p, node in enumerate(nodes):
             np.testing.assert_allclose(at_tracers[0, p], on_grid[node], rtol=0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize(
+    "settings, builds",
+    [
+        (dict(system="euler3d", n=16, initial="taylor-green-3d"), 3),
+        (dict(system="boussinesq2d", n=32, initial="boussinesq-bubble"), 5),
+    ],
+    ids=["3d", "2d"],
+)
+@pytest.mark.parametrize("tracer_count", [0, 3])
+def test_each_sample_builds_each_derivative_spectrum_once(monkeypatch, settings, builds, tracer_count):
+    # grad u (d rows), the 2D carrier (2 rows) and the buoyancy term of the
+    # 2D pressure (1 row) take one _derivative_coeffs call per row; the
+    # tracers sample the rows the grid path builds, so they add none
+    calls = {"_derivative_coeffs": 0, "hessian_coeffs": 0}
+    for name in calls:
+        original = getattr(fields, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (fields, diagnostics, pipeline):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    config = RunConfig(dt=0.01, t_end=0.02, tracer_count=tracer_count, **settings)
+    result = pipeline.run(config)
+    samples = len(result.times)
+    assert samples == 3
+    assert calls == {"_derivative_coeffs": builds * samples, "hessian_coeffs": samples if tracer_count else 0}
