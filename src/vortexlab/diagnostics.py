@@ -14,9 +14,10 @@ series and the randomized identity suite all read from it, and
 `kernel_inputs` is the one assembly of its inputs from derivative values,
 at the tracers (per sample, in `pipeline.integrate`) and, in two parts so
 that the 3D velocity gradient can be freed first, on the grid
-(`diag_field`). The builder of each spectral stack (`fields.gradient` for
-grad u, `diag_field` for the 2D carrier and the pressure Hessian) hands it
-to an `on_stack` callback before its transform, for the tracers to sample.
+(`diag_field`). The three derivative builders of `fields` (`gradient` for
+grad u, `perp_gradient` for the 2D carrier, `hessian` for the pressure
+Hessian) share one contract: each hands each spectral stack it builds to
+an `on_stack` callback before its transform, for the tracers to sample.
 With A = mat and P = hess it gives xi = vec/|vec|, zeta = A xi/|A xi|,
 alpha = xi.A xi, rho = xi.P xi, the alignment zeta.P xi, the stretch
 balance |A xi|^2 - 2 alpha^2 - rho, and the rates along the flow: alpha
@@ -34,9 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import (
-    FieldError, ScalarField, VectorField, gradient, hessian_coeffs, hessian_values, perp_gradient_coeffs,
-)
+from .fields import FieldError, ScalarField, VectorField, gradient, hessian, perp_gradient
 
 
 def positive_part(f):
@@ -291,10 +290,11 @@ def diag_field(
     grad_u, the grid values of `gradient(u)` (as `fields.solve_pressure`
     takes them), is computed here when not given; in 3D it is read before
     the Hessian is transformed, so a caller that hands over its only
-    reference lets it be freed first. on_stack, when given, is called with
-    ("carrier", `fields.perp_gradient_coeffs(theta)`) in 2D and ("hessian",
-    `fields.hessian_coeffs(p)`), each stack before it is transformed in
-    place; without it the Hessian rows are built one at a time.
+    reference lets it be freed first. on_stack, when given, goes to the
+    builders `fields.perp_gradient` (2D) and `fields.hessian`, in that
+    order, which hand it their "carrier" and "hessian" stacks before they
+    transform them in place; without it the Hessian rows are built one at
+    a time, after grad u is freed.
     """
     grid = u.grid
     if p.grid != grid or (theta is not None and theta.grid != grid):
@@ -307,20 +307,16 @@ def diag_field(
         grad_u = gradient(u).values
     elif grad_u.shape != (grid.dim, grid.dim) + grid.shape:
         raise ValueError(f"grad_u must have shape {(grid.dim, grid.dim) + grid.shape}, got {grad_u.shape}")
-    carrier = hess_coeffs = None
-    if theta is not None:
-        carrier = perp_gradient_coeffs(theta)
-        if on_stack is not None:
-            on_stack("carrier", carrier)
-        # copied out of the complex stack, so that the kernel holds only the real part
-        carrier = np.ascontiguousarray(grid.ifftn(carrier, overwrite=True))
-    if on_stack is not None:
-        # before the strain and the vorticity, whose arrays it would sit beside
-        hess_coeffs = hessian_coeffs(p)
-        on_stack("hessian", hess_coeffs)
+    carrier = None if theta is None else perp_gradient(theta, on_stack).values
+    # a sampled Hessian holds its whole stack, so it is built before the
+    # strain and the vorticity, which it would sit beside; an unsampled one
+    # builds one row at a time, after grad u is freed
+    hess = None if on_stack is None else hessian(p, on_stack).values
     vec, mat = _carrier_and_matrix(grad_u, carrier)
     del grad_u
-    hess = np.moveaxis(hessian_values(p, coeffs=hess_coeffs), (0, 1), (-2, -1))
+    if hess is None:
+        hess = hessian(p).values
+    hess = np.moveaxis(hess, (0, 1), (-2, -1))
     if eps is None:
         eps = 1e-12 * max(float(np.max(_norm(vec))), 1.0)
     return direction_quantities(vec, mat, hess, eps)

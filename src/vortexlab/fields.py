@@ -4,16 +4,17 @@ Fields are immutable: the sample array is frozen at construction and the
 spectral mirror is cached on first use. Differentiation is exact for the
 trigonometric interpolant; the 2/3-rule truncation is applied to nonlinear
 products only (here: the pressure source), never to plain derivatives.
-Each derivative stack holds one field's derivatives: `gradient` builds the
-rows of grad f one at a time, `hessian_coeffs` stacks the distinct entries
-of the Hessian of p, and `perp_gradient_coeffs` the 2D carrier of theta. A
-caller samples a stack through the builder's `on_stack(name, coeffs)`
-callback, before the stack is transformed in place, so none is built twice.
+Three builders make the derivatives that a run reads, under one contract:
+`gradient` (the rows of grad f, one at a time in one buffer), `hessian`
+(the distinct entries of the Hessian of p, one stack when a callback
+takes it, else one row at a time) and `perp_gradient` (the 2D carrier of
+theta). Each hands each spectral stack it builds to an optional
+`on_stack(name, coeffs)` callback, then transforms it in place and
+returns grid values with no spectrum; a caller samples a stack there, so
+none is built twice.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -168,41 +169,21 @@ def divergence(u: VectorField) -> ScalarField:
     return ScalarField._from_own_spectral(grid, div)
 
 
-def perp_gradient_coeffs(theta: ScalarField) -> np.ndarray:
-    """Spectrum of the 2D carrier, the perpendicular gradient (-d2 theta,
-    d1 theta), in a new (2, ...) stack; defined in 2D only."""
+def perp_gradient(theta: ScalarField, on_stack=None) -> VectorField:
+    """Perpendicular gradient (-d2 theta, d1 theta), the 2D carrier; defined
+    in 2D only. Its spectrum is built as one (2, ...) stack, handed to
+    on_stack("carrier", stack) when given, and then transformed in place;
+    the result keeps no spectrum."""
     grid = theta.grid
     if grid.dim != 2:
         raise FieldError("perp_gradient is defined for 2D grids only")
-    out = np.empty((2,) + grid.shape, dtype=np.complex128)
-    np.negative(_derivative_coeffs(grid, theta.spectral, 1, out=out[0]), out=out[0])
-    _derivative_coeffs(grid, theta.spectral, 0, out=out[1])
-    return out
-
-
-def perp_gradient(theta: ScalarField) -> VectorField:
-    """Perpendicular gradient (-d2 theta, d1 theta); defined in 2D only."""
-    return VectorField._from_own_spectral(theta.grid, perp_gradient_coeffs(theta))
-
-
-def _hessian_coeff_rows(p: ScalarField, out: np.ndarray):
-    """Yield the rows of `hessian_coeffs(p)` in turn, each written into
-    out[r] when out is such a stack, else into the one grid array out."""
-    grid = p.grid
-    buffers = iter(out) if out.ndim > grid.dim else itertools.repeat(out)
-    k = grid.wavenumbers
-    for i, j, buffer in zip(*np.triu_indices(grid.dim), buffers):
-        yield np.multiply(-(k[i] * k[j]), p.spectral, out=buffer)
-
-
-def hessian_coeffs(p: ScalarField) -> np.ndarray:
-    """Spectra of the d(d+1)/2 distinct entries d_i d_j p, upper triangle
-    row by row."""
-    grid = p.grid
-    out = np.empty((grid.dim * (grid.dim + 1) // 2,) + grid.shape, dtype=np.complex128)
-    for _ in _hessian_coeff_rows(p, out):
-        pass
-    return out
+    stack = np.empty((2,) + grid.shape, dtype=np.complex128)
+    np.negative(_derivative_coeffs(grid, theta.spectral, 1, out=stack[0]), out=stack[0])
+    _derivative_coeffs(grid, theta.spectral, 0, out=stack[1])
+    if on_stack is not None:
+        on_stack("carrier", stack)
+    # copied out of the complex stack, so that the result holds only the real part
+    return VectorField._wrap(grid, np.ascontiguousarray(grid.ifftn(stack, overwrite=True)))
 
 
 def symmetric_from_upper(upper: np.ndarray, dim: int) -> np.ndarray:
@@ -215,31 +196,27 @@ def symmetric_from_upper(upper: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def hessian_values(p: ScalarField, coeffs: np.ndarray | None = None) -> np.ndarray:
-    """Grid values of the symmetric (d, d, ...) Hessian of p, each row of
-    `hessian_coeffs(p)` inverse-transformed in place and mirrored: the rows
-    of `coeffs`, a stack that its caller has sampled, which is destroyed,
-    or else rows built one at a time in one buffer, with the bits of one
-    batched transform. The rows of a pressure whose spectrum is truncated
-    (as `solve_pressure` returns it without a temperature) take the inverse
-    transform that skips the zero lines."""
+def hessian(p: ScalarField, on_stack=None) -> TensorField:
+    """Second-derivative tensor of p. The spectra of its d(d+1)/2 distinct
+    entries d_i d_j p, upper triangle row by row, are built as one stack
+    handed to on_stack("hessian", stack) when given, else one at a time in
+    one buffer; each is then transformed in place and mirrored, and the
+    result keeps no spectrum. The rows of a pressure whose spectrum is
+    truncated (as `solve_pressure` returns it without a temperature) take
+    the inverse transform that skips the zero lines."""
     grid = p.grid
+    k = grid.wavenumbers
     pairs = list(zip(*np.triu_indices(grid.dim)))
-    expected = (len(pairs),) + grid.shape
-    if coeffs is None:
-        coeffs = _hessian_coeff_rows(p, np.empty(grid.shape, dtype=np.complex128))
-    elif coeffs.shape != expected:
-        raise FieldError(f"Hessian coefficients must have shape {expected}, got {coeffs.shape}")
+    stack = np.empty((len(pairs) if on_stack is not None else 1,) + grid.shape, dtype=np.complex128)
+    # each row into its own row of the stack, or each in turn into one buffer
+    rows = (np.multiply(-(k[i] * k[j]), p.spectral, out=stack[r % len(stack)]) for r, (i, j) in enumerate(pairs))
+    if on_stack is not None:
+        rows = list(rows)
+        on_stack("hessian", stack)
     hess = np.empty((grid.dim, grid.dim) + grid.shape)
-    for (i, j), row in zip(pairs, coeffs):
+    for (i, j), row in zip(pairs, rows):
         hess[i, j] = hess[j, i] = grid.ifftn(row, overwrite=True, truncated=p._truncated)
-    return hess
-
-
-def hessian(p: ScalarField) -> TensorField:
-    """Second-derivative tensor of p, transformed one distinct entry at a
-    time and mirrored."""
-    return TensorField._wrap(p.grid, hessian_values(p))
+    return TensorField._wrap(grid, hess)
 
 
 def max_divergence(
@@ -357,10 +334,7 @@ __all__ = [
     "gradient",
     "divergence",
     "perp_gradient",
-    "perp_gradient_coeffs",
     "hessian",
-    "hessian_coeffs",
-    "hessian_values",
     "symmetric_from_upper",
     "max_divergence",
     "solve_pressure",

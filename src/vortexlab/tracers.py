@@ -141,7 +141,16 @@ def diagnostics_series(vec: np.ndarray, mat: np.ndarray, hess: np.ndarray, eps: 
     return direction_quantities(vec, mat, hess, eps)
 
 
-def _valid_window(active: np.ndarray, halfwidth: int = 2) -> np.ndarray:
+def _stencil(samples: int) -> tuple[int, int]:
+    """The (accuracy, halfwidth) of the residuals of a series of `samples`
+    samples: interior stencils of accuracy 4 from 7 samples on, else 2, and
+    the halfwidth that `dynamical_residuals` masks around a degenerate
+    sample and `residual_summary` skips at each end."""
+    accuracy = 4 if samples >= 7 else 2
+    return accuracy, accuracy // 2 + 1
+
+
+def _valid_window(active: np.ndarray, halfwidth: int) -> np.ndarray:
     """True where the FD stencil around an index touches only active samples."""
     ok = active.astype(bool).copy()
     for shift in range(1, halfwidth + 1):
@@ -168,8 +177,7 @@ def dynamical_residuals(times: np.ndarray, q: DirectionQuantities) -> dict[str, 
     * second_accel:     second rate of the carrier vector plus the Hessian term
     """
     dt = uniform_step(times)
-    accuracy = 4 if len(times) >= 7 else 2
-    halfwidth = accuracy // 2 + 1
+    accuracy, halfwidth = _stencil(len(times))
     valid = _valid_window(q.active, halfwidth)
     valid_stretch = _valid_window(q.active & q.stretch_active, halfwidth)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -207,7 +215,7 @@ def residual_summary(residuals: dict[str, np.ndarray]) -> dict[str, float]:
     """Max |residual| per identity over the batch, skipping the lower-order end stencils."""
     out = {}
     for name, series in residuals.items():
-        margin = 3 if series.shape[0] > 6 else 2
+        margin = _stencil(series.shape[0])[1]
         window = series[margin:-margin] if series.shape[0] > 2 * margin else series
         out[name] = float(np.nanmax(np.abs(window))) if np.any(np.isfinite(window)) else 0.0
     return out

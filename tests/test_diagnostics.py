@@ -10,10 +10,7 @@ from vortexlab.fields import (
     VectorField,
     gradient,
     hessian,
-    hessian_coeffs,
-    hessian_values,
     perp_gradient,
-    perp_gradient_coeffs,
     solve_pressure,
 )
 from vortexlab.pipeline import RunConfig, SampleLog, integrate
@@ -378,28 +375,27 @@ class TestDiagField:
         theta = state.theta
         p = solve_pressure(state.u, theta)
         handed = []  # (name, a copy of the stack): each is transformed once the callback returns
-        recorded = diag_field(state.u, p, theta, on_stack=lambda name, coeffs: handed.append((name, coeffs.copy())))
+
+        def record(name, coeffs):
+            handed.append((name, coeffs.copy()))
+
+        recorded = diag_field(state.u, p, theta, on_stack=record)
         plain = diag_field(state.u, p, theta)
         assert recorded.eps == plain.eps
         for name in ("vec", "mat", "hess"):
             a, b = getattr(recorded, name), getattr(plain, name)
             assert a.strides == b.strides and a.tobytes() == b.tobytes(), name
-        # one stack per field, built by its own builder, the carrier first
-        expected = [("hessian", hessian_coeffs(p))]
+        # one stack per field, handed over by its own builder, the carrier first
+        from_diag, handed[:] = list(handed), []
         if dim == 2:
-            expected.insert(0, ("carrier", perp_gradient_coeffs(theta)))
+            carrier = perp_gradient(theta, record).values
             # the carrier comes from its own stack, not from the Hessian's
-            assert recorded.vec.tobytes() == np.moveaxis(perp_gradient(theta).values, 0, -1).tobytes()
-        assert [name for name, _ in handed] == [name for name, _ in expected]
-        for (name, got), (_, want) in zip(handed, expected):
+            assert recorded.vec.tobytes() == np.moveaxis(carrier, 0, -1).tobytes()
+        hessian(p, record)
+        names = ["carrier", "hessian"] if dim == 2 else ["hessian"]
+        assert [name for name, _ in from_diag] == [name for name, _ in handed] == names
+        for (name, got), (_, want) in zip(from_diag, handed):
             assert got.tobytes() == want.tobytes(), name
-
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_hessian_values_rejects_a_stack_of_the_wrong_shape(self, dim):
-        state = initial_condition("random-band-limited", GridSpec(dim, 16), seed=4)
-        p = solve_pressure(state.u, state.theta)
-        with pytest.raises(FieldError, match="Hessian coefficients must have shape"):
-            hessian_values(p, coeffs=hessian_coeffs(p)[1:])
 
     def test_requires_theta_in_2d(self):
         g = GridSpec(2, 16)

@@ -19,10 +19,8 @@ from vortexlab.fields import (
     divergence,
     gradient,
     hessian,
-    hessian_coeffs,
     max_divergence,
     perp_gradient,
-    perp_gradient_coeffs,
     project_spectral,
     solve_pressure,
 )
@@ -255,8 +253,8 @@ class TestHessian:
 class TestDerivativeExactness:
     """Each derivative's values equal those of `from_spectral` of its
     per-entry coefficients bit for bit, and it hands out read-only arrays.
-    The rows that `gradient` hands to its `on_stack` callback, which the
-    tracers sample, are those coefficients bit for bit."""
+    The stacks that each builder hands to its `on_stack` callback, which
+    the tracers sample, hold those coefficients bit for bit."""
 
     @staticmethod
     def _same(field, expected, spectral=True):
@@ -268,21 +266,27 @@ class TestDerivativeExactness:
         assert not field.spectral.flags.writeable
 
     @staticmethod
-    def _same_rows(field, coeffs):
+    def _same_stacks(build, field, name, coeffs):
+        """The stacks that build(field, on_stack) hands over, in order, hold
+        the rows of coeffs; the callback changes nothing of the result.
+        Returns the handed stacks."""
         handed, copies = [], []
 
-        def on_stack(name, row):
-            assert name == "grad_u"
-            handed.append(row)
-            copies.append(row.copy())  # the row is transformed once the callback returns
+        def on_stack(got, stack):
+            assert got == name
+            handed.append(stack)
+            copies.append(stack.copy())  # the stack is transformed once the callback returns
 
-        values = gradient(field, on_stack).values
+        values = build(field, on_stack).values
+        assert b"".join(stack.tobytes() for stack in copies) == np.stack(coeffs).tobytes()
+        assert values.tobytes() == build(field).values.tobytes()
+        return handed
+
+    @classmethod
+    def _same_rows(cls, field, coeffs):
+        handed = cls._same_stacks(gradient, field, "grad_u", coeffs)
         # one buffer holds each row in turn
         assert len(handed) == len(coeffs) and all(row is handed[0] for row in handed)
-        for want, row in zip(coeffs, copies):
-            assert row.tobytes() == want.tobytes()
-        # the callback changes nothing of the result
-        assert values.tobytes() == gradient(field).values.tobytes()
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_scalar_gradient(self, dim):
@@ -315,17 +319,20 @@ class TestDerivativeExactness:
         # the Hessian, like the gradient, keeps no spectrum; it is
         # transformed from the samples on demand
         self._same(hessian(p), TensorField.from_spectral(g, coeffs), spectral=False)
+        # one stack of the distinct entries, upper triangle row by row
+        upper = [coeffs[i, j] for i, j in zip(*np.triu_indices(dim))]
+        (stack,) = self._same_stacks(hessian, p, "hessian", upper)
+        assert stack.shape == (dim * (dim + 1) // 2,) + g.shape
 
     def test_perp_gradient(self):
         g = GridSpec(2, 16)
         th = ScalarField(g, np.random.default_rng(4).standard_normal(g.shape))
         k = g.wavenumbers
         coeffs = np.stack([-(1j * k[1] * th.spectral), 1j * k[0] * th.spectral])
-        self._same(perp_gradient(th), VectorField.from_spectral(g, coeffs))
-        assert perp_gradient_coeffs(th).tobytes() == perp_gradient(th).spectral.tobytes()
-        # the carrier has its own stack: the 2D Hessian stack holds the
-        # three distinct entries of the pressure Hessian only
-        assert hessian_coeffs(th).shape == (3,) + g.shape
+        self._same(perp_gradient(th), VectorField.from_spectral(g, coeffs), spectral=False)
+        # the carrier has its own stack, apart from the pressure Hessian's
+        (stack,) = self._same_stacks(perp_gradient, th, "carrier", coeffs)
+        assert stack.shape == (2,) + g.shape
 
 
 class TestSolvePressure:

@@ -27,11 +27,14 @@ EULER = dict(
     regions=[Region("core", center=(3.14159, 3.14159, 3.14159), radius=1.0)],
 )
 # With 4 tracers, which sample each derivative stack as it is built, this
-# config reads 7.1 (`gradient`, with the point samples of grad u), 8.7 (a
-# sample, with those of the Hessian's stack) and 7.3 (an RK4 step: the
-# tracers sample each stage inside it, and no stage outlives its rhs call;
-# keeping the four stages for the tracers read 13.0).
-LIMITS_TRACERS = {"gradient": 8, "sample": 10, "rk4 step": 10}
+# config reads 7.1 (`gradient`, with the point samples of grad u), 8.1 (a
+# sample, with those of the Hessian's stack, which is sampled and
+# transformed before the strain and the vorticity are built) and 7.3 (an
+# RK4 step: the tracers sample each stage inside it, and no stage outlives
+# its rhs call; keeping the four stages for the tracers read 13.0).
+# Building the sampled Hessian stack after grad u is freed, beside the
+# strain and the vorticity, read 9.1 in the sample.
+LIMITS_TRACERS = {"gradient": 8, "sample": 9, "rk4 step": 10}
 # The 2D bubble with 4 tracers, in real vector fields of its grid (two
 # grid arrays). It reads 6.1 (`gradient`), 7.1 (a sample) and 10.5 (an RK4
 # step). Sampling the carrier at the tracers from the Hessian's stack, which

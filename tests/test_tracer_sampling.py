@@ -186,19 +186,27 @@ def test_each_sample_builds_each_derivative_spectrum_once(monkeypatch, settings,
     # grad u (d rows), the 2D carrier (2 rows) and the buoyancy term of the
     # 2D pressure (1 row) take one _derivative_coeffs call per row; the
     # tracers sample the rows the grid path builds, so they add none
-    calls = {"_derivative_coeffs": 0, "hessian_coeffs": 0}
-    for name in calls:
-        original = getattr(fields, name)
+    calls = 0
+    original = fields._derivative_coeffs
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
 
-        for module in (fields, diagnostics, pipeline):
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(fields, "_derivative_coeffs", counted)
+    # the Hessian is built once per sample, with a callback when tracked
+    hessian_sampled = []
+    original_hessian = fields.hessian
+
+    def hessian(p, on_stack=None):
+        hessian_sampled.append(on_stack is not None)
+        return original_hessian(p, on_stack)
+
+    monkeypatch.setattr(diagnostics, "hessian", hessian)
     config = RunConfig(dt=0.01, t_end=0.02, tracer_count=tracer_count, **settings)
     result = pipeline.run(config)
     samples = len(result.times)
     assert samples == 3
-    assert calls == {"_derivative_coeffs": builds * samples, "hessian_coeffs": samples if tracer_count else 0}
+    assert calls == builds * samples
+    assert hessian_sampled == [tracer_count > 0] * samples
