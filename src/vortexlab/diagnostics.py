@@ -17,7 +17,8 @@ that the 3D velocity gradient can be freed first, on the grid
 (`diag_field`). The three derivative builders of `fields` (`gradient` for
 grad u, `perp_gradient` for the 2D carrier, `hessian` for the pressure
 Hessian) share one contract: each hands each spectral stack it builds to
-an `on_stack` callback before its transform, for the tracers to sample.
+an `on_stack` callback before its transform, for the tracers to sample,
+and returns the grid values as a plain component-first array.
 With A = mat and P = hess it gives xi = vec/|vec|, zeta = A xi/|A xi|,
 alpha = xi.A xi, rho = xi.P xi, the alignment zeta.P xi, the stretch
 balance |A xi|^2 - 2 alpha^2 - rho, and the rates along the flow: alpha
@@ -287,14 +288,15 @@ def diag_field(
     temperature field and gives the perpendicular-gradient/Jacobian ones.
     Quantities have the grid shape. eps defaults to the rule of a run's
     first sample, 1e-12 max(max |vec|, 1), read from this carrier.
-    grad_u, the grid values of `gradient(u)` (as `fields.solve_pressure`
-    takes them), is computed here when not given; in 3D it is read before
+    grad_u, the array `gradient(u)` returns (as `fields.solve_pressure`
+    takes it), is computed here when not given; in 3D it is read before
     the Hessian is transformed, so a caller that hands over its only
     reference lets it be freed first. on_stack, when given, goes to the
     builders `fields.perp_gradient` (2D) and `fields.hessian`, in that
     order, which hand it their "carrier" and "hessian" stacks before they
-    transform them in place; without it the Hessian rows are built one at
-    a time, after grad u is freed.
+    transform them in place and return the grid arrays that the kernel
+    reads; without it the Hessian rows are built one at a time, after grad
+    u is freed.
     """
     grid = u.grid
     if p.grid != grid or (theta is not None and theta.grid != grid):
@@ -304,18 +306,18 @@ def diag_field(
     if grid.dim == 3 and theta is not None:
         raise FieldError("a temperature field is supported on 2D grids only")
     if grad_u is None:
-        grad_u = gradient(u).values
+        grad_u = gradient(u)
     elif grad_u.shape != (grid.dim, grid.dim) + grid.shape:
         raise ValueError(f"grad_u must have shape {(grid.dim, grid.dim) + grid.shape}, got {grad_u.shape}")
-    carrier = None if theta is None else perp_gradient(theta, on_stack).values
+    carrier = None if theta is None else perp_gradient(theta, on_stack)
     # a sampled Hessian holds its whole stack, so it is built before the
     # strain and the vorticity, which it would sit beside; an unsampled one
     # builds one row at a time, after grad u is freed
-    hess = None if on_stack is None else hessian(p, on_stack).values
+    hess = None if on_stack is None else hessian(p, on_stack)
     vec, mat = _carrier_and_matrix(grad_u, carrier)
     del grad_u
     if hess is None:
-        hess = hessian(p).values
+        hess = hessian(p)
     hess = np.moveaxis(hess, (0, 1), (-2, -1))
     if eps is None:
         eps = 1e-12 * max(float(np.max(_norm(vec))), 1.0)

@@ -1,17 +1,18 @@
-"""Scalar/vector/tensor fields on a periodic grid and their spectral operators.
+"""Scalar and vector fields on a periodic grid and their spectral operators.
 
-Fields are immutable: the sample array is frozen at construction and the
-spectral mirror is cached on first use. Differentiation is exact for the
-trigonometric interpolant; the 2/3-rule truncation is applied to nonlinear
-products only (here: the pressure source), never to plain derivatives.
-Three builders make the derivatives that a run reads, under one contract:
-`gradient` (the rows of grad f, one at a time in one buffer), `hessian`
-(the distinct entries of the Hessian of p, one stack when a callback
-takes it, else one row at a time) and `perp_gradient` (the 2D carrier of
-theta). Each hands each spectral stack it builds to an optional
-`on_stack(name, coeffs)` callback, then transforms it in place and
-returns grid values with no spectrum; a caller samples a stack there, so
-none is built twice.
+A field object is a state or a pressure that owns its spectrum: the sample
+array is frozen at construction and the spectral mirror is cached on first
+use. Differentiation is exact for the trigonometric interpolant; the
+2/3-rule truncation is applied to nonlinear products only (here: the
+pressure source), never to plain derivatives. Three builders make the
+derivatives that a run reads, under one contract: `gradient` (the rows of
+grad f, one at a time in one buffer), `hessian` (the distinct entries of
+the Hessian of p, one stack when a callback takes it, else one row at a
+time) and `perp_gradient` (the 2D carrier of theta). Each hands each
+spectral stack it builds to an optional `on_stack(name, coeffs)` callback,
+then transforms it in place and returns its grid values as a plain
+C-ordered float64 array, components first, that keeps no spectrum; a
+caller samples a stack there, so none is built twice.
 """
 
 from __future__ import annotations
@@ -70,25 +71,19 @@ class _Field:
         self._spectral = None
 
     @classmethod
-    def _wrap(cls, grid: GridSpec, values: np.ndarray, spectral: np.ndarray | None = None):
-        """Internal constructor: takes ownership of freshly computed arrays
-        and freezes them, with no copy and no finiteness check."""
+    def _from_own_spectral(cls, grid: GridSpec, coeffs: np.ndarray, truncated: bool = False):
+        """Internal constructor from complex128 coefficients of the right
+        shape that no one else holds; they become the cached spectrum, and
+        both it and the transformed samples are frozen, with no copy and no
+        finiteness check. truncated=True promises that they are zero outside
+        the dealias cutoff (`GridSpec.ifftn`)."""
+        values = np.ascontiguousarray(grid.ifftn(coeffs, truncated=truncated))
         values.flags.writeable = False
-        if spectral is not None:
-            spectral.flags.writeable = False
+        coeffs.flags.writeable = False
         field = cls.__new__(cls)
         field.grid = grid
         field.values = values
-        field._spectral = spectral
-        return field
-
-    @classmethod
-    def _from_own_spectral(cls, grid: GridSpec, coeffs: np.ndarray, truncated: bool = False):
-        """Internal constructor from complex128 coefficients of the right
-        shape that no one else holds; they become the cached spectrum.
-        truncated=True promises that they are zero outside the dealias
-        cutoff (`GridSpec.ifftn`)."""
-        field = cls._wrap(grid, np.ascontiguousarray(grid.ifftn(coeffs, truncated=truncated)), coeffs)
+        field._spectral = coeffs
         field._values_exact = True
         field._truncated = truncated
         return field
@@ -112,13 +107,6 @@ class _Field:
             self._spectral = spectral
         return self._spectral
 
-    def __eq__(self, other) -> bool:
-        return (
-            type(self) is type(other)
-            and self.grid == other.grid
-            and np.array_equal(self.values, other.values)
-        )
-
 
 class ScalarField(_Field):
     rank = 0
@@ -126,10 +114,6 @@ class ScalarField(_Field):
 
 class VectorField(_Field):
     rank = 1
-
-
-class TensorField(_Field):
-    rank = 2
 
 
 def _derivative_coeffs(
@@ -140,11 +124,11 @@ def _derivative_coeffs(
     return np.multiply(1j * k, coeffs, out=out)
 
 
-def gradient(field: ScalarField | VectorField, on_stack=None) -> VectorField | TensorField:
-    """Spectral gradient: for a scalar f the vector (d_i f), for a vector u
-    the tensor G with G[i, j] = d_i u_j. The exact spectrum of each row d_i f
-    is built in turn in one buffer, handed to on_stack("grad_u", row) when
-    given, and then transformed in place; the result keeps no spectrum."""
+def gradient(field: ScalarField | VectorField, on_stack=None) -> np.ndarray:
+    """Spectral gradient as grid values: for a scalar f the (d, ...) array of
+    d_i f, for a vector u the (d, d, ...) array G with G[i, j] = d_i u_j. The
+    exact spectrum of each row d_i f is built in turn in one buffer, handed
+    to on_stack("grad_u", row) when given, and then transformed in place."""
     if not isinstance(field, (ScalarField, VectorField)):
         raise FieldError("gradient expects a ScalarField or VectorField")
     grid = field.grid
@@ -156,8 +140,7 @@ def gradient(field: ScalarField | VectorField, on_stack=None) -> VectorField | T
         if on_stack is not None:
             on_stack("grad_u", row)
         out[...] = grid.ifftn(row, overwrite=True)
-    cls = VectorField if isinstance(field, ScalarField) else TensorField
-    return cls._wrap(grid, values)
+    return values
 
 
 def divergence(u: VectorField) -> ScalarField:
@@ -169,11 +152,11 @@ def divergence(u: VectorField) -> ScalarField:
     return ScalarField._from_own_spectral(grid, div)
 
 
-def perp_gradient(theta: ScalarField, on_stack=None) -> VectorField:
-    """Perpendicular gradient (-d2 theta, d1 theta), the 2D carrier; defined
-    in 2D only. Its spectrum is built as one (2, ...) stack, handed to
-    on_stack("carrier", stack) when given, and then transformed in place;
-    the result keeps no spectrum."""
+def perp_gradient(theta: ScalarField, on_stack=None) -> np.ndarray:
+    """Grid values of the perpendicular gradient (-d2 theta, d1 theta), the
+    2D carrier, of shape (2, n, n); defined in 2D only. Its spectrum is
+    built as one (2, ...) stack, handed to on_stack("carrier", stack) when
+    given, and then transformed in place."""
     grid = theta.grid
     if grid.dim != 2:
         raise FieldError("perp_gradient is defined for 2D grids only")
@@ -183,7 +166,7 @@ def perp_gradient(theta: ScalarField, on_stack=None) -> VectorField:
     if on_stack is not None:
         on_stack("carrier", stack)
     # copied out of the complex stack, so that the result holds only the real part
-    return VectorField._wrap(grid, np.ascontiguousarray(grid.ifftn(stack, overwrite=True)))
+    return np.ascontiguousarray(grid.ifftn(stack, overwrite=True))
 
 
 def symmetric_from_upper(upper: np.ndarray, dim: int) -> np.ndarray:
@@ -196,14 +179,15 @@ def symmetric_from_upper(upper: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def hessian(p: ScalarField, on_stack=None) -> TensorField:
-    """Second-derivative tensor of p. The spectra of its d(d+1)/2 distinct
-    entries d_i d_j p, upper triangle row by row, are built as one stack
-    handed to on_stack("hessian", stack) when given, else one at a time in
-    one buffer; each is then transformed in place and mirrored, and the
-    result keeps no spectrum. The rows of a pressure whose spectrum is
-    truncated (as `solve_pressure` returns it without a temperature) take
-    the inverse transform that skips the zero lines."""
+def hessian(p: ScalarField, on_stack=None) -> np.ndarray:
+    """Grid values of the second-derivative tensor of p, (d, d, ...) with
+    [i, j] = d_i d_j p. The spectra of its d(d+1)/2 distinct entries, upper
+    triangle row by row, are built as one stack handed to
+    on_stack("hessian", stack) when given, else one at a time in one
+    buffer; each is then transformed in place and mirrored. The rows of a
+    pressure whose spectrum is truncated (as `solve_pressure` returns it
+    without a temperature) take the inverse transform that skips the zero
+    lines."""
     grid = p.grid
     k = grid.wavenumbers
     pairs = list(zip(*np.triu_indices(grid.dim)))
@@ -216,7 +200,7 @@ def hessian(p: ScalarField, on_stack=None) -> TensorField:
     hess = np.empty((grid.dim, grid.dim) + grid.shape)
     for (i, j), row in zip(pairs, rows):
         hess[i, j] = hess[j, i] = grid.ifftn(row, overwrite=True, truncated=p._truncated)
-    return TensorField._wrap(grid, hess)
+    return hess
 
 
 def max_divergence(
@@ -259,7 +243,7 @@ def solve_pressure(
     if theta is not None and grid.dim != 2:
         raise FieldError("buoyancy source is supported on 2D grids only")
     if grad_u is None:
-        grad_u = gradient(u).values
+        grad_u = gradient(u)
     elif grad_u.shape != (grid.dim, grid.dim) + grid.shape:
         raise FieldError(f"grad_u must have shape {(grid.dim, grid.dim) + grid.shape}, got {grad_u.shape}")
     worst, idx = max_divergence(u, grad_u)
@@ -327,7 +311,6 @@ def ball_mask(grid: GridSpec, center, radius: float) -> np.ndarray | None:
 __all__ = [
     "ScalarField",
     "VectorField",
-    "TensorField",
     "FieldError",
     "DivergenceError",
     "EmptyRegionError",

@@ -223,8 +223,10 @@ class GridSpec:
             out.append(self.axis_wavenumbers.reshape(shape))
         return out
 
-    @cached_property
+    @property
     def k_square(self) -> np.ndarray:
+        """|k|^2 on the grid, built anew at each read: only the cached
+        `inv_k_square` reads it."""
         k2 = np.zeros(self.shape)
         for k in self.wavenumbers:
             k2 = k2 + k**2
@@ -233,7 +235,7 @@ class GridSpec:
     @cached_property
     def inv_k_square(self) -> np.ndarray:
         """1/|k|^2 with the zero mode mapped to 0 (mean-free Poisson inversion)."""
-        k2 = self.k_square.copy()
+        k2 = self.k_square
         k2[(0,) * self.dim] = 1.0
         inv = 1.0 / k2
         inv[(0,) * self.dim] = 0.0

@@ -16,6 +16,10 @@ and the checks confirm the Pythagoras-type identities, the orthogonal
 decomposition of P xi, and the sqrt(2)/sqrt(3) differential inequalities
 these proxies satisfy. In 2D the matrix is a full (nonsymmetric) velocity
 Jacobian; in 3D it is a symmetric strain. Either way the trace is zero.
+Every residual, slack and ratio is relative to the sample's own magnitude,
+with no absolute floor, and the Pythagoras terms are divided by it before
+they are squared; so the suite reads the same at any scale at which the
+kernel's magnitudes are finite.
 
 `run_identity_suite` evaluates the kernel and the checks slab by slab, SLAB
 samples at a time (`DirectionQuantities.slabs`), so that it holds one slab's
@@ -35,7 +39,6 @@ import numpy as np
 from .diagnostics import DirectionQuantities, _norm, direction_quantities
 from .storage import fields_to_json
 
-RESIDUAL_FLOOR = 1e-14
 IDENTITY_TOL = 1e-10
 INEQUALITY_TOL = 1e-12
 SLAB = 16384  # samples per slab of run_identity_suite
@@ -82,54 +85,58 @@ def make_samples(count: int, dim: int, seed: int, scale: float = 1.0) -> Directi
     return direction_quantities(v, S, P, 0.0)
 
 
-def _relative(err: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    return np.abs(err) / np.maximum(ref, RESIDUAL_FLOOR)
-
-
-def _masked(
-    values: np.ndarray, valid: np.ndarray, bad: float = np.inf, failed: np.ndarray | None = None
-) -> np.ndarray:
-    """values where the sample is valid, nan (skipped) where it is not. A
-    valid sample whose value is not finite, or is marked `failed`, reads
-    `bad`, so that it fails the check rather than counting as skipped."""
-    out = np.where(valid, values, np.nan)
-    unusable = ~np.isfinite(values)
-    if failed is not None:
-        unusable |= failed
-    out[valid & unusable] = bad
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den with no warning: a zero den gives 0 for a zero num (a
+    zero term of a zero magnitude) and a signed inf for any other."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = num / den
+    out[(num == 0) & (den == 0)] = 0.0
     return out
 
 
-def _pythagoras(lhs: np.ndarray, mag: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Relative residual of lhs = mag^2, masked as `_masked` does. Where
-    mag > 0 but mag^2 underflows below the normal range, the residual
-    cannot be evaluated and reads inf."""
-    ref = mag**2
-    res = _relative(lhs - ref, ref)
-    return _masked(res, valid, failed=(ref < np.finfo(float).tiny) & (mag > 0))
+def _relative(err: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    return _ratio(np.abs(err), ref)
+
+
+def _masked(values: np.ndarray, valid: np.ndarray, bad: float = np.inf) -> np.ndarray:
+    """values where the sample is valid, nan (skipped) where it is not. A
+    valid sample whose value is not finite reads `bad`, so that it fails
+    the check rather than counting as skipped."""
+    out = np.where(valid, values, np.nan)
+    out[valid & ~np.isfinite(values)] = bad
+    return out
+
+
+def _pythagoras(terms: tuple, mag: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Relative residual of sum(t^2 for t in terms) = mag^2, masked as
+    `_masked` does. Each sample's terms and mag are divided by its own mag
+    before they are squared, so that no square overflows or underflows
+    while the kernel's magnitudes are finite; a mag that is not finite
+    makes the residual NaN, which a valid sample reads as inf."""
+    lhs = sum(_ratio(t, mag) ** 2 for t in terms)
+    # (mag / mag)^2 is mag / mag: 1, or 0 for a zero mag
+    return _masked(np.abs(lhs - _ratio(mag, mag)), valid)
 
 
 def check_vorticity_pythagoras(q: DirectionQuantities) -> np.ndarray:
     """Residual of (rate |v|)^2 + |rate xi|^2 |v|^2 = |S v|^2; nan where
-    skipped, inf where it overflows or underflows."""
-    lhs = q.rate_vec_mag**2 + (q.rate_xi_mag * q.vec_mag) ** 2
-    return _pythagoras(lhs, q.stretch_vec_mag, q.stretch_active)
+    skipped, inf where it cannot be evaluated."""
+    return _pythagoras((q.rate_vec_mag, q.rate_xi_mag * q.vec_mag), q.stretch_vec_mag, q.stretch_active)
 
 
 def check_strain_pythagoras(q: DirectionQuantities) -> np.ndarray:
     """Residual of (rate |S v|)^2 + |rate zeta|^2 |S v|^2 = |P v|^2."""
-    lhs = q.rate_stretch_mag**2 + (q.rate_zeta_mag * q.stretch_vec_mag) ** 2
-    return _pythagoras(lhs, q.hess_vec_mag, q.stretch_active)
+    return _pythagoras((q.rate_stretch_mag, q.rate_zeta_mag * q.stretch_vec_mag), q.hess_vec_mag, q.stretch_active)
 
 
 def check_three_term(q: DirectionQuantities) -> np.ndarray:
     """Residual of the three-term splitting of |P v|^2."""
-    lhs = (
-        q.rate_stretch_mag**2
-        + (q.rate_zeta_mag * q.rate_vec_mag) ** 2
-        + (q.rate_zeta_mag * q.rate_xi_mag * q.vec_mag) ** 2
+    terms = (
+        q.rate_stretch_mag,
+        q.rate_zeta_mag * q.rate_vec_mag,
+        q.rate_zeta_mag * q.rate_xi_mag * q.vec_mag,
     )
-    return _pythagoras(lhs, q.hess_vec_mag, q.stretch_active)
+    return _pythagoras(terms, q.hess_vec_mag, q.stretch_active)
 
 
 CONDITIONING_GUARD = 1e-4
@@ -193,11 +200,9 @@ def check_inequalities(q: DirectionQuantities) -> dict[str, dict[str, np.ndarray
         ("two_term_stretch", lhs2, rhs2),
         ("three_term_bound", lhs3, rhs3),
     ):
-        slack = (rhs - lhs) / np.maximum(rhs, RESIDUAL_FLOOR)
-        ratio = lhs / np.maximum(rhs, RESIDUAL_FLOOR)
         out[name] = {
-            "slack": _masked(slack, q.stretch_active, -np.inf),
-            "ratio": _masked(ratio, q.stretch_active),
+            "slack": _masked(_ratio(rhs - lhs, rhs), q.stretch_active, -np.inf),
+            "ratio": _masked(_ratio(lhs, rhs), q.stretch_active),
         }
     return out
 
@@ -266,7 +271,7 @@ def run_identity_suite(
     # per name, one entry for each slab with a sample that is not skipped:
     # (max residual, batch index of its first sample) and (min slack, max ratio)
     maxima, extremes = {}, {}
-    # a residual that overflows or underflows reads inf and fails its check
+    # a residual that cannot be evaluated reads inf and fails its check
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for sl, part in q.slabs(SLAB):
             for name, res in _residuals(part).items():

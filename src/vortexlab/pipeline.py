@@ -445,7 +445,7 @@ def integrate(config: RunConfig, log: SampleLog, out_dir: Path | None = None):
                 at_tracers.setdefault(name, []).append(sampler.sample(coeffs))
         # held in a list so that diag_field receives the only reference and
         # can free grad u before it transforms the Hessian
-        grad_u = [gradient(current.u, on_stack).values]
+        grad_u = [gradient(current.u, on_stack)]
         p = solve_pressure(current.u, theta_now, grad_u=grad_u[0])
         write_diag = base is not None and config.snapshot_diagnostics
         if sampled or write_diag:
@@ -466,10 +466,10 @@ def integrate(config: RunConfig, log: SampleLog, out_dir: Path | None = None):
             return
         if not write_diag:
             diag = None  # free the grid diagnostics before the writes
-        paths = list(save_field(Path(str(base) + "_velocity"), current.u, "velocity", t))
+        paths = list(save_field(Path(str(base) + "_velocity"), grid, current.u.values, "velocity", t))
         if theta_now is not None:
-            paths.extend(save_field(Path(str(base) + "_temperature"), theta_now, "temperature", t))
-        paths.extend(save_field(Path(str(base) + "_pressure"), p, "pressure", t))
+            paths.extend(save_field(Path(str(base) + "_temperature"), grid, theta_now.values, "temperature", t))
+        paths.extend(save_field(Path(str(base) + "_pressure"), grid, p.values, "pressure", t))
         if write_diag:
             paths.extend(save_diagnostics(base, grid, diag, t))
         snapshots.extend(paths)

@@ -1,7 +1,9 @@
 """Snapshot persistence, run manifests, and deterministic serialization.
 
-Arrays go to disk as raw little-endian float64 in C order with a JSON
-sidecar header carrying dim, n, the field role, and the sample time.
+Grid arrays go to disk as raw little-endian float64 in C order with a JSON
+sidecar header carrying dim, n, the rank (the number of component axes
+before the grid axes), the shape, the field role, and the sample time;
+they are written and read back as plain arrays.
 CSV floats are written with 17 significant digits; JSON floats use
 Python's shortest round-trip repr, and a non-finite one is written as
 null. Nothing time-of-day dependent is ever written, so identical
@@ -18,10 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import ScalarField, TensorField, VectorField
 from .grid import GridSpec
-
-_FIELD_CLASSES = {0: ScalarField, 1: VectorField, 2: TensorField}
 
 
 def finite_or_null(obj):
@@ -62,23 +61,24 @@ def read_json(path: Path):
         return json.load(fh)
 
 
-def save_field(base: Path, field, role: str, time: float) -> tuple[Path, Path]:
-    """Write `<base>.bin` (raw samples) and `<base>.json` (header)."""
+def save_field(base: Path, grid: GridSpec, values: np.ndarray, role: str, time: float) -> tuple[Path, Path]:
+    """Write the grid values `values`, of shape (dim,) * rank + grid.shape,
+    to `<base>.bin` (raw samples, as they are) and `<base>.json` (header)."""
     base = Path(base)
     base.parent.mkdir(parents=True, exist_ok=True)
     bin_path = base.with_suffix(".bin")
-    data = np.ascontiguousarray(field.values, dtype="<f8")
+    data = np.ascontiguousarray(values, dtype="<f8")
     bin_path.write_bytes(data.tobytes())
     header = {
         "format": "vortexlab-snapshot-v1",
         "dtype": "<f8",
         "order": "C",
-        "dim": field.grid.dim,
-        "n": field.grid.n,
-        "length": field.grid.length,
-        "dealias": field.grid.dealias,
-        "rank": field.rank,
-        "shape": list(field.values.shape),
+        "dim": grid.dim,
+        "n": grid.n,
+        "length": grid.length,
+        "dealias": grid.dealias,
+        "rank": data.ndim - grid.dim,
+        "shape": list(data.shape),
         "role": role,
         "time": time,
     }
@@ -87,8 +87,8 @@ def save_field(base: Path, field, role: str, time: float) -> tuple[Path, Path]:
     return bin_path, json_path
 
 
-def load_field(base: Path):
-    """Read a snapshot pair back; returns (field, header). Samples are read
+def load_field(base: Path) -> tuple[np.ndarray, dict]:
+    """Read a snapshot pair back; returns (values, header). Samples are read
     as they were written, inf and NaN included."""
     base = Path(base)
     header = read_json(base.with_suffix(".json"))
@@ -103,17 +103,18 @@ def load_field(base: Path):
             f"{bin_path} holds {len(data)} bytes, but its header shape {header['shape']} "
             f"needs {expected}"
         )
-    cls = _FIELD_CLASSES[header["rank"]]
-    expected_shape = [grid.dim] * cls.rank + [grid.n] * grid.dim
+    rank = header["rank"]
+    if type(rank) is not int or rank < 0:
+        raise ValueError(f"{base.with_suffix('.json')} gives rank {rank!r}, not a nonnegative integer")
+    expected_shape = [grid.dim] * rank + [grid.n] * grid.dim
     if header["shape"] != expected_shape:
         raise ValueError(
-            f"{base.with_suffix('.json')} gives shape {header['shape']}, but rank {cls.rank} "
+            f"{base.with_suffix('.json')} gives shape {header['shape']}, but rank {rank} "
             f"on its grid needs {expected_shape}"
         )
-    values = np.frombuffer(data, dtype="<f8").reshape(header["shape"]).astype(np.float64)
     # unchecked, so that a snapshot holding inf or NaN (an overflowed
     # diagnostic, say) reads back as it was written
-    return cls._wrap(grid, values), header
+    return np.frombuffer(data, dtype="<f8").reshape(header["shape"]).astype(np.float64), header
 
 
 def format_float(x: float) -> str:
@@ -154,9 +155,7 @@ def save_diagnostics(base: Path, grid: GridSpec, diag, time: float) -> list[Path
     }
     paths = []
     for role, values in entries.items():
-        # a frozen copy, as `ScalarField` makes, that may hold inf or NaN
-        field = ScalarField._wrap(grid, np.array(values, dtype=np.float64))
-        paths.extend(save_field(Path(f"{base}_{role}"), field, role, time))
+        paths.extend(save_field(Path(f"{base}_{role}"), grid, values, role, time))
     return paths
 
 

@@ -363,7 +363,7 @@ class TestDiagField:
         state = initial_condition(initial, GridSpec(dim, 16))
         theta = state.theta
         p = solve_pressure(state.u, theta)
-        given = diag_field(state.u, p, theta, grad_u=gradient(state.u).values)
+        given = diag_field(state.u, p, theta, grad_u=gradient(state.u))
         computed = diag_field(state.u, p, theta)
         assert given.eps == computed.eps
         for name in ("vec", "mat", "hess", "align", "stretch_balance"):
@@ -388,7 +388,7 @@ class TestDiagField:
         # one stack per field, handed over by its own builder, the carrier first
         from_diag, handed[:] = list(handed), []
         if dim == 2:
-            carrier = perp_gradient(theta, record).values
+            carrier = perp_gradient(theta, record)
             # the carrier comes from its own stack, not from the Hessian's
             assert recorded.vec.tobytes() == np.moveaxis(carrier, 0, -1).tobytes()
         hessian(p, record)
@@ -433,8 +433,8 @@ class TestDiagField:
         )
         p = solve_pressure(u)
         d = diag_field(u, p)
-        grad_u = gradient(u).values
-        hess_p = hessian(p).values
+        grad_u = gradient(u)
+        hess_p = hessian(p)
         rng = np.random.default_rng(6)
         for _ in range(5):
             idx = tuple(rng.integers(0, g.n, size=3))

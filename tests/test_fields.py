@@ -13,7 +13,6 @@ from vortexlab.fields import (
     EmptyRegionError,
     FieldError,
     ScalarField,
-    TensorField,
     VectorField,
     ball_mask,
     divergence,
@@ -51,6 +50,9 @@ class TestGridSpec:
         assert g.k_square.shape == g.shape
         assert g.k_square[0, 0] == 0.0
         assert g.inv_k_square[0, 0] == 0.0
+        # |k|^2 is built on each read, not held beside its cached inverse
+        assert "k_square" not in vars(g) and "inv_k_square" in vars(g)
+        assert np.array_equal(g.inv_k_square[1:], 1.0 / g.k_square[1:])
 
     def test_dealias_mask_keeps_low_modes(self):
         g = grid2()
@@ -166,15 +168,15 @@ class TestGradient:
     def test_constant_is_flat(self):
         g = grid3()
         out = gradient(ScalarField(g, np.full(g.shape, 3.7)))
-        assert np.max(np.abs(out.values)) <= 1e-13
+        assert np.max(np.abs(out)) <= 1e-13
 
     def test_scalar_analytic(self):
         g = grid3()
         x = g.coords
         out = gradient(ScalarField(g, np.sin(x[0])))
-        assert np.max(np.abs(out.values[0] - np.cos(x[0]))) <= 1e-12
-        assert np.max(np.abs(out.values[1])) <= 1e-12
-        assert np.max(np.abs(out.values[2])) <= 1e-12
+        assert np.max(np.abs(out[0] - np.cos(x[0]))) <= 1e-12
+        assert np.max(np.abs(out[1])) <= 1e-12
+        assert np.max(np.abs(out[2])) <= 1e-12
 
     def test_vector_analytic_layout(self):
         # u = (-sin x2, sin x1, 0): entry [i, j] holds d_i u_j
@@ -182,15 +184,15 @@ class TestGradient:
         x = g.coords
         u = VectorField(g, np.stack([-np.sin(x[1]), np.sin(x[0]), np.zeros(g.shape)]))
         G = gradient(u)
-        assert np.max(np.abs(G.values[1, 0] + np.cos(x[1]))) <= 1e-12
-        assert np.max(np.abs(G.values[0, 1] - np.cos(x[0]))) <= 1e-12
-        assert np.max(np.abs(G.values[0, 0])) <= 1e-12
+        assert np.max(np.abs(G[1, 0] + np.cos(x[1]))) <= 1e-12
+        assert np.max(np.abs(G[0, 1] - np.cos(x[0]))) <= 1e-12
+        assert np.max(np.abs(G[0, 0])) <= 1e-12
 
     def test_divergence_free_gradient_trace(self):
         g = grid2(64)
         x = g.coords
         u = VectorField(g, np.stack([np.cos(x[0]) * np.sin(x[1]), -np.sin(x[0]) * np.cos(x[1])]))
-        G = gradient(u).values
+        G = gradient(u)
         trace = G[0, 0] + G[1, 1]
         assert np.max(np.abs(trace)) <= 1e-10
 
@@ -199,17 +201,17 @@ class TestPerpGradient:
     def test_constant(self):
         g = grid2()
         out = perp_gradient(ScalarField(g, np.full(g.shape, 1.2)))
-        assert np.max(np.abs(out.values)) <= 1e-13
+        assert np.max(np.abs(out)) <= 1e-13
 
     def test_analytic(self):
         g = grid2()
         x = g.coords
         out = perp_gradient(ScalarField(g, np.sin(x[0])))
-        assert np.max(np.abs(out.values[0])) <= 1e-12
-        assert np.max(np.abs(out.values[1] - np.cos(x[0]))) <= 1e-12
+        assert np.max(np.abs(out[0])) <= 1e-12
+        assert np.max(np.abs(out[1] - np.cos(x[0]))) <= 1e-12
         out = perp_gradient(ScalarField(g, np.sin(x[1])))
-        assert np.max(np.abs(out.values[0] + np.cos(x[1]))) <= 1e-12
-        assert np.max(np.abs(out.values[1])) <= 1e-12
+        assert np.max(np.abs(out[0] + np.cos(x[1]))) <= 1e-12
+        assert np.max(np.abs(out[1])) <= 1e-12
 
     def test_rejects_3d(self):
         g = grid3()
@@ -221,23 +223,23 @@ class TestHessian:
     def test_zero(self):
         g = grid2()
         out = hessian(ScalarField(g, np.zeros(g.shape)))
-        assert np.max(np.abs(out.values)) == 0.0
+        assert np.max(np.abs(out)) == 0.0
 
     def test_analytic(self):
         g = grid3()
         x = g.coords
         H = hessian(ScalarField(g, np.cos(x[0])))
-        assert np.max(np.abs(H.values[0, 0] + np.cos(x[0]))) <= 1e-12
+        assert np.max(np.abs(H[0, 0] + np.cos(x[0]))) <= 1e-12
         for i in range(3):
             for j in range(3):
                 if (i, j) != (0, 0):
-                    assert np.max(np.abs(H.values[i, j])) <= 1e-12
+                    assert np.max(np.abs(H[i, j])) <= 1e-12
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_batched_transform_matches_per_entry(self, dim):
         g = GridSpec(dim, 16)
         p = ScalarField(g, np.random.default_rng(7).standard_normal(g.shape))
-        H = hessian(p).values
+        H = hessian(p)
         k = g.wavenumbers
         for i in range(dim):
             for j in range(dim):
@@ -247,23 +249,18 @@ class TestHessian:
         g = grid2()
         rng = np.random.default_rng(3)
         H = hessian(ScalarField(g, rng.standard_normal(g.shape)))
-        assert np.array_equal(H.values[0, 1], H.values[1, 0])
+        assert np.array_equal(H[0, 1], H[1, 0])
 
 
 class TestDerivativeExactness:
-    """Each derivative's values equal those of `from_spectral` of its
-    per-entry coefficients bit for bit, and it hands out read-only arrays.
-    The stacks that each builder hands to its `on_stack` callback, which
-    the tracers sample, hold those coefficients bit for bit."""
+    """Each builder's grid values equal the inverse transform of its
+    per-entry coefficients bit for bit. The stacks that each builder hands
+    to its `on_stack` callback, which the tracers sample, hold those
+    coefficients bit for bit."""
 
     @staticmethod
-    def _same(field, expected, spectral=True):
-        assert type(field) is type(expected)
-        assert field.values.tobytes() == expected.values.tobytes()
-        if spectral:
-            assert field.spectral.tobytes() == expected.spectral.tobytes()
-        assert not field.values.flags.writeable
-        assert not field.spectral.flags.writeable
+    def _same(values, grid, coeffs):
+        assert values.tobytes() == grid.ifftn(coeffs).tobytes()
 
     @staticmethod
     def _same_stacks(build, field, name, coeffs):
@@ -277,9 +274,9 @@ class TestDerivativeExactness:
             handed.append(stack)
             copies.append(stack.copy())  # the stack is transformed once the callback returns
 
-        values = build(field, on_stack).values
+        values = build(field, on_stack)
         assert b"".join(stack.tobytes() for stack in copies) == np.stack(coeffs).tobytes()
-        assert values.tobytes() == build(field).values.tobytes()
+        assert values.tobytes() == build(field).tobytes()
         return handed
 
     @classmethod
@@ -294,7 +291,7 @@ class TestDerivativeExactness:
         f = ScalarField(g, np.random.default_rng(1).standard_normal(g.shape))
         k = g.wavenumbers
         coeffs = np.stack([1j * k[i] * f.spectral for i in range(dim)])
-        self._same(gradient(f), VectorField.from_spectral(g, coeffs), spectral=False)
+        self._same(gradient(f), g, coeffs)
         self._same_rows(f, coeffs)
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -305,7 +302,7 @@ class TestDerivativeExactness:
         coeffs = np.stack(
             [np.stack([1j * k[i] * u.spectral[j] for j in range(dim)]) for i in range(dim)]
         )
-        self._same(gradient(u), TensorField.from_spectral(g, coeffs), spectral=False)
+        self._same(gradient(u), g, coeffs)
         self._same_rows(u, coeffs)
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -316,9 +313,7 @@ class TestDerivativeExactness:
         coeffs = np.stack(
             [np.stack([-(k[i] * k[j]) * p.spectral for j in range(dim)]) for i in range(dim)]
         )
-        # the Hessian, like the gradient, keeps no spectrum; it is
-        # transformed from the samples on demand
-        self._same(hessian(p), TensorField.from_spectral(g, coeffs), spectral=False)
+        self._same(hessian(p), g, coeffs)
         # one stack of the distinct entries, upper triangle row by row
         upper = [coeffs[i, j] for i, j in zip(*np.triu_indices(dim))]
         (stack,) = self._same_stacks(hessian, p, "hessian", upper)
@@ -329,10 +324,43 @@ class TestDerivativeExactness:
         th = ScalarField(g, np.random.default_rng(4).standard_normal(g.shape))
         k = g.wavenumbers
         coeffs = np.stack([-(1j * k[1] * th.spectral), 1j * k[0] * th.spectral])
-        self._same(perp_gradient(th), VectorField.from_spectral(g, coeffs), spectral=False)
+        self._same(perp_gradient(th), g, coeffs)
         # the carrier has its own stack, apart from the pressure Hessian's
         (stack,) = self._same_stacks(perp_gradient, th, "carrier", coeffs)
         assert stack.shape == (2,) + g.shape
+
+
+def _builder_cases():
+    """(id, builder, its field, the shape of its grid values) of each builder."""
+    cases = []
+    for dim in (2, 3):
+        g = GridSpec(dim, 8)
+        rng = np.random.default_rng(dim)
+        f = ScalarField(g, rng.standard_normal(g.shape))
+        u = VectorField(g, rng.standard_normal((dim,) + g.shape))
+        cases += [
+            (f"gradient-scalar-{dim}d", gradient, f, (dim,) + g.shape),
+            (f"gradient-vector-{dim}d", gradient, u, (dim, dim) + g.shape),
+            (f"hessian-{dim}d", hessian, f, (dim, dim) + g.shape),
+        ]
+        if dim == 2:
+            cases.append(("perp_gradient-2d", perp_gradient, f, (2,) + g.shape))
+    return cases
+
+
+class TestBuilderContract:
+    """The derivative builders return their grid values as plain C-ordered
+    float64 arrays that keep no spectrum, with a callback or without."""
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["plain", "on_stack"])
+    @pytest.mark.parametrize("case", _builder_cases(), ids=lambda case: case[0])
+    def test_returns_a_c_ordered_float64_array(self, case, sampled):
+        _, build, field, shape = case
+        values = build(field, (lambda name, stack: None) if sampled else None)
+        assert type(values) is np.ndarray
+        assert values.dtype == np.float64
+        assert values.flags.c_contiguous
+        assert values.shape == shape
 
 
 class TestSolvePressure:
@@ -364,10 +392,10 @@ class TestSolvePressure:
         u = VectorField(g, np.stack([np.cos(x[0]) * np.sin(x[1]), -np.sin(x[0]) * np.cos(x[1])]))
         theta = ScalarField(g, np.sin(x[0]) * np.sin(x[1]))
         p = solve_pressure(u, theta)
-        H = hessian(p).values
-        G = gradient(u).values
+        H = hessian(p)
+        G = gradient(u)
         source = -np.einsum("ij...,ji...->...", G, G)
-        source = g.ifftn(g.fftn(source) * g.dealias_mask) + gradient(theta).values[1]
+        source = g.ifftn(g.fftn(source) * g.dealias_mask) + gradient(theta)[1]
         assert np.max(np.abs(H[0, 0] + H[1, 1] - source)) <= 1e-10
 
     def test_given_gradient_matches_computed(self):
@@ -375,7 +403,7 @@ class TestSolvePressure:
         x = g.coords
         u = VectorField(g, np.stack([np.cos(x[0]) * np.sin(x[1]), -np.sin(x[0]) * np.cos(x[1])]))
         theta = ScalarField(g, np.sin(x[0]) * np.sin(x[1]))
-        p = solve_pressure(u, theta, grad_u=gradient(u).values)
+        p = solve_pressure(u, theta, grad_u=gradient(u))
         assert np.array_equal(p.values, solve_pressure(u, theta).values)
         with pytest.raises(FieldError, match="grad_u"):
             solve_pressure(u, grad_u=np.zeros((3, 3) + g.shape))
@@ -396,7 +424,7 @@ class TestSolvePressure:
         factors = [1.0 + 0.5 * np.cos(shifted[1]), 1.0 + 0.25 * np.cos(shifted[2])]
         u0 = (np.sin(shifted[0]) + 0.5 * np.sin(2 * shifted[0])) * factors[0] * factors[1]
         u = VectorField(g, np.stack([u0, np.zeros(g.shape), np.zeros(g.shape)]))
-        grad_u = gradient(u).values
+        grad_u = gradient(u)
         worst, idx = max_divergence(u)
         assert max_divergence(u, grad_u) == (pytest.approx(worst, rel=1e-14), idx)
         assert idx == peak and worst == pytest.approx(2.0 * 1.5 * 1.25, rel=1e-13)

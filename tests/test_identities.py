@@ -128,11 +128,19 @@ class TestInequalities:
 
 
 class TestScalingInvariance:
-    @pytest.mark.parametrize("scale", [1e-6, 1e6])
-    def test_residuals_scale_free(self, scale):
-        rep = run_identity_suite(20_000, 3, seed=18, scale=scale)
+    @pytest.mark.parametrize("dim", [3, 2])
+    @pytest.mark.parametrize("scale", [1e-6, 1e6, 1e-8, 1e80, 1e-120])
+    def test_residuals_scale_free(self, scale, dim):
+        # each sample is divided by its own magnitude, so no square over- or
+        # underflows and no absolute floor turns a check into a vacuous pass
+        # (the inequality ratios once read 0.18-0.34 at 1e-8 and 0 at 1e-120)
+        ref = run_identity_suite(20_000, dim, seed=18)
+        rep = run_identity_suite(20_000, dim, seed=18, scale=scale)
         assert rep.passed
-        assert max(rep.residual_max.values()) <= TOL
+        assert max(rep.residual_max.values()) <= TOL, rep.residual_max
+        assert rep.skipped == ref.skipped
+        for name, ratio in ref.inequality_max_ratio.items():
+            assert rep.inequality_max_ratio[name] == pytest.approx(ratio, abs=1e-10), name
 
 
 class TestSuite:
@@ -150,11 +158,13 @@ class TestSuite:
         assert rep.skipped["vorticity_pythagoras"] == 1
 
     @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("scale", [1e80, 1e-120])
-    def test_overflow_and_underflow_fail_instead_of_skipping(self, scale, dim):
-        # at 1e80 the squared magnitudes overflow to inf; at 1e-120 they
-        # underflow to 0, which once made every residual read exactly 0
-        rep = run_identity_suite(2000, dim, seed=0, scale=scale)
+    def test_overflow_fails_instead_of_skipping(self, dim):
+        # |v| near 1e150 and |S v|, |P v| near 1e310: the kernel's |S v| and
+        # |P v| overflow to inf, every sample is valid, and the residuals
+        # that cannot be evaluated read inf
+        base = make_samples(2000, dim, 0)
+        samples = direction_quantities(base.vec * 1e150, base.mat * 1e160, base.hess * 1e160, 0.0)
+        rep = run_identity_suite(0, dim, seed=0, samples=samples)
         assert not rep.passed
         for name in ("vorticity_pythagoras", "strain_pythagoras", "three_term"):
             assert rep.residual_max[name] == np.inf, name
@@ -225,7 +235,7 @@ class TestSlabs:
     -0.0 from 0.0 and keeps the key order)."""
 
     @pytest.mark.parametrize("tolerance", [IDENTITY_TOL, 0.0])
-    @pytest.mark.parametrize("scale", [1.0, 1e80, 1e-120])
+    @pytest.mark.parametrize("scale", [1.0, 1e80, 1e-120, 1e154])
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("count", [2 * SLAB + 7, 1])
     def test_report_equals_the_whole_batch(self, count, dim, scale, tolerance):
@@ -236,12 +246,12 @@ class TestSlabs:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_skips_and_worst_sample_in_later_slabs(self, dim):
         # zero carriers (skipped) in the second and third slab, and one sample
-        # whose squares overflow (residual inf, the worst) in the third
+        # whose |S v| and |P v| overflow (residual inf, the worst) in the third
         base = make_samples(2 * SLAB + 7, dim, 0)
         S, P, v = base.mat.copy(), base.hess.copy(), base.vec.copy()
         v[[SLAB + 1, 2 * SLAB + 5]] = 0.0
         k = 2 * SLAB + 3
-        S[k], P[k], v[k] = S[k] * 1e80, P[k] * 1e80, v[k] * 1e80
+        S[k], P[k], v[k] = S[k] * 1e160, P[k] * 1e160, v[k] * 1e150
         rep = run_identity_suite(0, dim, seed=0, samples=direction_quantities(v, S, P, 0.0))
         ref = whole_batch_report(direction_quantities(v, S, P, 0.0), 0, 1.0, IDENTITY_TOL)
         assert repr(suite_fields(rep)) == repr(ref)

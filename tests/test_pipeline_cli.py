@@ -226,10 +226,10 @@ class TestPipelineRun:
         out = tmp_path / "diag"
         pipeline.run(cfg, output_dir=out)
         base = out / "snapshots" / "snap_000002_alignment_negative"
-        field, header = load_field(base)
+        values, header = load_field(base)
         assert header["role"] == "alignment_negative"
         assert header["time"] == pytest.approx(0.02)
-        assert np.all(field.values >= 0.0)
+        assert np.all(values >= 0.0)
         assert (out / "snapshots" / "snap_000000_stretch_balance.bin").exists()
 
     @pytest.mark.parametrize(
@@ -667,15 +667,17 @@ class TestCli:
         assert "worst sample" in out
 
     def test_check_identities_overflow_fails(self, capsys):
-        # |S v|^2 near 1e160 overflows; such samples fail, they are not skipped
-        assert main(["check-identities", "--count", "2000", "--scale", "1e80"]) == 1
+        # at 1e154 the kernel's |S v| near 1e308 overflows to inf: those
+        # samples fail, they are not skipped. The 1240 skipped ones are the
+        # samples whose |v|^2 overflows, which the kernel reads as degenerate
+        assert main(["check-identities", "--count", "2000", "--scale", "1e154"]) == 1
         out = capsys.readouterr().out
-        assert "max_residual=inf skipped=0 FAIL" in out
+        assert "vorticity_pythagoras       max_residual=inf skipped=1240 FAIL" in out
 
     def test_check_identities_overflow_json_is_strict(self, tmp_path, capsys):
         path = tmp_path / "out.json"
-        assert main(["check-identities", "--count", "2000", "--scale", "1e80", "--json", str(path)]) == 1
-        assert "max_residual=inf skipped=0 FAIL" in capsys.readouterr().out
+        assert main(["check-identities", "--count", "2000", "--scale", "1e154", "--json", str(path)]) == 1
+        assert "max_residual=inf skipped=1240 FAIL" in capsys.readouterr().out
 
         def reject(name):
             raise ValueError(f"non-standard JSON constant {name}")
@@ -685,9 +687,9 @@ class TestCli:
         assert overflowed and not report["passed"]
 
     def test_check_identities_overflow_stdout_is_strict(self, capsys):
-        assert main(["check-identities", "--count", "2000", "--scale", "1e80"]) == 1
+        assert main(["check-identities", "--count", "2000", "--scale", "1e154"]) == 1
         out = capsys.readouterr().out
-        assert "max_residual=inf skipped=0 FAIL" in out
+        assert "max_residual=inf skipped=1240 FAIL" in out
 
         def reject(name):
             raise ValueError(f"non-standard JSON constant {name}")

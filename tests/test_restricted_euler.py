@@ -12,8 +12,11 @@ tracer analysis of `pipeline._tracer_analysis`, fed with these series through
 tracers, must read residuals at the level of its finite differences, and
 its growth bounds must hold.
 
-A'(tau) = T* A(T* tau) solves the same equation in tau = t / T* and blows up
-at tau = 1, so the five seeds are integrated at once on one tau grid and
+T* is found in the Sundman variable s, dt/ds = 1 / |A|_F: the blow-up lies
+at infinite s, where a fixed step ds stays a fixed step in A / |A|_F, and
+|A|_F (T* - t) -> sqrt(6) there, so T* is the limit of t + sqrt(6) / |A|_F.
+A'(tau) = T* A(T* tau) solves the same equation in tau = t / T* and blows
+up at tau = 1, so the five seeds are integrated at once on one tau grid and
 passed to one analysis as five tracers. A residual of an identity with m
 time derivatives, relative to max |w|, reads T*^m times its value in the
 seed's own time t, and the tests quote it in t. A bound margin relative to
@@ -27,9 +30,12 @@ import numpy as np
 from vortexlab import pipeline
 from vortexlab.diagnostics import kernel_inputs
 
-# T* of the trace-free standard normal starts of seeds 0-4 (ROADMAP item 2:
-# RK4 in the Sundman variable, to the asymptote t + sqrt(6) / |A|)
-BLOWUP_TIMES = np.array([1.7989591316, 2.6088127820, 5.0169183041, 1.5069370663, 3.5151306870])
+# T* of the trace-free standard normal starts of seeds 0-4, as a probe of
+# the same method found them to 10 digits; `_blowup_times` is checked
+# against it to 1e-7 and is what the tests use
+TABLE = np.array([1.7989591316, 2.6088127820, 5.0169183041, 1.5069370663, 3.5151306870])
+SEEDS = range(len(TABLE))
+SUNDMAN_STEP = 0.01
 FRACTION = 0.9  # of T*, the end of the series
 SUBSTEPS = 32  # RK4 steps per sample at the coarse level
 COARSE = 401  # samples; the fine level has 2 * COARSE - 1
@@ -46,10 +52,38 @@ def _rate(a: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
+def _blowup_times() -> np.ndarray:
+    """T* of every seed, by classical RK4 in the Sundman variable s, with
+    dA/ds = (dA/dt) / |A|_F, dt/ds = 1 / |A|_F and ds = SUNDMAN_STEP, all
+    seeds at once. It stops once the asymptote t + sqrt(6) / |A|_F of every
+    seed has moved by less than 1e-10 over 100 steps, and returns it."""
+
+    def rate(a):
+        norm = np.linalg.norm(a, axis=(-2, -1))
+        return _rate(a) / norm[:, None, None], 1.0 / norm
+
+    a = np.stack([_start(seed) for seed in SEEDS])
+    t = np.zeros(len(a))
+    h = SUNDMAN_STEP
+    asymptote = np.full(len(a), np.inf)
+    while True:
+        for _ in range(100):
+            ka1, kt1 = rate(a)
+            ka2, kt2 = rate(a + 0.5 * h * ka1)
+            ka3, kt3 = rate(a + 0.5 * h * ka2)
+            ka4, kt4 = rate(a + h * ka3)
+            a = a + (h / 6.0) * (ka1 + 2.0 * ka2 + 2.0 * ka3 + ka4)
+            t = t + (h / 6.0) * (kt1 + 2.0 * kt2 + 2.0 * kt3 + kt4)
+        previous, asymptote = asymptote, t + np.sqrt(6.0) / np.linalg.norm(a, axis=(-2, -1))
+        if np.all(np.abs(asymptote - previous) < 1e-10):
+            return asymptote
+
+
+@functools.cache
 def _series() -> np.ndarray:
     """A' of every seed at the fine level's samples, (samples, seeds, 3, 3),
     by RK4 in tau; the coarse level is every other sample."""
-    a = np.stack([t_star * _start(seed) for seed, t_star in enumerate(BLOWUP_TIMES)])
+    a = np.stack([t_star * _start(seed) for seed, t_star in zip(SEEDS, _blowup_times())])
     fine = 2 * COARSE - 1
     per_sample = SUBSTEPS // 2
     h = FRACTION / ((fine - 1) * per_sample)
@@ -80,15 +114,20 @@ def _analyse(samples: int, pressure_sign: float = 1.0) -> dict:
         np.array(inputs, order="C") for inputs in kernel_inputs(grad_u, np.moveaxis(hess_p, (-2, -1), (0, 1)))
     )
     positions = np.zeros(vec.shape)
+    t_star = _blowup_times()
     columns, _, checks = pipeline._tracer_analysis(tau, vec, mat, hess, 0.0, positions)
     w_max = np.max(columns["carrier_mag"], axis=0)
     interior = slice(3, -3)  # past the lower-order end stencils, as `residual_summary` reads them
     return {
-        "vec_transport": np.max(columns["residual_vec_transport"][interior], axis=0) / w_max / BLOWUP_TIMES,
-        "second_accel": np.max(columns["residual_second_accel"][interior], axis=0) / w_max / BLOWUP_TIMES**2,
+        "vec_transport": np.max(columns["residual_vec_transport"][interior], axis=0) / w_max / t_star,
+        "second_accel": np.max(columns["residual_second_accel"][interior], axis=0) / w_max / t_star**2,
         "double_exp": np.min(columns["margin_double_exp"], axis=0) / w_max,
         "violations": {variant: check["violations"] for variant, check in checks.items()},
     }
+
+
+def test_the_sundman_blowup_times_match_the_table():
+    np.testing.assert_allclose(_blowup_times(), TABLE, rtol=1e-7, atol=0.0)
 
 
 def test_the_kinematic_identities_hold_to_the_finite_difference_error():

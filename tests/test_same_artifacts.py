@@ -44,8 +44,8 @@ def test_the_tree_matches_itself_on_the_cli_json(tmp_path):
     cli = tmp_path / "tree" / "cli"
     written = sorted(path.name for path in cli.iterdir())
     assert written == [
-        "check-identities-2d-scale1e80.txt", "check-identities-2d.json", "check-identities-2d.txt",
-        "check-identities-3d-scale1e80.txt", "check-identities-3d.json", "check-identities-3d.txt",
+        "check-identities-2d-scale1e154.txt", "check-identities-2d.json", "check-identities-2d.txt",
+        "check-identities-3d-scale1e154.txt", "check-identities-3d.json", "check-identities-3d.txt",
         "gronwall_batch.json", "gronwall_single.json",
     ]
     assert count == len(written)
@@ -53,7 +53,7 @@ def test_the_tree_matches_itself_on_the_cli_json(tmp_path):
         report = json.loads((cli / f"check-identities-{dim}d.json").read_text())
         assert report["count"] == 20_000 and "elapsed_seconds" not in report
         passed = (cli / f"check-identities-{dim}d.txt").read_text()
-        failed = (cli / f"check-identities-{dim}d-scale1e80.txt").read_text()
+        failed = (cli / f"check-identities-{dim}d-scale1e154.txt").read_text()
         assert passed.startswith(f"identity suite: dim={dim} count=20000 ") and "FAIL" not in passed
         assert "FAIL" in failed and "worst sample:" in failed
         assert "elapsed:" not in passed + failed

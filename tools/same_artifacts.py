@@ -16,7 +16,7 @@ JSON of `vortexlab gronwall --json` on the specs beside this script
 (gronwall_*.ini) and of `vortexlab check-identities --json` in 2D and 3D at
 20,000 samples, without the wall-clock `elapsed_seconds`, and the stdout of
 `check-identities` in 2D and 3D at 20,000 samples (a pass) and at 2,000
-samples of scale 1e80 (a failure that prints the worst sample), without its
+samples of scale 1e154 (a failure that prints the worst sample), without its
 `elapsed:` line.
 Then compares every file written by sha256, names each file that differs or
 that only one tree wrote, and exits 1 on any difference, 0 otherwise.
@@ -90,8 +90,8 @@ for dim in (2, 3):
     report = json.loads(path.read_text())
     del report["elapsed_seconds"]
     path.write_text(json.dumps(report, indent=2, sort_keys=True))
-    # fails: the squares overflow, and the worst sample is printed
-    check_identities(f"check-identities-{dim}d-scale1e80", "--dim", str(dim), "--count", "2000", "--scale", "1e80")
+    # fails: the kernel's |S v| and |P v| overflow, and the worst sample is printed
+    check_identities(f"check-identities-{dim}d-scale1e154", "--dim", str(dim), "--count", "2000", "--scale", "1e154")
 """
 
 
